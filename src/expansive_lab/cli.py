@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import re
 import sys
 
@@ -58,7 +57,10 @@ def _span(text: str) -> range:
     """Inclusive integer span: "2" or "-3..3"."""
     if ".." in text:
         a, b = text.split("..", 1)
-        return range(int(a), int(b) + 1)
+        span = range(int(a), int(b) + 1)
+        if not span:
+            raise ValueError(f"empty span {text!r}")
+        return span
     v = int(text)
     return range(v, v + 1)
 
@@ -208,6 +210,8 @@ def cmd_blocking(args) -> int:
     rule, _ = _binary_rule(args)
     if args.word:
         words = [tuple(w) for w in args.word]
+        if any(s not in BINARY for w in words for s in w):
+            raise ValueError("words must be over the symbols 0 and 1")
     else:
         words = [
             w
@@ -353,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="rule file overriding --rule")
     p.add_argument("--maxlen", type=int, default=3)
     p.add_argument("--tmax", type=int, default=100)
-    p.add_argument("--cmax", type=int, default=6)
     p.add_argument(
         "--word", action="append", default=[],
         help="restrict to this word (repeatable), e.g. --word 01",
@@ -405,17 +408,6 @@ def _absorb_negative_spans(argv):
 
 
 def main(argv=None) -> int:
-    cap = os.environ.get("EXPANSIVE_LAB_THREADS")
-    if cap is not None:
-        try:
-            if int(cap) < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                f"error: EXPANSIVE_LAB_THREADS={cap!r} is not a positive integer",
-                file=sys.stderr,
-            )
-            return 2
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_absorb_negative_spans(argv))
     try:

@@ -10,9 +10,12 @@ functions say which side they err on.
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 from typing import Iterable, Sequence
 
 from .shift_core import (
@@ -56,6 +59,8 @@ def padded_scale_family(
     spacetime cell whose input window pokes outside the agreed interval,
     some deviation pair witnesses the disagreement.
     """
+    if c_max < 0:
+        raise ValueError("c_max must be >= 0")
     alphabet = _as_alphabet(alphabet)
     others = [s for s in alphabet if s != pad]
     family = [Padded(alphabet, (), pad)]
@@ -291,6 +296,84 @@ def polygon_to_lines(hull) -> str:
 
 
 # ---------------------------------------------------------------------------
+# pair difference fronts
+
+
+def _cells(y: Padded, lo: int, n: int) -> tuple:
+    """y[lo], ..., y[lo + n - 1], sliced from the word."""
+    a = y.anchor - lo
+    i, j = min(max(a, 0), n), min(max(a + len(y.word), 0), n)
+    return (y.pad,) * i + y.word[i - a : j - a] + (y.pad,) * (n - j)
+
+
+def _pair_fronts(rule, family, t_max, horizon):
+    """Cumulative difference fronts of every pair of distinct members.
+
+    Returns ({(a, b): (right, left)}, clipped).  right[t] and left[t] are
+    the rightmost and leftmost positions in [-horizon, horizon] at which the
+    orbits of family[a] and family[b] differed at some time <= t (None while
+    they differed nowhere there); clipped tells whether a support ever
+    reached past the horizon.
+
+    The members advance in lockstep, one rule application each per step,
+    and each pair is compared on aligned words.  A step that leaves a
+    member's word unchanged acted on it as a shift, and since the rule
+    commutes with the shift it does so at every later step: from then on
+    the member is shifted instead of recomputed, and a pair of two fixed
+    members keeps its fronts.
+    """
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    for y in family:
+        if not isinstance(y, Padded):
+            raise TypeError("pair scans need padded configurations")
+        if y.pad != family[0].pad:
+            raise ValueError("family members must share one pad symbol")
+    fronts = {
+        (a, b): ([], [])
+        for a in range(len(family))
+        for b in range(a + 1, len(family))
+        if family[a] != family[b]
+    }
+    live = dict(fronts)
+    orbit = list(family)
+    drift = [None] * len(orbit)  # per-step shift once an orbit only translates
+    clipped = False
+    for t in range(t_max + 1):
+        if not live:
+            break
+        lo = min((y.anchor for y in orbit if y.word), default=0)
+        hi = max((y.anchor + len(y.word) - 1 for y in orbit if y.word), default=-1)
+        clipped = clipped or lo < -horizon or hi > horizon
+        lo, hi = max(lo, -horizon), min(hi, horizon)
+        rows = [_cells(y, lo, hi - lo + 1) for y in orbit]
+        for (a, b), (right, left) in list(live.items()):
+            if t and drift[a] == drift[b] == 0:
+                right += [right[-1]] * (t_max + 1 - t)
+                left += [left[-1]] * (t_max + 1 - t)
+                del live[a, b]
+                continue
+            r, l = (right[-1], left[-1]) if t else (None, None)
+            if rows[a] != rows[b]:
+                diff = [
+                    i for i, p, q in zip(range(lo, hi + 1), rows[a], rows[b])
+                    if p != q
+                ]
+                r = diff[-1] if r is None else max(r, diff[-1])
+                l = diff[0] if l is None else min(l, diff[0])
+            right.append(r)
+            left.append(l)
+        for k, y in enumerate(orbit):
+            if drift[k] is None:
+                orbit[k] = apply_rule(rule, y)
+                if orbit[k].word == y.word:
+                    drift[k] = y.anchor - orbit[k].anchor
+            elif drift[k]:
+                orbit[k] = y.shifted(drift[k])
+    return fronts, clipped
+
+
+# ---------------------------------------------------------------------------
 # propagation exponents
 
 
@@ -318,32 +401,6 @@ class LyapunovEstimate:
         return self.lambda_minus[t] / t if t else 0.0
 
 
-def _pair_difference_fronts(rule, y, z, t_max, horizon):
-    """Per-time cumulative extreme difference positions of two padded
-    configurations, clipped to [-horizon, horizon]."""
-    right, left = [], []
-    hi, lo = None, None
-    clipped = False
-    cy, cz = y, z
-    for _ in range(t_max + 1):
-        a = min(cy.support[0] if len(cy.support) else 0,
-                cz.support[0] if len(cz.support) else 0)
-        b = max(cy.support[-1] if len(cy.support) else 0,
-                cz.support[-1] if len(cz.support) else 0)
-        if a < -horizon or b > horizon:
-            clipped = True
-            a, b = max(a, -horizon), min(b, horizon)
-        for i in range(a, b + 1):
-            if cy[i] != cz[i]:
-                hi = i if hi is None else max(hi, i)
-                lo = i if lo is None else min(lo, i)
-        right.append(hi)
-        left.append(lo)
-        cy = apply_rule(rule, cy)
-        cz = apply_rule(rule, cz)
-    return right, left, clipped
-
-
 def lyapunov_profile(
     rule: LocalRule,
     family: Sequence[Padded],
@@ -361,29 +418,19 @@ def lyapunov_profile(
     covered by tests.  Families with a periodic member are rejected: two
     distinct periodic points never agree on a half-line, which makes the
     premise vacuous and the profile identically zero.
+
+    Cost: one orbit per family member, not two per pair, and no rule
+    applications once a member's orbit only translates.
     """
-    for y in family:
-        if not isinstance(y, Padded):
-            raise TypeError("lyapunov_profile needs padded configurations")
-        if y.pad != family[0].pad:
-            raise ValueError("family members must share one pad symbol")
+    fronts, truncated = _pair_fronts(rule, family, t_max, horizon)
     plus = [0] * (t_max + 1)
     minus = [0] * (t_max + 1)
-    truncated = False
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            if family[a] == family[b]:
-                continue
-            right, left, clipped = _pair_difference_fronts(
-                rule, family[a], family[b], t_max, horizon
-            )
-            truncated = truncated or clipped
-            r0, l0 = right[0], left[0]
-            if r0 is None:
-                continue  # every difference sits beyond the horizon
-            for t in range(t_max + 1):
-                plus[t] = max(plus[t], right[t] - r0)
-                minus[t] = max(minus[t], l0 - left[t])
+    for right, left in fronts.values():
+        r0, l0 = right[0], left[0]
+        if r0 is None:
+            continue  # every difference sits beyond the horizon
+        plus = [max(p, r - r0) for p, r in zip(plus, right)]
+        minus = [max(m, l0 - l) for m, l in zip(minus, left)]
     if truncated:
         warnings.warn(
             "difference front reached the horizon; exponents are lower bounds",
@@ -436,8 +483,6 @@ class BlockingReport:
 def _occurring_words(family, max_len):
     words = set()
     for y in family:
-        if not isinstance(y, Padded):
-            raise TypeError("blocking_word_search needs padded configurations")
         sup = y.support
         lo = (sup[0] if len(sup) else 0) - max_len
         hi = (sup[-1] if len(sup) else 0) + max_len
@@ -469,28 +514,6 @@ def embedded_word_family(
     return tuple(family)
 
 
-def _difference_extremes(rule, y, z, t_max, margin):
-    """Rightmost/leftmost difference position per time step (None if the
-    orbits agree at that time)."""
-    right, left = [], []
-    cy, cz = y, z
-    for _ in range(t_max + 1):
-        a = min(cy.support[0] if len(cy.support) else 0,
-                cz.support[0] if len(cz.support) else 0) - margin
-        b = max(cy.support[-1] if len(cy.support) else 0,
-                cz.support[-1] if len(cz.support) else 0) + margin
-        hi = lo = None
-        for i in range(a, b + 1):
-            if cy[i] != cz[i]:
-                hi = i if hi is None or i > hi else hi
-                lo = i if lo is None or i < lo else lo
-        right.append(hi)
-        left.append(lo)
-        cy = apply_rule(rule, cy)
-        cz = apply_rule(rule, cz)
-    return right, left
-
-
 def blocking_word_search(
     rule: LocalRule,
     family: Sequence[Padded],
@@ -508,52 +531,36 @@ def blocking_word_search(
     earliest refutation over pairs, occurrences, and sides.  By default
     every word of length <= max_len occurring in the family is reported;
     pass `words` to restrict the report.
+
+    Cost: one orbit per family member, not two per pair, and no rule
+    applications once a member's orbit only translates.
     """
-    for y in family:
-        if isinstance(y, Padded) and y.pad != family[0].pad:
-            raise ValueError("family members must share one pad symbol")
+    fronts, _ = _pair_fronts(rule, family, t_max, math.inf)
     if words is None:
         words = _occurring_words(family, max_len)
-    fronts = []
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            if family[a] == family[b]:
-                continue
-            right, left = _difference_extremes(
-                rule, family[a], family[b], t_max, rule.radius + 1
-            )
-            if right[0] is None:
-                continue  # identical as maps
-            fronts.append((a, right, left))
     lo = min((y.support[0] if len(y.support) else 0) for y in family)
     hi = max((y.support[-1] if len(y.support) else 0) for y in family)
     lo, hi = lo - max_len - 2, hi + max_len + 2
     occurrences: list[dict] = []
     for y in family:
+        row = _cells(y, lo, hi - lo + 1)
         index: dict = {}
         for length in range(1, max_len + 1):
             for c in range(lo, hi - length + 2):
-                index.setdefault(
-                    tuple(y[c + j] for j in range(length)), []
-                ).append(c)
+                index.setdefault(row[c - lo : c - lo + length], []).append(c)
         occurrences.append(index)
     reports = []
     for word in words:
         word = tuple(word)
-        refuted = None
-        for a, right, left in fronts:
+        hits = []
+        for (a, _), (right, left) in fronts.items():
             spots = occurrences[a].get(word, ())
             # right side: earliest occurrence strictly beyond the initial
-            # difference front refutes soonest
+            # difference front refutes soonest; the fronts are cumulative,
+            # so the first time they reach it is found by bisection
             c = next((c for c in spots if c > right[0]), None)
             if c is not None:
-                hit = next(
-                    (t for t in range(1, t_max + 1)
-                     if right[t] is not None and right[t] >= c),
-                    None,
-                )
-                if hit is not None and (refuted is None or hit < refuted):
-                    refuted = hit
+                hits.append(bisect_left(right, c, 1))
             # left side: latest occurrence ending before the leftmost
             # initial difference
             end = next(
@@ -562,14 +569,9 @@ def blocking_word_search(
                 None,
             )
             if end is not None:
-                hit = next(
-                    (t for t in range(1, t_max + 1)
-                     if left[t] is not None and left[t] <= end),
-                    None,
-                )
-                if hit is not None and (refuted is None or hit < refuted):
-                    refuted = hit
-        verdict = BlockingUpTo(t_max) if refuted is None else RefutedAt(refuted)
+                hits.append(bisect_left(left, -end, 1, key=neg))
+        refuted = min(hits, default=t_max + 1)
+        verdict = BlockingUpTo(t_max) if refuted > t_max else RefutedAt(refuted)
         reports.append(BlockingReport(word, t_max, verdict))
     return reports
 

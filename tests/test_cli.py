@@ -234,12 +234,21 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
-def test_thread_cap_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("EXPANSIVE_LAB_THREADS", "zero")
-    code, _, err = run(capsys, "render", "--n", "1")
-    assert code == 2 and "EXPANSIVE_LAB_THREADS" in err
-    monkeypatch.setenv("EXPANSIVE_LAB_THREADS", "4")
-    assert run(capsys, "render", "--n", "1")[0] == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", "--n", "1", "--trange", "3..1"),
+        ("lyapunov", "--system", "shift", "--tmax", "-1"),
+        ("blocking", "--word", "1", "--tmax", "-1"),
+        ("blocking", "--word", "2"),
+        ("region", "--n", "1", "--cmax", "-1"),
+    ],
+    ids=["empty-span", "lyapunov-tmax", "blocking-tmax", "symbol", "cmax"],
+)
+def test_bad_pair_scan_inputs_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_stdout_and_file_output_agree(capsys, tmp_path):

@@ -5,9 +5,12 @@ against independent brute-force evaluations of their defining quantifiers,
 not against the module's own bookkeeping.
 """
 
+import itertools
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expansive_lab.arrow_bracket import (
     ARROW_LEFT,
@@ -44,10 +47,12 @@ from expansive_lab.dynamics_analysis import (
 )
 from expansive_lab.shift_core import (
     Alphabet,
+    LocalRule,
     Padded,
     Periodic,
     apply_rule,
     identity_rule,
+    orbit,
     shift_rule,
 )
 
@@ -496,6 +501,170 @@ def test_embedded_word_family_shape():
     # all three agree on the embedded word itself
     assert {y[1] for y in fam} == {"0"}
     assert {y[2] for y in fam} == {"1"}
+
+
+# ---------------------------------------------------------------------------
+# pair scans against a per-pair, cell-by-cell oracle
+
+
+def elementary_rule(number):
+    """The range-1 binary rule with Wolfram number `number`."""
+    return LocalRule(
+        BIN,
+        1,
+        {
+            w: "01"[number >> (4 * int(w[0]) + 2 * int(w[1]) + int(w[2])) & 1]
+            for w in itertools.product("01", repeat=3)
+        },
+        "total",
+    )
+
+
+def _span(y):
+    return (y.support[0], y.support[-1]) if len(y.support) else (0, 0)
+
+
+def _oracle_extremes(rule, y, z, t_max, margin, horizon):
+    """Leftmost and rightmost difference of two separately computed orbits
+    at each time, cell by cell over both supports plus a margin, clipped to
+    the horizon; and whether the clip ever bit."""
+    out, clipped = [], False
+    for cy, cz in zip(orbit(rule, y, t_max), orbit(rule, z, t_max)):
+        a = min(_span(cy)[0], _span(cz)[0]) - margin
+        b = max(_span(cy)[1], _span(cz)[1]) + margin
+        if a < -horizon or b > horizon:
+            clipped = True
+            a, b = max(a, -horizon), min(b, horizon)
+        diff = [i for i in range(a, b + 1) if cy[i] != cz[i]]
+        out.append((diff[0], diff[-1]) if diff else (None, None))
+    return out, clipped
+
+
+def _distinct_pairs(family):
+    return [
+        (a, b)
+        for a in range(len(family))
+        for b in range(a + 1, len(family))
+        if family[a] != family[b]
+    ]
+
+
+def _oracle_profile(rule, family, t_max, horizon):
+    plus, minus = [0] * (t_max + 1), [0] * (t_max + 1)
+    truncated = False
+    for a, b in _distinct_pairs(family):
+        ext, clipped = _oracle_extremes(
+            rule, family[a], family[b], t_max, margin=0, horizon=horizon
+        )
+        truncated = truncated or clipped
+        (l0, r0), hi, lo = ext[0], None, None
+        for t, (l, r) in enumerate(ext):
+            if r is not None:
+                hi = r if hi is None else max(hi, r)
+                lo = l if lo is None else min(lo, l)
+            if r0 is not None:
+                plus[t] = max(plus[t], hi - r0)
+                minus[t] = max(minus[t], l0 - lo)
+    return tuple(plus), tuple(minus), truncated
+
+
+def _oracle_blocking(rule, family, max_len, t_max):
+    spans = [_span(y) for y in family]
+    words = sorted(
+        {
+            tuple(y[c + j] for j in range(n))
+            for y, (lo, hi) in zip(family, spans)
+            for n in range(1, max_len + 1)
+            for c in range(lo - max_len, hi + max_len - n + 2)
+        }
+    )
+    lo = min(s[0] for s in spans) - max_len - 2
+    hi = max(s[1] for s in spans) + max_len + 2
+    # unclipped, with the margin of one rule radius plus one cell
+    pairs = [
+        (a, _oracle_extremes(
+            rule, family[a], family[b], t_max, margin=2, horizon=10**9
+        )[0])
+        for a, b in _distinct_pairs(family)
+    ]
+    verdicts = []
+    for w in words:
+        hits = []
+        for a, ext in pairs:
+            spots = [
+                c for c in range(lo, hi - len(w) + 2)
+                if all(family[a][c + j] == w[j] for j in range(len(w)))
+            ]
+            (l0, r0) = ext[0]
+            c = next((c for c in spots if c > r0), None)
+            if c is not None:
+                hits += [t for t in range(1, t_max + 1)
+                         if ext[t][1] is not None and ext[t][1] >= c][:1]
+            end = next((c + len(w) - 1 for c in reversed(spots)
+                        if c + len(w) - 1 < l0), None)
+            if end is not None:
+                hits += [t for t in range(1, t_max + 1)
+                         if ext[t][0] is not None and ext[t][0] <= end][:1]
+        verdicts.append(
+            (w, RefutedAt(min(hits)) if hits else BlockingUpTo(t_max))
+        )
+    return verdicts
+
+
+def _translation_start(rule, y, t_max):
+    """First t with rule^(t+1)(y) a translate of rule^t(y), or None."""
+    ys = orbit(rule, y, t_max + 1)
+    return next(
+        (t for t in range(t_max + 1) if ys[t + 1].word == ys[t].word), None
+    )
+
+
+def test_oracle_examples_cover_every_kind_of_orbit():
+    one, three = Padded(BIN, ("1",), "0"), Padded(BIN, ("1",) * 3, "0")
+    traffic = elementary_rule(184)
+    assert _translation_start(traffic, three, 40) == 2  # after a transient
+    assert _translation_start(elementary_rule(90), one, 40) is None
+    # the empty configuration is fixed while a lone 1 moves right
+    assert apply_rule(traffic, one) == one.shifted(-1)
+    assert _translation_start(traffic, Padded(BIN, (), "0"), 0) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    number=st.integers(0, 127).map(lambda k: 2 * k),  # 000 -> 0
+    members=st.lists(
+        st.tuples(st.text("01", max_size=5), st.integers(-3, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    t_max=st.integers(0, 40),
+    horizon=st.sampled_from((0, 2, 5, 10**6)),
+    max_len=st.integers(1, 3),
+)
+@example(number=184, members=[("111", 0), ("1101", -2)], t_max=40,
+         horizon=10**6, max_len=3)
+@example(number=90, members=[("1", 0), ("11", 1), ("", 0)], t_max=40,
+         horizon=10**6, max_len=2)
+@example(number=184, members=[("", 0), ("1", 0), ("11", 2)], t_max=30,
+         horizon=4, max_len=2)
+def test_pair_scans_match_per_pair_oracle(number, members, t_max, horizon,
+                                          max_len):
+    rule = elementary_rule(number)
+    family = tuple(Padded(BIN, tuple(w), "0", anchor=c) for w, c in members)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = lyapunov_profile(rule, family, t_max, horizon)
+    plus, minus, truncated = _oracle_profile(rule, family, t_max, horizon)
+    assert (est.lambda_plus, est.lambda_minus, est.truncated) == (
+        plus, minus, truncated
+    )
+    assert truncated == any(
+        issubclass(w.category, TruncationWarning) for w in caught
+    )
+    reports = blocking_word_search(rule, family, max_len, t_max)
+    assert [(r.word, r.verdict) for r in reports] == _oracle_blocking(
+        rule, family, max_len, t_max
+    )
 
 
 # ---------------------------------------------------------------------------
