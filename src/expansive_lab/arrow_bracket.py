@@ -22,6 +22,9 @@ counters stay below n).
 from __future__ import annotations
 
 import itertools
+import operator
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .shift_core import (
@@ -256,8 +259,11 @@ class ArrowWalk:
     """Mutable sparse automaton state: bracket cells plus one arrow.
 
     Blank cells are implicit.  Equivalent to applying the full cell map (the
-    equivalence is exercised in the test suite) but each step costs O(1),
-    which is what makes million-step runs cheap.
+    equivalence is exercised in the test suite); `step` advances one tick in
+    O(1) and is the oracle of the macro-stepping in `arrow_trace`,
+    `perturbation_front` and `run_crossing`, which cross a whole resting
+    bracket node in one jump (see `_NodeTable`) and so pay per tick only
+    outside the nodes they can jump, plus O(1) per step replayed.
     """
 
     n: int
@@ -336,8 +342,7 @@ def walk_from_configuration(cfg: Padded, n: int) -> ArrowWalk:
         raise ValueError("walker expects blank padding")
     brackets: dict[int, str] = {}
     arrows = []
-    for i in cfg.support:
-        s = cfg[i]
+    for i, s in enumerate(cfg.word, cfg.anchor):
         if is_arrow(s):
             arrows.append((i, s))
         elif s != BLANK:
@@ -359,6 +364,170 @@ def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
 
 
 # ---------------------------------------------------------------------------
+# macro-stepping over resting bracket nodes
+
+
+class _NodeTable:
+    """The resting bracket nodes of one landscape and the cost of crossing
+    each, after HashLife (Gosper, Physica D 10, 1984).
+
+    A node is a matched pair of resting brackets `[n` ... `]n` whose
+    interior holds only nodes, with no two brackets adjacent.  An arrow
+    facing a node's outer bracket, with no bracket beyond the far one,
+    crosses it without reading anything else and leaves it restored: it
+    enters, traverses the interior 2n+1 times with a bounce between
+    traversals and leaves by the far bracket.  That takes
+    S = (2n+1)R + 2n+2 steps, where R (blank cells walked plus the S of
+    every child) is one traversal; for make_block this is
+    a_0 = 6n+4, a_(k+1) = (4n+2)a_k + 6n+4.
+
+    Nodes are numbered by shape, (width, ((child offset, child shape),
+    ...)).  The crossing blocks of a shape, relative to its open bracket,
+    are built from its children's on first use: the arrow position after
+    each step, and the running front on the side the arrow travels to
+    (the farthest cell that the arrow or a changed bracket has reached).
+    """
+
+    def __init__(self, n: int, brackets: dict):
+        self.n = n
+        self.opens: dict = {}  # open cell -> (close cell, shape)
+        self.closes: dict = {}  # close cell -> (open cell, shape)
+        self.steps: list = []  # shape -> S
+        self._keys: list = []  # shape -> (width, children)
+        self._shapes: dict = {}
+        self._blocks: dict = {}
+        opn, cls = open_bracket(n), close_bracket(n)
+        stack = []  # [open cell, children, still a node]
+        prev = None
+        for x in sorted(brackets):
+            sym = brackets[x]
+            if stack and (x - 1 == prev or sym not in (opn, cls)):
+                stack[-1][2] = False
+            prev = x
+            if sym == opn:
+                stack.append([x, [], True])
+            elif sym == cls and stack:
+                a, children, ok = stack.pop()
+                if ok:
+                    shape = self._shape(x - a, tuple((c - a, s) for c, s in children))
+                    self.opens[a] = (x, shape)
+                    self.closes[x] = (a, shape)
+                    if stack:
+                        stack[-1][1].append((a, shape))
+                elif stack:
+                    stack[-1][2] = False
+
+    def _shape(self, width: int, children: tuple) -> int:
+        key = (width, children)
+        shape = self._shapes.get(key)
+        if shape is None:
+            blanks = width - 2 - sum(self._keys[s][0] + 2 for _, s in children)
+            r = blanks + sum(self.steps[s] for _, s in children)
+            shape = self._shapes[key] = len(self._keys)
+            self._keys.append(key)
+            self.steps.append((2 * self.n + 1) * r + 2 * self.n + 2)
+        return shape
+
+    def _traversal(self, shape: int, facing: int, child_block) -> array:
+        """One interior traversal from the cell after the entered bracket
+        to the cell before the far one, with child_block(child, facing)
+        replayed for each child."""
+        width, children = self._keys[shape]
+        out = array("q")
+        if facing > 0:
+            cur = 1
+            for off, s in children:
+                out.extend(range(cur + 1, off))
+                out.extend(map(off.__add__, child_block(s, 1)))
+                cur = off + self._keys[s][0] + 1
+            out.extend(range(cur + 1, width))
+        else:
+            cur = width - 1
+            for off, s in reversed(children):
+                out.extend(range(cur - 1, off + self._keys[s][0], -1))
+                out.extend(map(off.__add__, child_block(s, -1)))
+                cur = off - 1
+            out.extend(range(cur - 1, 0, -1))
+        return out
+
+    def positions(self, shape: int, facing: int) -> array:
+        """Arrow position after each step of a crossing."""
+        key = ("positions", shape, facing)
+        blk = self._blocks.get(key)
+        if blk is None:
+            w = self._keys[shape][0]
+            near, far = (1, w - 1) if facing > 0 else (w - 1, 1)
+            there = self._traversal(shape, facing, self.positions)
+            back = self._traversal(shape, -facing, self.positions)
+            round_trip = there + array("q", (far,)) + back + array("q", (near,))
+            exit_cell = w + 1 if facing > 0 else -1
+            blk = array("q", (near,)) + round_trip * self.n + there + array("q", (exit_cell,))
+            self._blocks[key] = blk
+        return blk
+
+    def front(self, shape: int, facing: int) -> array:
+        """Running front on the exit side after each step of a crossing:
+        nondecreasing going right, nonincreasing going left.  It reaches
+        the far bracket at the first bounce and stays there until the
+        arrow leaves."""
+        key = ("front", shape, facing)
+        blk = self._blocks.get(key)
+        if blk is None:
+            w = self._keys[shape][0]
+            near, far, exit_cell = (1, w, w + 1) if facing > 0 else (w - 1, 0, -1)
+            there = self._traversal(shape, facing, self.front)
+            rest = self.steps[shape] - 2 - len(there)
+            blk = array("q", (near,)) + there + array("q", (far,)) * rest
+            blk.append(exit_cell)
+            self._blocks[key] = blk
+        return blk
+
+
+def _macro_steps(walk: ArrowWalk, table: _NodeTable, t_max: int):
+    """Advance `walk` by up to t_max steps, jumping whole nodes of `table`.
+
+    Yields (faced cell, None) after each single tick and (open cell,
+    shape) after each jump, in the direction the walk faces.  A node is
+    jumped when the arrow faces its outer bracket, no bracket lies beyond
+    the far one (the walker's stuck check reads that cell at every
+    bounce), none of its brackets differs from when the table was built,
+    and its S fits in the steps left; the walk then ends exactly as S
+    calls of `walk.step` would leave it.  Stops early if the arrow gets
+    stuck.
+    """
+    brackets = walk.brackets
+    original = dict(brackets)
+    changed: set = set()  # cells whose bracket differs from `original`
+    end = walk.steps + t_max
+    while walk.steps < end:
+        ahead = walk.pos + walk.facing
+        if ahead in brackets:
+            node = (table.opens if walk.facing > 0 else table.closes).get(ahead)
+            if node is not None:
+                other, shape = node
+                a, b = sorted((ahead, other))
+                s = table.steps[shape]
+                if (
+                    s <= end - walk.steps
+                    and other + walk.facing not in brackets
+                    and not (changed and any(a <= c <= b for c in changed))
+                ):
+                    walk.pos = other + walk.facing
+                    walk.steps += s
+                    yield a, shape
+                    continue
+            if not walk.step():
+                return
+            if brackets[ahead] == original[ahead]:
+                changed.discard(ahead)
+            else:
+                changed.add(ahead)
+        elif not walk.step():
+            return
+        yield ahead, None
+
+
+# ---------------------------------------------------------------------------
 # blocks and crossings
 
 
@@ -371,6 +540,11 @@ def make_preblock(k: int) -> str:
         word = "[" + word + "-" + word + "]"
     assert len(word) == 6 * 2**k - 3
     return word
+
+
+# size budget of make_block: level 18 is 12*2^18 - 7 = 3,145,721 cells,
+# under 2^22
+MAX_BLOCK_LEVEL = 18
 
 
 @dataclass(frozen=True)
@@ -392,6 +566,11 @@ def make_block(k: int, n: int) -> BlockSpec:
     """
     if n < 1:
         raise ValueError("counter bound n must be >= 1")
+    if k > MAX_BLOCK_LEVEL:
+        raise ValueError(
+            f"block level {k} is above the limit {MAX_BLOCK_LEVEL} "
+            f"(a level-k block has 12*2^k - 7 cells)"
+        )
     pre = make_preblock(k)
     spaced = "-".join(pre)
     lut = {"[": open_bracket(n), "]": close_bracket(n), "-": BLANK}
@@ -422,27 +601,19 @@ def run_crossing(
     The right crossing starts from arrow·block (arrow immediately left of the
     block, facing it) and ends the first time the configuration is exactly
     block·arrow with the block restored; the left crossing is the mirror.
-    Raises Timeout if that never happens within the budget.
+    The block is one resting node, so that time is its node S (see
+    `_NodeTable`), the same both ways.  Raises Timeout if S exceeds the
+    budget.
     """
     block = make_block(k, n)
-    width = block.width
-    brackets = {i: s for i, s in enumerate(block.word) if s != BLANK}
-    original = dict(brackets)
-    if direction == "right":
-        walk = ArrowWalk(n, brackets, -1, 1)
-        goal = width
-    elif direction == "left":
-        walk = ArrowWalk(n, brackets, width, -1)
-        goal = -1
-    else:
+    if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left'")
+    table = _NodeTable(n, {i: s for i, s in enumerate(block.word) if s != BLANK})
+    steps = table.steps[table.opens[0][1]]
     budget = default_step_budget(k, n) if max_steps is None else max_steps
-    while walk.steps < budget:
-        if not walk.step():
-            raise Timeout(budget, f"arrow stuck after {walk.steps} steps")
-        if walk.pos == goal and walk.brackets == original:
-            return CrossingReport(k, n, walk.steps, True, walk.steps + 1)
-    raise Timeout(budget)
+    if steps > budget:
+        raise Timeout(budget)
+    return CrossingReport(k, n, steps, True, steps + 1)
 
 
 @dataclass(frozen=True)
@@ -487,13 +658,17 @@ def enumerate_L(k: int, n: int, max_steps: int | None = None) -> CrossingLanguag
 
 @dataclass(frozen=True)
 class ArrowTrace:
-    pairs: tuple
+    path: tuple = ()  # arrow position at t = 0, 1, ...
     no_arrow: bool = False
     stuck_at: int | None = None
 
     @property
+    def pairs(self) -> tuple:
+        return tuple(enumerate(self.path))
+
+    @property
     def positions(self) -> list[int]:
-        return [p for _, p in self.pairs]
+        return list(self.path)
 
 
 def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
@@ -502,24 +677,24 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     Arrowless configurations are fixed points; they yield an empty trace with
     the no_arrow flag set.  If the arrow gets stuck the trace is truncated at
     that time and stuck_at records it (the configuration no longer changes).
+    Node crossings are replayed from their position blocks.
     """
-    if isinstance(cfg, Padded):
-        count = sum(1 for i in cfg.support if is_arrow(cfg[i]))
-    elif isinstance(cfg, Periodic):
-        count = sum(1 for s in cfg.word if is_arrow(s))
-    else:
+    if not isinstance(cfg, (Padded, Periodic)):
         raise TypeError("unsupported configuration type")
+    count = sum(map(is_arrow, cfg.word))
     if count == 0:
         return ArrowTrace((), no_arrow=True)
     if count > 1 or not isinstance(cfg, Padded):
         raise ValueError("arrow_trace needs a padded configuration with one arrow")
     walk = walk_from_configuration(cfg, system.n)
-    pairs = [(0, walk.pos)]
-    for t in range(1, t_max + 1):
-        if not walk.step():
-            return ArrowTrace(tuple(pairs), stuck_at=t - 1)
-        pairs.append((t, walk.pos))
-    return ArrowTrace(tuple(pairs))
+    table = _NodeTable(walk.n, walk.brackets)
+    path = [walk.pos]
+    for cell, shape in _macro_steps(walk, table, t_max):
+        if shape is None:
+            path.append(walk.pos)
+        else:
+            path += map(cell.__add__, table.positions(shape, walk.facing))
+    return ArrowTrace(tuple(path), stuck_at=walk.steps if walk.stuck else None)
 
 
 def admissible(cfg: Configuration, n: int) -> bool:
@@ -789,31 +964,49 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
     ``cfg`` (one arrow) and the fixed point obtained by deleting its arrow.
 
     Only cells the arrow touches can ever differ from the arrowless
-    background, so the fronts are maintained in O(1) per step.  Returns two
-    lists indexed by time: right[t] / left[t] are the extreme coordinates
-    that have differed at any time <= t.
+    background.  A single tick moves the fronts in O(1); a node crossing
+    (see `_NodeTable`) moves only the front on its exit side, which is
+    replayed from the node's front block, O(1) per step with no per-step
+    Python code.  Returns two lists indexed by time: right[t] / left[t] are
+    the extreme coordinates that have differed at any time <= t.
     """
     walk = walk_from_configuration(cfg, n)
-    base = dict(walk.brackets)
+    table = _NodeTable(n, walk.brackets)
+    brackets, base = walk.brackets, dict(walk.brackets)
     right = [walk.pos]
     left = [walk.pos]
     hi = lo = walk.pos
-    for _ in range(t_max):
-        before = walk.pos
-        faced = before + walk.facing
-        if not walk.step():
-            remaining = t_max + 1 - len(right)
-            right.extend([hi] * remaining)
-            left.extend([lo] * remaining)
-            break
-        for cell in (before, faced, walk.pos):
-            if cell == walk.pos or walk.brackets.get(cell) != base.get(cell):
-                if cell > hi:
-                    hi = cell
-                if cell < lo:
-                    lo = cell
-        right.append(hi)
-        left.append(lo)
+    for cell, shape in _macro_steps(walk, table, t_max):
+        if shape is None:
+            pos = walk.pos
+            if brackets.get(cell) != base.get(cell):
+                hi, lo = max(hi, cell), min(lo, cell)
+            if pos > hi:
+                hi = pos
+            elif pos < lo:
+                lo = pos
+            right.append(hi)
+            left.append(lo)
+        # a jump over the node opening at `cell`: its front block is
+        # monotone, so it takes over from hi (or lo) at its first entry
+        # beyond it, and the front on the other side stays put
+        elif walk.facing > 0:
+            f = table.front(shape, 1)
+            k = bisect_right(f, hi - cell)
+            right += [hi] * k
+            right += map(cell.__add__, f[k:])
+            left += [lo] * len(f)
+            hi = max(hi, cell + f[-1])
+        else:
+            f = table.front(shape, -1)
+            k = bisect_right(f, cell - lo, key=operator.neg)
+            left += [lo] * k
+            left += map(cell.__add__, f[k:])
+            right += [hi] * len(f)
+            lo = min(lo, cell + f[-1])
+    remaining = t_max + 1 - len(right)
+    right += [hi] * remaining
+    left += [lo] * remaining
     return right, left
 
 
@@ -826,7 +1019,8 @@ def ascii_legend(n: int) -> dict[str, str]:
 
     Blank and arrows render as themselves, resting brackets (unmarked,
     counter n) as plain square brackets, and every other symbol gets a letter
-    or digit from a fixed pool in alphabet order.  Lossless for n <= 15.
+    or digit from a fixed pool in alphabet order.  Lossless for n <= 15;
+    raises ValueError above.
     """
     import string
 
@@ -837,10 +1031,11 @@ def ascii_legend(n: int) -> dict[str, str]:
         open_bracket(n): "[",
         close_bracket(n): "]",
     }
-    pool = iter(string.ascii_uppercase + string.ascii_lowercase + string.digits)
-    for sym in level_alphabet(n):
-        if sym not in legend:
-            legend[sym] = next(pool)
+    pool = string.ascii_uppercase + string.ascii_lowercase + string.digits
+    rest = [sym for sym in level_alphabet(n) if sym not in legend]
+    if len(rest) > len(pool):
+        raise ValueError(f"the text legend has glyphs for n <= 15 only, not n = {n}")
+    legend.update(zip(rest, pool))
     return legend
 
 

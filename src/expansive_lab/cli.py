@@ -90,19 +90,22 @@ def _binary_rule(args):
 # arrow automaton commands
 
 
-def _arrow_block_orbit(n: int, level: int, steps: int):
-    if n < 1:
-        raise ValueError("need n >= 1 counters")
-    if level < 0 or steps < 0:
-        raise ValueError("level and steps must be nonnegative")
-    system = ab.build_rule(n)
+def _arrow_block_start(n: int, level: int) -> Padded:
+    """Arrow, blank, then block(level, n) with its first cell at 0."""
     block = ab.make_block(level, n)
-    cfg = Padded(
-        system.alphabet,
+    return Padded(
+        ab.level_alphabet(n),
         (ab.ARROW_RIGHT, ab.BLANK) + block.word,
         ab.BLANK,
         anchor=-2,
     )
+
+
+def _arrow_block_orbit(n: int, level: int, steps: int):
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    cfg = _arrow_block_start(n, level)
+    system = ab.build_rule(n)
     rows = [cfg]
     for _ in range(steps):
         cfg = apply_rule(system.rule, cfg)
@@ -113,9 +116,12 @@ def _arrow_block_orbit(n: int, level: int, steps: int):
 
 
 def cmd_ab_run(args) -> int:
+    # the text legend is checked before the rule is built, which takes
+    # long at the counter bounds the legend cannot show
+    legend = ab.ascii_legend(args.n) if args.format == "txt" else None
     system, rows, lo, hi = _arrow_block_orbit(args.n, args.level, args.steps)
-    if args.format == "txt":
-        text = ab.render_text(rows, lo, hi, ab.ascii_legend(args.n))
+    if legend is not None:
+        text = ab.render_text(rows, lo, hi, legend)
     else:
         text = ab.render_pgm(rows, lo, hi, system.alphabet)
     _write(text, args.out)
@@ -176,14 +182,7 @@ def cmd_region(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     if args.system == "ab":
-        system = ab.build_rule(args.n)
-        block = ab.make_block(args.level, args.n)
-        cfg = Padded(
-            system.alphabet,
-            (ab.ARROW_RIGHT, ab.BLANK) + block.word,
-            ab.BLANK,
-            anchor=-2,
-        )
+        cfg = _arrow_block_start(args.n, args.level)
         right, left = ab.perturbation_front(cfg, args.n, args.tmax)
         est = profile_from_fronts(right, left, right[0], args.horizon)
     else:
@@ -212,6 +211,8 @@ def cmd_blocking(args) -> int:
         words = [tuple(w) for w in args.word]
         if any(s not in BINARY for w in words for s in w):
             raise ValueError("words must be over the symbols 0 and 1")
+        if not all(words):
+            raise ValueError("words must be nonempty")
     else:
         words = [
             w

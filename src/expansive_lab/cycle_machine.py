@@ -599,6 +599,14 @@ class TowerLevel:
     D: int
     table_entries: int = 0
 
+    def __post_init__(self):
+        if self.B < 1:
+            raise ValueError("block length B must be >= 1")
+        if self.W < 1:
+            raise ValueError("wait count W must be >= 1")
+        if self.table_entries < 0:
+            raise ValueError("table_entries must be >= 0")
+
 
 @dataclass(frozen=True)
 class TowerReport:

@@ -324,6 +324,8 @@ def _pair_fronts(rule, family, t_max, horizon):
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     for y in family:
         if not isinstance(y, Padded):
             raise TypeError("pair scans need padded configurations")
@@ -444,6 +446,8 @@ def profile_from_fronts(right, left, start: int, horizon: int) -> LyapunovEstima
     """Wrap precomputed cumulative fronts of a single perturbation (a
     configuration versus itself without the perturbing symbol) as an
     estimate; `start` is the perturbation site, the initial difference."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     plus = tuple(r - start for r in right)
     minus = tuple(start - l for l in left)
     return LyapunovEstimate(len(right) - 1, horizon, plus, minus)

@@ -5,9 +5,12 @@ completion and cross-checking small cases against the range-2 cell map; they
 are frozen here as regression oracles.
 """
 
+import functools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expansive_lab.arrow_bracket import (
     ARROW_LEFT,
@@ -590,3 +593,143 @@ def test_render_pgm_shape():
         values = [int(v) for v in line.split()]
         assert len(values) == 9
         assert all(0 <= v <= 12 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# macro-stepping against the step walker
+
+_system = functools.lru_cache(build_rule)
+
+
+def _stepped_crossing(k, n, facing):
+    """Steps until arrow and block first stand restored on the far side,
+    by ArrowWalk.step alone."""
+    word = make_block(k, n).word
+    start, goal = (-1, len(word)) if facing > 0 else (len(word), -1)
+    walk = ArrowWalk(n, {i: s for i, s in enumerate(word) if s != BLANK},
+                     start, facing)
+    original = dict(walk.brackets)
+    while walk.step():
+        if walk.pos == goal and walk.brackets == original:
+            return walk.steps
+    raise AssertionError(f"arrow stuck in block({k}, {n})")
+
+
+def _stepped_orbit(cfg, n, t_max):
+    """Arrow positions, stuck time and perturbation fronts by
+    ArrowWalk.step alone, one step at a time."""
+    walk = walk_from_configuration(cfg, n)
+    base = dict(walk.brackets)
+    path = [walk.pos]
+    hi = lo = walk.pos
+    right, left = [hi], [lo]
+    for _ in range(t_max):
+        before = walk.pos
+        faced = before + walk.facing
+        if walk.step():
+            path.append(walk.pos)
+            for cell in (before, faced, walk.pos):
+                if cell == walk.pos or walk.brackets.get(cell) != base.get(cell):
+                    hi, lo = max(hi, cell), min(lo, cell)
+        right.append(hi)
+        left.append(lo)
+    return path, (len(path) - 1 if walk.stuck else None), right, left
+
+
+def _assert_macro_matches_steps(cfg, n, t_max):
+    path, stuck_at, right, left = _stepped_orbit(cfg, n, t_max)
+    trace = arrow_trace(cfg, _system(n), t_max)
+    assert trace.positions == path
+    assert trace.pairs == tuple(enumerate(path))
+    assert trace.stuck_at == stuck_at
+    assert perturbation_front(cfg, n, t_max) == (right, left)
+
+
+@pytest.mark.parametrize("facing", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_crossing_steps_match_step_walker(n, facing):
+    direction = "right" if facing > 0 else "left"
+    for k in range(5):
+        steps = _stepped_crossing(k, n, facing)
+        assert run_crossing(k, n, direction).steps == steps
+        with pytest.raises(Timeout) as err:
+            run_crossing(k, n, direction, max_steps=steps - 1)
+        assert err.value.limit == steps - 1
+        assert run_crossing(k, n, direction, max_steps=steps).steps == steps
+
+
+def test_macro_walk_matches_step_walker_on_gate_landscape():
+    """The gate-03/04 landscape to 10^6 steps: every position and both
+    fronts at every time."""
+    arr = hierarchical_arrangement(6, 2, seed=0)
+    start = 2 * arr.free_cell
+    cfg = arr.configuration(5000, 15200, arrow_at=start, facing=1)
+    _assert_macro_matches_steps(cfg, 2, 10**6)
+
+
+@st.composite
+def _arrow_words(draw):
+    """Nested resting nodes, then a few cells overwritten by any bracket
+    or a blank (non-resting, orphan and adjacent brackets), and one arrow
+    on a blank cell, inside a node or not, facing either way."""
+    n = draw(st.integers(1, 3))
+
+    def node(depth):
+        word = [open_bracket(n), BLANK]
+        for _ in range(draw(st.integers(0, 2)) if depth else 0):
+            word += node(depth - 1) + [BLANK] * draw(st.integers(1, 2))
+        return word + [BLANK] * draw(st.integers(0, 2)) + [close_bracket(n)]
+
+    word = []
+    for _ in range(draw(st.integers(1, 3))):
+        word += [BLANK] * draw(st.integers(1, 2)) + node(draw(st.integers(0, 2)))
+    symbols = [s for s in level_alphabet(n) if not is_arrow(s)]
+    for _ in range(draw(st.integers(0, 3))):
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from(symbols))
+    word.append(BLANK)
+    at = draw(st.sampled_from([i for i, s in enumerate(word) if s == BLANK]))
+    word[at] = draw(st.sampled_from((ARROW_RIGHT, ARROW_LEFT)))
+    return n, tuple(word), draw(st.integers(0, 3000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrow_words())
+@example((1, (ARROW_RIGHT, "[*0", BLANK, "[1", BLANK, "]1"), 50))  # stuck
+@example((2, ("[2", BLANK, "[2", BLANK, "]2", BLANK, ARROW_LEFT, BLANK, "]2"),
+          400))  # starts inside a node
+@example((1, (BLANK, "[1", BLANK, "]1", "[1", BLANK, "]1", ARROW_LEFT), 200))
+@example((1, (ARROW_RIGHT, "[1", BLANK, "[1", BLANK, "]1", "[1", BLANK, "]1",
+              BLANK, "]1", BLANK), 500))  # adjacent children
+@example((1, (ARROW_RIGHT, "[1", BLANK, "[1", BLANK, "[*0", BLANK, "]1", BLANK,
+              "]1", BLANK), 500))  # a child that is no node
+def test_macro_walk_matches_step_walker_on_random_words(case):
+    n, word, t_max = case
+    _assert_macro_matches_steps(_padded_from_word(word, n, anchor=-3), n, t_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.integers(1, 8),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+    facing=st.sampled_from((1, -1)),
+    t_max=st.integers(0, 20000),
+)
+def test_macro_walk_matches_step_walker_on_arrangements(depth, n, seed, facing,
+                                                        t_max):
+    arr = hierarchical_arrangement(depth, n, seed)
+    start = 2 * arr.free_cell
+    cfg = arr.configuration(start - 2000, start + 2000, arrow_at=start,
+                            facing=facing)
+    _assert_macro_matches_steps(cfg, n, t_max)
+
+
+def test_block_size_budget_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="level 40"):
+            make_block(40, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

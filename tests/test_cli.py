@@ -242,10 +242,30 @@ def test_unknown_flag_exits_2():
         ("blocking", "--word", "1", "--tmax", "-1"),
         ("blocking", "--word", "2"),
         ("region", "--n", "1", "--cmax", "-1"),
+        ("lyapunov", "--system", "shift", "--horizon", "-1"),
+        ("blocking", "--word", ""),
     ],
-    ids=["empty-span", "lyapunov-tmax", "blocking-tmax", "symbol", "cmax"],
+    ids=["empty-span", "lyapunov-tmax", "blocking-tmax", "symbol", "cmax",
+         "horizon", "empty-word"],
 )
 def test_bad_pair_scan_inputs_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ab-run", "--n", "20"),
+        ("lyapunov", "--system", "ab", "--n", "2", "--level", "40"),
+        ("lyapunov", "--system", "ab", "--horizon", "-1"),
+        ("ab-cross", "--n", "1", "--level", "19"),
+        ("tower", "--levels", "4,0,0"),
+    ],
+    ids=["legend", "block-size", "ab-horizon", "crossing-size", "tower-w"],
+)
+def test_bad_arrow_and_tower_inputs_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err

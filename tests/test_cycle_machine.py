@@ -503,6 +503,12 @@ def test_tower_rejects_degenerate_input():
         tower([TowerLevel(8, 1, 0)], SimParams(IDENT, IDENT, (), 8, 1, 0))
 
 
+@pytest.mark.parametrize("fields", [(0, 1, 0), (4, 0, 0), (4, 1, 0, -1)])
+def test_tower_level_validates_fields(fields):
+    with pytest.raises(ValueError):
+        TowerLevel(*fields)
+
+
 # ---------------------------------------------------------------------------
 # parameter files
 
