@@ -198,13 +198,24 @@ def _build_table(n: int, rewrite_pairs, alphabet: Alphabet) -> dict:
     return table
 
 
+# size budget of build_rule: its window table grows like (4n+5)^4 entries;
+# 15 is also the largest bound `ascii_legend` has glyphs for
+MAX_COUNTER_BOUND = 15
+
+
 def build_rule(n: int) -> ABSystem:
     """Assemble the automaton at counter bound n.
 
     The returned system's rule is a partial range-2 table with identity
     default; quiescence of the blank and conflict-freeness are structural
-    (and re-checked exhaustively by `conflict_report`).
+    (and re-checked exhaustively by `conflict_report`).  Raises ValueError
+    for n above `MAX_COUNTER_BOUND` before building anything.
     """
+    if n > MAX_COUNTER_BOUND:
+        raise ValueError(
+            f"counter bound {n} is above the limit {MAX_COUNTER_BOUND} "
+            f"(the window table grows like (4n+5)^4)"
+        )
     alphabet = level_alphabet(n)
     table = _build_table(n, transitions(n), alphabet)
     return ABSystem(n, alphabet, LocalRule(alphabet, 2, table, "identity"))

@@ -116,8 +116,6 @@ def _arrow_block_orbit(n: int, level: int, steps: int):
 
 
 def cmd_ab_run(args) -> int:
-    # the text legend is checked before the rule is built, which takes
-    # long at the counter bounds the legend cannot show
     legend = ab.ascii_legend(args.n) if args.format == "txt" else None
     system, rows, lo, hi = _arrow_block_orbit(args.n, args.level, args.steps)
     if legend is not None:

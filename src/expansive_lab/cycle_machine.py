@@ -29,8 +29,8 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence
 
 from .shift_core import (
     Alphabet,
@@ -126,6 +126,11 @@ class SimParams:
             self.word_bits, self.table_entries, self.W, self.D
         )
 
+    @cached_property
+    def codec(self) -> "_Codec":
+        """The encoding tables of these parameters, built on first use."""
+        return _Codec(self)
+
 
 def _program_length(bits: int, entries: int, w: int, d: int) -> int:
     # one 5-word row plus separator per entry, then W and D in unary with
@@ -176,11 +181,8 @@ class CycleSchedule:
         return self.c4
 
     @property
-    def shift_per_block(self) -> int:
-        return self.B + self.c5
-
-    @property
-    def wait_per_round(self) -> int:
+    def round_length(self) -> int:
+        """Duration of one shift round and of one wait round, B + C."""
         return self.B + self.c5
 
     @property
@@ -229,8 +231,7 @@ def schedule_from_counts(
         + sched.copy
         + sched.lookup
         + sched.writeback
-        + abs(d) * sched.shift_per_block
-        + w * sched.wait_per_round
+        + (abs(d) + w) * sched.round_length
         + sched.resync
     )
     return sched
@@ -263,9 +264,9 @@ def stage_segments(sched: CycleSchedule) -> tuple:
         ("writeback", 0, sched.writeback),
     ]
     for r in range(abs(sched.D)):
-        segs.append(("shift", r, sched.shift_per_block))
+        segs.append(("shift", r, sched.round_length))
     for r in range(sched.W):
-        segs.append(("wait", r, sched.wait_per_round))
+        segs.append(("wait", r, sched.round_length))
     segs.append(("resync", 0, sched.resync))
     return tuple(segs)
 
@@ -308,9 +309,9 @@ def schedule_report(sched: CycleSchedule) -> dict:
             "copy": sched.copy,
             "lookup": sched.lookup,
             "writeback": sched.writeback,
-            "shift_per_block": sched.shift_per_block,
+            "shift_per_block": sched.round_length,
             "shift_repeats": abs(sched.D),
-            "wait_per_round": sched.wait_per_round,
+            "wait_per_round": sched.round_length,
             "wait_repeats": sched.W,
             "resync": sched.resync,
         },
@@ -394,12 +395,12 @@ def step_suspension(
 def program_word(p: SimParams) -> tuple:
     """Program layer content: one row of five words per stored window
     (window symbols, phi output, phi_inv output), then W and D in unary."""
-    bits = p.word_bits
-    index = p.phi.alphabet.index
+    return p.codec.program[: p.program_length()]
 
-    def enc(sym):
-        v = index(sym)
-        return tuple("01"[(v >> (bits - 1 - k)) & 1] for k in range(bits))
+
+def _program_layer(p: SimParams, bits: dict) -> tuple:
+    # `program_word` padded with blanks to B cells
+    index = p.phi.alphabet.index
 
     def widen(window):
         # radius-0 tables store 1-tuples; present them as centered windows
@@ -416,34 +417,75 @@ def program_word(p: SimParams) -> tuple:
         row.append(p.phi.table.get(w, centre))
         row.append(p.phi_inv.table.get(w, centre))
         for sym in row:
-            cells.extend(enc(sym))
+            cells.extend(bits[sym])
         cells.append(_SEP)
     cells.extend([_WAIT] * p.W)
     cells.append(_END)
     cells.extend([_RIGHT if p.D > 0 else _LEFT] * abs(p.D))
     cells.append(_END)
     assert len(cells) == p.program_length()
+    cells.extend([_BLANK] * (p.B - len(cells)))
     return tuple(cells)
 
 
+class _Codec:
+    """The encoding tables of one SimParams (see `SimParams.codec`).
+
+    `bits` maps each simulated symbol to the `word_bits` cells of its data
+    word and `program` is the program layer padded to B cells.  A block
+    storing the words (cur, prev) is a head cell, which alone carries the
+    state token, and `tail(cur, prev)`, its other B-1 cells.  Tails are built
+    on first use, so the tables grow with the symbol pairs met rather than
+    like N^2 * B; `blocks` maps each built block, its head cell without the
+    token followed by its tail, back to (cur, prev).
+    """
+
+    def __init__(self, p: SimParams):
+        bits = p.word_bits
+        self.bits = {
+            sym: tuple("01"[(v >> (bits - 1 - k)) & 1] for k in range(bits))
+            for v, sym in enumerate(p.phi.alphabet)
+        }
+        self.program = _program_layer(p, self.bits)
+        self.tails: dict = {}
+        self.blocks: dict = {}
+
+    def tail(self, cur, prev) -> tuple:
+        tail = self.tails.get((cur, prev))
+        if tail is None:
+            data = self.bits[cur] + self.bits[prev]
+            data += (_BLANK,) * (len(self.program) - len(data))
+            tail = tuple(
+                (0, ps, ds, _BLANK) for ps, ds in zip(self.program[1:], data[1:])
+            )
+            self.tails[cur, prev] = tail
+            self.blocks[(1, self.program[0], data[0]) + tail] = (cur, prev)
+        return tail
+
+
+class _ScheduleTables(NamedTuple):
+    alphabet: Alphabet  # the product alphabet of the four layers
+    tokens: tuple  # tokens[t] is the token of cycle time t
+    times: dict  # token -> cycle time
+
+
 @lru_cache(maxsize=32)
-def _encoding_alphabet(sched: CycleSchedule) -> Alphabet:
-    tokens = [token_for_t(sched, t) for t in range(sched.T)]
+def _schedule_tables(sched: CycleSchedule) -> _ScheduleTables:
+    tokens = tuple(token_for_t(sched, t) for t in range(sched.T))
     symbols = itertools.product(
-        (0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, [_BLANK] + tokens
+        (0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (_BLANK,) + tokens
     )
-    return Alphabet(sorted(symbols, key=repr))
+    return _ScheduleTables(
+        Alphabet(sorted(symbols, key=repr)),
+        tokens,
+        {token: t for t, token in enumerate(tokens)},
+    )
 
 
 def encoding_alphabet(p: SimParams, sched: CycleSchedule) -> Alphabet:
     """Product alphabet of the four layers (block, program, data, state)."""
     _check_schedule_match(p, sched)
-    return _encoding_alphabet(sched)
-
-
-def _data_bits(sym, alphabet: Alphabet, bits: int) -> tuple:
-    v = alphabet.index(sym)
-    return tuple("01"[(v >> (bits - 1 - k)) & 1] for k in range(bits))
+    return _schedule_tables(sched).alphabet
 
 
 def encode(
@@ -454,33 +496,24 @@ def encode(
     Block j (starting at coordinate -b + j*B) carries the program, the
     current word y_j, the previous word (phi^-1 y)_j, and the state token
     for t at its first cell.
+
+    Cost for a state of period P: one application of phi_inv to y, one new
+    head cell and one dict lookup of a prebuilt tail per block (a tail is
+    built once per (y_j, (phi^-1 y)_j) pair and parameter set, in O(B)),
+    then the P*B cells are joined, rotated by b and checked against the
+    encoding alphabet, one hash per cell.
     """
     _check_schedule_match(p, sched)
     _check_state(s, p, sched)
-    B, bits = p.B, p.word_bits
-    prog = program_word(p) + (_BLANK,) * (B - p.program_length())
-    token = token_for_t(sched, s.t)
-    prev = apply_rule(p.phi_inv, s.y)
-    alpha = _encoding_alphabet(sched)
-    cells = []
-    for i in range(B * s.y.period):
-        o = (i + s.b) % B
-        j = (i + s.b) // B
-        if o < bits:
-            data = _data_bits(s.y[j], p.phi.alphabet, bits)[o]
-        elif o < 2 * bits:
-            data = _data_bits(prev[j], p.phi.alphabet, bits)[o - bits]
-        else:
-            data = _BLANK
-        cells.append(
-            (
-                1 if o == 0 else 0,
-                prog[o],
-                data,
-                token if o == 0 else _BLANK,
-            )
-        )
-    return Periodic(alpha, cells)
+    codec = p.codec
+    tables = _schedule_tables(sched)
+    token = tables.tokens[s.t]
+    head = codec.program[0]
+    cells: list = []
+    for cur, prev in zip(s.y.word, apply_rule(p.phi_inv, s.y).word):
+        cells.append((1, head, codec.bits[cur][0], token))
+        cells += codec.tail(cur, prev)
+    return Periodic(tables.alphabet, cells[s.b :] + cells[: s.b])
 
 
 def decode(
@@ -492,7 +525,58 @@ def decode(
     unknown state tokens, a program layer that differs from the parameters'
     program, out-of-range data words, or a previous word that is not the
     phi-preimage of the current one.
+
+    Cost for a period of P*B cells: finding b reads at most B cells; then
+    each block is one dict lookup keyed by its cells (one hash per cell),
+    the tokens are compared and looked up once, and phi_inv is applied to
+    the decoded word once.  A configuration with a block that `encode` has
+    not built for these parameters, or one that fails any check, is
+    decoded again by the per-cell scan `_decode_cells`, which gives the
+    verdict and the message.
     """
+    _check_schedule_match(p, sched)
+    state = _decode_blocks(c, p, sched)
+    return state if state is not None else _decode_cells(c, p, sched)
+
+
+def _decode_blocks(c, p: SimParams, sched: CycleSchedule):
+    """The table path of `decode`: the state, or None wherever the per-cell
+    scan has to decide."""
+    B = p.B
+    if not isinstance(c, Periodic) or c.period % B:
+        return None
+    word = c.word
+    b = next((k for k in range(B) if word[-k][0] == 1), None)
+    if b is None:
+        return None
+    word = word[-b:] + word[:-b]
+    heads = word[::B]
+    # other head shapes (a 5-tuple, a tuple subclass) are the scan's to judge
+    if not all(type(h) is tuple and len(h) == 4 for h in heads):
+        return None
+    token = heads[0][3]
+    t = _schedule_tables(sched).times.get(token)
+    if t is None or any(h[3] != token for h in heads):
+        return None
+    blocks = p.codec.blocks
+    pairs = [
+        blocks.get(h[:3] + word[j + 1 : j + B])
+        for j, h in zip(range(0, len(word), B), heads)
+    ]
+    if None in pairs:
+        return None
+    cur, prev = zip(*pairs)
+    y = Periodic(p.phi.alphabet, cur)
+    if apply_rule(p.phi_inv, y).word != prev:
+        return None
+    return SuspensionState(y, b, t)
+
+
+def _decode_cells(
+    c: Periodic, p: SimParams, sched: CycleSchedule
+) -> SuspensionState:
+    """`decode` by a scan of every cell of every layer; the reference the
+    table path is tested against, and the source of every rejection."""
     _check_schedule_match(p, sched)
     if not isinstance(c, Periodic):
         raise MalformedConfiguration("encoded configurations are periodic")
@@ -573,12 +657,14 @@ def pi_inv_on_encoded(
 # spacetime transforms and towers
 
 
-def shape_transform(sched: CycleSchedule) -> tuple:
+def shape_transform(level) -> tuple:
     """The 2x2 matrix [[1, D], [0, T/B]] sending input spacetime shapes to
-    suspension spacetime shapes (columns act on (space, time))."""
+    suspension spacetime shapes (columns act on (space, time)): it fixes
+    (1, 0) and sends (0, 1) to (D, T/B).  `level` is anything with B, T and
+    D attributes, a CycleSchedule or a slope_engine.LevelParams."""
     return (
-        (Fraction(1), Fraction(sched.D)),
-        (Fraction(0), Fraction(sched.T, sched.B)),
+        (Fraction(1), Fraction(level.D)),
+        (Fraction(0), Fraction(level.T, level.B)),
     )
 
 

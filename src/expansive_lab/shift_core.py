@@ -242,6 +242,13 @@ class LocalRule:
             if out not in self.alphabet:
                 raise KeyError(f"output {out!r} not in alphabet")
 
+    def __hash__(self) -> int:
+        # the generated hash would hash the table dict; this one agrees
+        # with the generated __eq__, which compares the table by its items
+        return hash(
+            (self.alphabet, self.radius, self.default, frozenset(self.table.items()))
+        )
+
     def evaluate(self, window: tuple) -> Symbol:
         out = self.table.get(window)
         if out is not None:

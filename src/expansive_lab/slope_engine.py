@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .cycle_machine import idealized_schedule, min_block_length, schedule_from_counts
+from .cycle_machine import (
+    _mat_mul,
+    idealized_schedule,
+    min_block_length,
+    schedule_from_counts,
+    shape_transform,
+)
 from .dynamics_analysis import Direction
 
 
@@ -136,15 +142,6 @@ def lambda_eval(prog: SlopeProgram, depth: Optional[int] = None):
     return lam, bound
 
 
-def shape_transform(p: LevelParams) -> tuple:
-    """The matrix [[1, D], [0, T/B]]: fixes (1, 0), sends (0, 1) to
-    (D, T/B)."""
-    return (
-        (Fraction(1), Fraction(p.D)),
-        (Fraction(0), Fraction(p.T, p.B)),
-    )
-
-
 def direction_of(lam: Fraction, thickness: int = 1) -> Direction:
     """Non-expansive direction for a realized lambda: vertical at zero,
     slope 1/lambda otherwise."""
@@ -193,13 +190,6 @@ class ShapePolygon:
     @property
     def lower_slopes(self) -> tuple:
         return self._sides(self.lower)
-
-
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
 
 
 def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:

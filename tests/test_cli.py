@@ -258,12 +258,14 @@ def test_bad_pair_scan_inputs_exit_2(capsys, argv):
     "argv",
     [
         ("ab-run", "--n", "20"),
+        ("ab-run", "--n", "20", "--format", "pgm"),
         ("lyapunov", "--system", "ab", "--n", "2", "--level", "40"),
         ("lyapunov", "--system", "ab", "--horizon", "-1"),
         ("ab-cross", "--n", "1", "--level", "19"),
         ("tower", "--levels", "4,0,0"),
     ],
-    ids=["legend", "block-size", "ab-horizon", "crossing-size", "tower-w"],
+    ids=["legend", "rule-size", "block-size", "ab-horizon", "crossing-size",
+         "tower-w"],
 )
 def test_bad_arrow_and_tower_inputs_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -3,20 +3,26 @@ conjugated cycle map, and towers."""
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expansive_lab.cycle_machine import (
+    _DATA_SYMBOLS,
+    _PROGRAM_SYMBOLS,
     BlockTooSmall,
     MalformedConfiguration,
     SimParams,
     SuspensionState,
     TowerLevel,
+    _decode_cells,
     build_schedule,
     decode,
     encode,
     encoding_alphabet,
     idealized_schedule,
+    min_block_length,
     pi_inv_on_encoded,
     pi_on_encoded,
     program_word,
@@ -377,6 +383,98 @@ def test_decode_rejects_all_zero_block_layer():
         decode(Periodic(good.alphabet, cells), p, sched)
 
 
+CODEC_MAPS = {
+    "identity": (IDENT, IDENT),
+    "flip": (SWAP, SWAP),
+    "shift": (shift_rule(AB, 1), shift_rule(AB, -1)),
+}
+
+
+@lru_cache(maxsize=None)
+def codec_instance(kind, w, d):
+    phi, phi_inv = CODEC_MAPS[kind]
+    entries = len(set(phi.table) | set(phi_inv.table))
+    p = SimParams(phi, phi_inv, POINTS, min_block_length(2, entries, w, d), w, d)
+    return p, build_schedule(p)
+
+
+def decode_outcome(decoder, c, p, sched):
+    try:
+        return decoder(c, p, sched)
+    except Exception as exc:  # the oracle compares every verdict and message
+        return type(exc), str(exc)
+
+
+_ANY = st.integers(0, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CODEC_MAPS)),
+    w=st.integers(1, 2),
+    d=st.integers(-1, 2),
+    word=st.text("ab", min_size=1, max_size=4),
+    b=_ANY,
+    t=_ANY,
+    change=st.none() | st.tuples(_ANY, st.just(0) | _ANY, st.integers(0, 3), _ANY),
+    fresh=st.booleans(),
+)
+# the head of block 1 loses its block bit, or shows another token
+@example(kind="identity", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 0, 0), fresh=False)
+@example(kind="identity", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 3, 2), fresh=False)
+def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
+    """The table path of `decode` gives the per-cell scan's state, or its
+    exception and message, on encoded states with at most one cell changed
+    in one layer; `fresh` decodes with equal parameters whose tables are
+    still empty."""
+    p, sched = codec_instance(kind, w, d)
+    y = Periodic(AB, word)
+    s = SuspensionState(y, b % p.B, t % sched.T)
+    c = encode(s, p, sched)
+    if change is not None:
+        j, o, layer, k = change
+        i = ((j % y.period) * p.B + o % p.B - s.b) % c.period
+        tokens = tuple(token_for_t(sched, u) for u in range(sched.T))
+        values = ((0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (".",) + tokens)[layer]
+        cell = list(c.word[i])
+        cell[layer] = values[k % len(values)]
+        cells = list(c.word)
+        cells[i] = tuple(cell)
+        c = Periodic(c.alphabet, cells)
+    if fresh:
+        p = SimParams(p.phi, p.phi_inv, p.points, p.B, p.W, p.D)
+    want = decode_outcome(_decode_cells, c, p, sched)
+    assert decode_outcome(decode, c, p, sched) == want
+    if change is None:
+        assert want == s
+
+
+def test_decode_leaves_odd_head_cells_to_the_scan():
+    p, sched = codec_instance("identity", 1, 0)
+    c = encode(SuspensionState(POINTS[2], 0, 0), p, sched)
+    cells = list(c.word)
+    cells[p.B] += ("x",)  # the head of block 1 gains a fifth field
+    odd = Periodic(Alphabet(dict.fromkeys(cells)), cells)
+    want = decode_outcome(_decode_cells, odd, p, sched)
+    assert want[0] is ValueError  # too many values to unpack
+    assert decode_outcome(decode, odd, p, sched) == want
+
+
+def test_codec_builds_blocks_only_for_pairs_met():
+    a64 = Alphabet(tuple(f"s{v}" for v in range(64)))
+    swap = LocalRule(a64, 0, {("s0",): "s1", ("s1",): "s0"}, "identity")
+    y = Periodic(a64, ("s0", "s5", "s63", "s5"))
+    p = SimParams(swap, swap, (y,), min_block_length(64, 2, 1, 0), 1, 0)
+    sched = build_schedule(p)
+    for s in (SuspensionState(y, 3, 7), SuspensionState(y.shifted(1), 0, 0)):
+        assert decode(encode(s, p, sched), p, sched) == s
+    # previous words are swap(y): the blocks store (s0, s1), (s5, s5) and
+    # (s63, s63) of the 64 * 64 possible pairs
+    met = {("s0", "s1"), ("s5", "s5"), ("s63", "s63")}
+    assert set(p.codec.tails) == met
+    assert sorted(p.codec.blocks.values()) == sorted(met)
+
+
 def test_encoding_alphabet_rejects_foreign_schedule():
     p = ident_params(4, 1, 0)
     with pytest.raises(ValueError):
@@ -517,6 +615,14 @@ def test_sim_params_json_roundtrip():
     sigma, sigma_inv = shift_rule(AB, 1), shift_rule(AB, -1)
     p = SimParams(sigma, sigma_inv, POINTS, 52, 1, 1)
     assert sim_params_from_json(sim_params_to_json(p)) == p
+
+
+def test_sim_params_hash():
+    sigma, sigma_inv = shift_rule(AB, 1), shift_rule(AB, -1)
+    p = SimParams(sigma, sigma_inv, POINTS, 52, 1, 1)
+    back = sim_params_from_json(sim_params_to_json(p))
+    assert hash(back) == hash(p)
+    assert {p, back, ident_params(52, 1, 1)} == {p, ident_params(52, 1, 1)}
 
 
 def test_sim_params_json_full_kind():

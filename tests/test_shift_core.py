@@ -215,6 +215,15 @@ class TestSerialization:
         other = LocalRule(ab, 1, shuffled, "total")
         assert rule_to_json(rule) == rule_to_json(other)
 
+    def test_equal_rules_hash_equal(self, ab):
+        rng = random.Random(5)
+        rule = random_rule(ab, 1, rng)
+        shuffled = LocalRule(ab, 1, dict(reversed(list(rule.table.items()))), "total")
+        back = rule_from_json(rule_to_json(rule))
+        assert rule == shuffled == back
+        assert hash(rule) == hash(shuffled) == hash(back)
+        assert len({rule, shuffled, back, identity_rule(ab)}) == 2
+
     def test_integer_symbols_roundtrip(self):
         a = Alphabet([0, 1])
         rule = shift_rule(a, 1)
