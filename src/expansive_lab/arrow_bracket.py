@@ -34,6 +34,7 @@ from .shift_core import (
     Padded,
     Periodic,
     apply_rule,
+    min_rotation,
 )
 
 BLANK = "-"
@@ -896,18 +897,14 @@ def admissible_periodic_words(n: int, period: int):
     yield from extend(0, False)
 
 
-def _min_rotation(word: tuple) -> tuple:
-    return min(word[i:] + word[:i] for i in range(len(word)))
-
-
 def canonical_point(word: tuple) -> tuple:
     """Primitive root of the period word, minimal rotation: a canonical name
     for the shift-periodic point the word describes."""
     p = len(word)
     for d in range(1, p + 1):
         if p % d == 0 and word == word[:d] * (p // d):
-            return _min_rotation(word[:d])
-    return _min_rotation(word)
+            return min_rotation(word[:d])
+    return min_rotation(word)
 
 
 @dataclass(frozen=True)
@@ -1054,10 +1051,11 @@ def render_text(rows, lo: int, hi: int, legend: dict | None = None) -> str:
     """One line per configuration, one legend character per cell."""
     out = []
     for cfg in rows:
+        row = cfg.window(lo, hi)
         if legend is None:
-            line = "".join(str(cfg[i])[0] for i in range(lo, hi + 1))
+            line = "".join(str(s)[0] for s in row)
         else:
-            line = "".join(legend[cfg[i]] for i in range(lo, hi + 1))
+            line = "".join(legend[s] for s in row)
         out.append(line)
     return "\n".join(out) + "\n"
 
@@ -1070,5 +1068,5 @@ def render_pgm(rows, lo: int, hi: int, alphabet: Alphabet) -> str:
     maxval = max(1, len(alphabet) - 1)
     lines = [f"P2\n{width} {height}\n{maxval}"]
     for cfg in rows:
-        lines.append(" ".join(str(alphabet.index(cfg[i])) for i in range(lo, hi + 1)))
+        lines.append(" ".join(str(alphabet.index(s)) for s in cfg.window(lo, hi)))
     return "\n".join(lines) + "\n"

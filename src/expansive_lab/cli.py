@@ -38,8 +38,8 @@ from .dynamics_analysis import (
 from .shift_core import (
     Alphabet,
     Padded,
-    apply_rule,
     identity_rule,
+    orbit,
     rule_from_json,
     shift_rule,
 )
@@ -106,10 +106,7 @@ def _arrow_block_orbit(n: int, level: int, steps: int):
         raise ValueError("steps must be nonnegative")
     cfg = _arrow_block_start(n, level)
     system = ab.build_rule(n)
-    rows = [cfg]
-    for _ in range(steps):
-        cfg = apply_rule(system.rule, cfg)
-        rows.append(cfg)
+    rows = orbit(system.rule, cfg, steps)
     lo = min(r.support[0] for r in rows)
     hi = max(r.support[-1] for r in rows)
     return system, rows, lo, hi

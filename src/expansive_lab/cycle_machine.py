@@ -620,7 +620,7 @@ def _decode_cells(
         raise MalformedConfiguration(f"blocks disagree on the token: {tokens}")
     t = t_for_token(sched, tokens.pop())
     y = Periodic(p.phi.alphabet, words)
-    if list(apply_rule(p.phi_inv, y)[j] for j in range(blocks)) != prevs:
+    if list(apply_rule(p.phi_inv, y).word) != prevs:
         raise MalformedConfiguration(
             "previous words are not the phi-preimage of the current ones"
         )
@@ -668,11 +668,15 @@ def shape_transform(level) -> tuple:
     )
 
 
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
+def shape_product(levels) -> tuple:
+    """The product of the levels' `shape_transform` matrices, in order."""
+    m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    for a in map(shape_transform, levels):
+        m = tuple(
+            tuple(m[i][0] * a[0][j] + m[i][1] * a[1][j] for j in (0, 1))
+            for i in (0, 1)
+        )
+    return m
 
 
 @dataclass(frozen=True)
@@ -736,10 +740,7 @@ def tower(levels: Sequence[TowerLevel], base: SimParams) -> TowerReport:
         n *= lv.B * sched.T
     sizes.reverse()
     scheds.reverse()
-    transform = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for sched in scheds:
-        transform = _mat_mul(transform, shape_transform(sched))
-    return TowerReport(tuple(sizes), tuple(scheds), count, transform)
+    return TowerReport(tuple(sizes), tuple(scheds), count, shape_product(scheds))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .shift_core import (
     LocalRule,
     Padded,
     Periodic,
-    agree_on,
     apply_rule,
+    min_rotation,
 )
 
 
@@ -85,7 +85,7 @@ def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
                 rest, r = divmod(rest, len(alphabet))
                 word.append(alphabet.symbols[r])
             word = tuple(word)
-            canon = min(word[i:] + word[:i] for i in range(p))
+            canon = min_rotation(word)
             if canon in seen:
                 continue
             seen.add(canon)
@@ -158,23 +158,29 @@ def determined_region(
     A cell (i, t) is included iff every pair of family members that agrees
     on [-n, n] at time 0 also agrees at position i after t steps (negative t
     uses the supplied inverse).
+
+    Cost: agreeing on [-n, n] is having equal windows there, so the pairs
+    are those inside each class of equal windows, and a cell is determined
+    iff every member agrees there with the first member of its class; each
+    time step compares one row per member, not one cell per pair.
     """
     if not family:
         raise ValueError("family must be nonempty")
     t_lo, t_hi = t_range
     i_lo, i_hi = i_range
     orbits = [_orbit_table(rule, inverse, y, t_lo, t_hi) for y in family]
-    pairs = [
-        (a, b)
-        for a in range(len(family))
-        for b in range(a + 1, len(family))
-        if agree_on(family[a], family[b], -n, n)
-    ]
+    classes: dict = {}
+    for m, y in enumerate(family):
+        classes.setdefault(y.window(-n, n), []).append(m)
+    links = [(c[0], m) for c in classes.values() for m in c[1:]]
     cells = set()
     for t in range(t_lo, t_hi + 1):
-        for i in range(i_lo, i_hi + 1):
-            if all(orbits[a][t][i] == orbits[b][t][i] for a, b in pairs):
-                cells.add((i, t))
+        rows = [orbit[t].window(i_lo, i_hi) for orbit in orbits]
+        differ = {
+            k for a, b in links if rows[a] != rows[b]
+            for k, (p, q) in enumerate(zip(rows[a], rows[b])) if p != q
+        }
+        cells.update((i_lo + k, t) for k in range(i_hi - i_lo + 1) if k not in differ)
     return DeterminedRegion(n, frozenset(cells), family_id, t_range, i_range)
 
 
@@ -299,13 +305,6 @@ def polygon_to_lines(hull) -> str:
 # pair difference fronts
 
 
-def _cells(y: Padded, lo: int, n: int) -> tuple:
-    """y[lo], ..., y[lo + n - 1], sliced from the word."""
-    a = y.anchor - lo
-    i, j = min(max(a, 0), n), min(max(a + len(y.word), 0), n)
-    return (y.pad,) * i + y.word[i - a : j - a] + (y.pad,) * (n - j)
-
-
 def _pair_fronts(rule, family, t_max, horizon):
     """Cumulative difference fronts of every pair of distinct members.
 
@@ -348,7 +347,7 @@ def _pair_fronts(rule, family, t_max, horizon):
         hi = max((y.anchor + len(y.word) - 1 for y in orbit if y.word), default=-1)
         clipped = clipped or lo < -horizon or hi > horizon
         lo, hi = max(lo, -horizon), min(hi, horizon)
-        rows = [_cells(y, lo, hi - lo + 1) for y in orbit]
+        rows = [y.window(lo, hi) for y in orbit]
         for (a, b), (right, left) in list(live.items()):
             if t and drift[a] == drift[b] == 0:
                 right += [right[-1]] * (t_max + 1 - t)
@@ -484,18 +483,6 @@ class BlockingReport:
     verdict: BlockingUpTo | RefutedAt
 
 
-def _occurring_words(family, max_len):
-    words = set()
-    for y in family:
-        sup = y.support
-        lo = (sup[0] if len(sup) else 0) - max_len
-        hi = (sup[-1] if len(sup) else 0) + max_len
-        for length in range(1, max_len + 1):
-            for c in range(lo, hi - length + 2):
-                words.add(tuple(y[c + j] for j in range(length)))
-    return sorted(words)
-
-
 def embedded_word_family(
     alphabet: Alphabet, words: Sequence[tuple], pad, mark=None
 ) -> tuple:
@@ -540,19 +527,20 @@ def blocking_word_search(
     applications once a member's orbit only translates.
     """
     fronts, _ = _pair_fronts(rule, family, t_max, math.inf)
-    if words is None:
-        words = _occurring_words(family, max_len)
     lo = min((y.support[0] if len(y.support) else 0) for y in family)
     hi = max((y.support[-1] if len(y.support) else 0) for y in family)
     lo, hi = lo - max_len - 2, hi + max_len + 2
     occurrences: list[dict] = []
     for y in family:
-        row = _cells(y, lo, hi - lo + 1)
+        row = y.window(lo, hi)
         index: dict = {}
         for length in range(1, max_len + 1):
             for c in range(lo, hi - length + 2):
                 index.setdefault(row[c - lo : c - lo + length], []).append(c)
         occurrences.append(index)
+    if words is None:
+        # the span holds every support with max_len pads to spare
+        words = sorted(set().union(*occurrences))
     reports = []
     for word in words:
         word = tuple(word)
@@ -656,17 +644,18 @@ def direction_probe(
         for t in range(-(t_extent // 2), t_extent // 2 + 1)
         for i in range(-(e_extent // 2), e_extent // 2 + 1)
     ]
-    orbits = [
-        _orbit_table(rule, inverse, y, -t_extent, t_extent) for y in family
-    ]
+    orbits = [_orbit_table(rule, inverse, y, -t_extent, t_extent) for y in family]
+    # rows[m][t][e_extent + i] is cell i of member m at time t
+    rows = [{t: x.window(-e_extent, e_extent) for t, x in o.items()} for o in orbits]
     checked = 0
     for a in range(len(family)):
         for b in range(a + 1, len(family)):
-            if not all(orbits[a][t][i] == orbits[b][t][i] for i, t in band):
+            ra, rb = rows[a], rows[b]
+            if not all(ra[t][e_extent + i] == rb[t][e_extent + i] for i, t in band):
                 continue
             checked += 1
             for i, t in query:
-                if orbits[a][t][i] != orbits[b][t][i]:
+                if ra[t][e_extent + i] != rb[t][e_extent + i]:
                     return NotDeterminedAtScale(
                         direction, extent, (a, b), (i, t)
                     )

@@ -94,8 +94,9 @@ class Configuration:
         raise NotImplementedError
 
     def window(self, lo: int, hi: int) -> tuple[Symbol, ...]:
-        """The word cfg[lo], ..., cfg[hi] (inclusive ends)."""
-        return tuple(self[i] for i in range(lo, hi + 1))
+        """The word cfg[lo], ..., cfg[hi] (inclusive ends), sliced from the
+        stored word: the one reader of a run of cells."""
+        raise NotImplementedError
 
 
 class Periodic(Configuration):
@@ -124,6 +125,12 @@ class Periodic(Configuration):
 
     def __getitem__(self, i: int) -> Symbol:
         return self.word[i % len(self.word)]
+
+    def window(self, lo: int, hi: int) -> tuple[Symbol, ...]:
+        # just enough back-to-back copies of the word; () when lo > hi
+        n, p = hi - lo + 1, len(self.word)
+        k = lo % p
+        return (self.word * -(-(k + n) // p))[k : k + n]
 
     def shifted(self, k: int) -> "Periodic":
         p = len(self.word)
@@ -189,6 +196,12 @@ class Padded(Configuration):
         if 0 <= j < len(self.word):
             return self.word[j]
         return self.pad
+
+    def window(self, lo: int, hi: int) -> tuple[Symbol, ...]:
+        # pads, the part of the word in the span, pads; () when lo > hi
+        n, a = hi - lo + 1, self.anchor - lo
+        i, j = min(max(a, 0), n), min(max(a + len(self.word), 0), n)
+        return (self.pad,) * i + self.word[i - a : j - a] + (self.pad,) * (n - j)
 
     def shifted(self, k: int) -> "Padded":
         return Padded(self.alphabet, self.word, self.pad, self.anchor - k)
@@ -257,9 +270,6 @@ class LocalRule:
             return window[self.radius]
         raise MissingWindow(window)
 
-    def __call__(self, window: tuple) -> Symbol:
-        return self.evaluate(window)
-
 
 def identity_rule(alphabet: Alphabet) -> LocalRule:
     return LocalRule(alphabet, 0, {}, "identity")
@@ -283,20 +293,16 @@ def shift_rule(alphabet: Alphabet, d: int = 1) -> LocalRule:
 
 
 def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
-    """One synchronous application of ``rule`` to ``cfg``."""
+    """One synchronous application of ``rule`` to ``cfg``; each output
+    cell lo..hi-1 evaluates its slice of one window of ``cfg``."""
     if cfg.alphabet != rule.alphabet:
         raise AlphabetMismatch(
             f"rule alphabet {rule.alphabet!r} != configuration alphabet {cfg.alphabet!r}"
         )
     r = rule.radius
     if isinstance(cfg, Periodic):
-        p = cfg.period
-        new = tuple(
-            rule.evaluate(tuple(cfg[j] for j in range(i - r, i + r + 1)))
-            for i in range(p)
-        )
-        return Periodic(cfg.alphabet, new)
-    if isinstance(cfg, Padded):
+        lo, hi = 0, cfg.period
+    elif isinstance(cfg, Padded):
         quiet = rule.evaluate((cfg.pad,) * (2 * r + 1))
         if quiet != cfg.pad:
             raise QuiescenceViolation(
@@ -304,14 +310,15 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
             )
         if not cfg.word:
             return cfg
-        lo = cfg.anchor - r
-        hi = cfg.anchor + len(cfg.word) + r
-        new = [
-            rule.evaluate(tuple(cfg[j] for j in range(i - r, i + r + 1)))
-            for i in range(lo, hi)
-        ]
-        return Padded(cfg.alphabet, new, cfg.pad, lo)
-    raise TypeError(f"unsupported configuration type {type(cfg)!r}")
+        lo, hi = cfg.anchor - r, cfg.anchor + len(cfg.word) + r
+    else:
+        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
+    row = cfg.window(lo - r, hi - 1 + r)
+    evaluate, width = rule.evaluate, 2 * r + 1
+    new = [evaluate(row[i : i + width]) for i in range(hi - lo)]
+    if isinstance(cfg, Periodic):
+        return Periodic(cfg.alphabet, new)
+    return Padded(cfg.alphabet, new, cfg.pad, lo)
 
 
 def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration]:
@@ -327,7 +334,12 @@ def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration
 
 def agree_on(x: Configuration, y: Configuration, lo: int, hi: int) -> bool:
     """Whether x[i] == y[i] for all lo <= i <= hi (inclusive)."""
-    return all(x[i] == y[i] for i in range(lo, hi + 1))
+    return x.window(lo, hi) == y.window(lo, hi)
+
+
+def min_rotation(word: tuple) -> tuple:
+    """The least rotation of a period word, one name per rotation class."""
+    return min(word[i:] + word[:i] for i in range(len(word)))
 
 
 _COMPOSE_LIMIT = 4_000_000

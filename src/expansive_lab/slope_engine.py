@@ -23,11 +23,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .cycle_machine import (
-    _mat_mul,
     idealized_schedule,
     min_block_length,
     schedule_from_counts,
-    shape_transform,
+    shape_product,
+    shape_transform,  # noqa: F401  (part of this module's interface)
 )
 from .dynamics_analysis import Direction
 
@@ -197,9 +197,7 @@ def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:
     last.  depth=0 gives the unit ball itself."""
     if not 0 <= depth <= len(prog.levels):
         raise ValueError(f"depth {depth} outside 0..{len(prog.levels)}")
-    m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for p in prog.levels[:depth]:
-        m = _mat_mul(m, shape_transform(p))
+    m = shape_product(prog.levels[:depth])
     x, y = m[0][1], m[1][1]
     one, zero = Fraction(1), Fraction(0)
     return ShapePolygon(((one, zero), (x, y), (-one, zero), (-x, -y)))

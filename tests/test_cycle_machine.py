@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from expansive_lab import cycle_machine
 from expansive_lab.cycle_machine import (
     _DATA_SYMBOLS,
     _PROGRAM_SYMBOLS,
@@ -372,6 +373,26 @@ def test_decode_rejects_malformed_layers():
         # previous word no longer the phi-preimage
         broken = mutate(1, 2, "1")
         decode(broken, p, sched)
+
+
+def test_rejected_preimage_applies_phi_inv_once(monkeypatch):
+    p = ident_params(4, 1, 0)
+    sched = build_schedule(p)
+    c = encode(SuspensionState(Periodic(AB, "abaab"), 0, 0), p, sched)
+    cells = list(c.word)
+    cells[1] = cells[1][:2] + ("1",) + cells[1][3:]  # block 0's previous word
+    calls = []
+
+    def counting(rule, cfg):
+        calls.append(rule)
+        return apply_rule(rule, cfg)
+
+    monkeypatch.setattr(cycle_machine, "apply_rule", counting)
+    with pytest.raises(MalformedConfiguration, match="phi-preimage"):
+        decode(Periodic(c.alphabet, cells), p, sched)
+    # the damaged block is unknown to the codec, so only the per-cell scan
+    # runs, and it applies phi_inv to the five decoded words once
+    assert calls == [p.phi_inv]
 
 
 def test_decode_rejects_all_zero_block_layer():

@@ -178,6 +178,40 @@ def test_region_shrinks_with_richer_family():
     assert r_rich.cells <= r_sparse.cells
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    number=st.integers(0, 127).map(lambda k: 2 * k),  # 000 -> 0
+    members=st.lists(
+        st.tuples(st.text("01", max_size=5), st.integers(-4, 4)),
+        min_size=1,
+        max_size=7,
+    ),
+    n=st.integers(-1, 3),
+    t_hi=st.integers(0, 6),
+    i_lo=st.integers(-8, 1),
+    width=st.integers(-1, 12),
+)
+def test_region_matches_per_pair_oracle(number, members, n, t_hi, i_lo, width):
+    """Every cell of every agreeing pair compared one by one."""
+    rule = elementary_rule(number)
+    family = tuple(Padded(BIN, tuple(w), "0", anchor=c) for w, c in members)
+    i_hi = i_lo + width - 1
+    orbits = [orbit(rule, y, t_hi) for y in family]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(family)), 2)
+        if all(family[a][i] == family[b][i] for i in range(-n, n + 1))
+    ]
+    want = {
+        (i, t)
+        for t in range(t_hi + 1)
+        for i in range(i_lo, i_hi + 1)
+        if all(orbits[a][t][i] == orbits[b][t][i] for a, b in pairs)
+    }
+    region = determined_region(rule, family, n, (0, t_hi), (i_lo, i_hi))
+    assert region.cells == frozenset(want)
+
+
 def test_region_to_lines_golden():
     region = determined_region(
         identity_rule(BIN), bin_family(2), 1, (0, 1), (-2, 2)
@@ -483,6 +517,36 @@ def test_wall_blocks_within_short_horizons():
     y, z, target = _walled_pair(1)
     (report,) = blocking_word_search(rule, (y, z), 7, 40, words=[target])
     assert report.verdict == BlockingUpTo(40)
+
+
+def _occurring_words(family, max_len):
+    """Every word of length <= max_len read cell by cell around each
+    member's support: the reference for the default word list of
+    `blocking_word_search`."""
+    words = set()
+    for y in family:
+        sup = y.support
+        lo = (sup[0] if len(sup) else 0) - max_len
+        hi = (sup[-1] if len(sup) else 0) + max_len
+        for length in range(1, max_len + 1):
+            for c in range(lo, hi - length + 2):
+                words.add(tuple(y[c + j] for j in range(length)))
+    return sorted(words)
+
+
+def test_default_blocking_words_are_the_occurring_words():
+    arrow = build_rule(1)
+    cases = [
+        (identity_rule(BIN), bin_family(2)),
+        (identity_rule(BIN), (Padded(BIN, (), "0"),)),
+        (identity_rule(BIN), (Padded(BIN, "0110", "1", -30), Padded(BIN, "0", "1", 9))),
+        (shift_rule(BIN), embedded_word_family(BIN, [("1", "0", "1")], "0")),
+        (arrow.rule, crossing_family(0, 1, shifts=(0, 3))),
+    ]
+    for rule, family in cases:
+        for max_len in range(5):
+            reports = blocking_word_search(rule, family, max_len, 2)
+            assert [r.word for r in reports] == _occurring_words(family, max_len)
 
 
 def test_blocking_rejects_mixed_pads():

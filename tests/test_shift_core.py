@@ -2,10 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from expansive_lab.shift_core import (
     Alphabet,
     AlphabetMismatch,
+    Configuration,
     LocalRule,
     MissingWindow,
     Padded,
@@ -40,6 +42,39 @@ def random_rule(alphabet, radius, rng):
         for w in itertools.product(alphabet.symbols, repeat=2 * radius + 1)
     }
     return LocalRule(alphabet, radius, table, "total")
+
+
+def apply_rule_per_cell(rule: LocalRule, cfg: Configuration) -> Configuration:
+    """The cell map with every window read cell by cell through ``cfg[j]``:
+    the reference `apply_rule` is tested against."""
+    if cfg.alphabet != rule.alphabet:
+        raise AlphabetMismatch(
+            f"rule alphabet {rule.alphabet!r} != configuration alphabet {cfg.alphabet!r}"
+        )
+    r = rule.radius
+    if isinstance(cfg, Periodic):
+        p = cfg.period
+        new = tuple(
+            rule.evaluate(tuple(cfg[j] for j in range(i - r, i + r + 1)))
+            for i in range(p)
+        )
+        return Periodic(cfg.alphabet, new)
+    if isinstance(cfg, Padded):
+        quiet = rule.evaluate((cfg.pad,) * (2 * r + 1))
+        if quiet != cfg.pad:
+            raise QuiescenceViolation(
+                f"pad symbol {cfg.pad!r} maps to {quiet!r} under the rule"
+            )
+        if not cfg.word:
+            return cfg
+        lo = cfg.anchor - r
+        hi = cfg.anchor + len(cfg.word) + r
+        new = [
+            rule.evaluate(tuple(cfg[j] for j in range(i - r, i + r + 1)))
+            for i in range(lo, hi)
+        ]
+        return Padded(cfg.alphabet, new, cfg.pad, lo)
+    raise TypeError(f"unsupported configuration type {type(cfg)!r}")
 
 
 class TestAlphabet:
@@ -88,6 +123,31 @@ class TestConfigurations:
     def test_window(self, ab):
         x = Padded(ab, "bb", pad="a", anchor=0)
         assert x.window(-1, 2) == ("a", "b", "b", "a")
+
+    def test_periodic_window_edge_cases(self, abc):
+        x = Periodic(abc, "abc")
+        assert x.window(-4, 5) == tuple("cabcabcabc")  # longer than the period
+        assert x.window(-2, -1) == ("b", "c")  # negative lo
+        assert x.window(7, 8) == ("b", "c")
+        assert x.window(1, 0) == () and x.window(5, -5) == ()  # lo > hi
+        assert Periodic(abc, "b").window(-3, 2) == ("b",) * 6
+        for lo in range(-8, 8):
+            for hi in range(lo - 3, lo + 11):
+                assert x.window(lo, hi) == tuple(x[i] for i in range(lo, hi + 1))
+
+    def test_padded_window_edge_cases(self, ab):
+        x = Padded(ab, "bab", pad="a", anchor=2)  # support 2..4
+        assert x.window(-3, 1) == ("a",) * 5  # left of the support
+        assert x.window(5, 7) == ("a",) * 3  # right of it
+        assert x.window(1, 5) == tuple("ababa")  # straddling it
+        assert x.window(3, 3) == ("a",) and x.window(4, 8) == tuple("baaaa")
+        assert x.window(4, 3) == () and x.window(9, -9) == ()
+        empty = Padded(ab, "", pad="a")
+        assert empty.window(-2, 1) == ("a",) * 4 and empty.window(1, 0) == ()
+        for y in (x, empty, Padded(ab, "b", pad="a", anchor=-5)):
+            for lo in range(-8, 8):
+                for hi in range(lo - 3, lo + 11):
+                    assert y.window(lo, hi) == tuple(y[i] for i in range(lo, hi + 1))
 
 
 class TestApplyRule:
@@ -151,6 +211,52 @@ class TestApplyRule:
         per_cfg = Periodic(ab, inner + ["a"] * 40)
         x, y = apply_rule(rule, pad_cfg), apply_rule(rule, per_cfg)
         assert agree_on(x, y, -10, 15)
+
+
+@st.composite
+def _rule_and_configuration(draw):
+    """A rule of radius 0-2, total or identity-default, with a table that
+    may miss windows, and a periodic (period 1-7) or padded configuration
+    whose pad may or may not be quiescent."""
+    alphabet = Alphabet("abc"[: draw(st.integers(2, 3))])
+    symbols = st.sampled_from(alphabet.symbols)
+    radius = draw(st.integers(0, 2))
+    windows = list(itertools.product(alphabet.symbols, repeat=2 * radius + 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sampled_from((0.0, 0.5, 0.95, 1.0)))
+    table = {w: rng.choice(alphabet.symbols) for w in windows if rng.random() < keep}
+    if draw(st.booleans()):
+        word = draw(st.lists(symbols, min_size=1, max_size=7))
+        cfg = Periodic(alphabet, word)
+    else:
+        pad = draw(symbols)
+        if draw(st.booleans()):
+            table[(pad,) * (2 * radius + 1)] = pad
+        word = draw(st.lists(symbols, max_size=7))
+        cfg = Padded(alphabet, word, pad, draw(st.integers(-9, 9)))
+    default = draw(st.sampled_from(("identity", "total")))
+    return LocalRule(alphabet, radius, table, default), cfg
+
+
+def _outcome(kernel, rule, cfg):
+    try:
+        return kernel(rule, cfg)
+    except (MissingWindow, QuiescenceViolation) as exc:
+        return type(exc), exc.args
+
+
+_AB = Alphabet("ab")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rule_and_configuration())
+@example((shift_rule(_AB, 2), Periodic(_AB, "b")))  # radius above the period
+@example((shift_rule(_AB, -2), Periodic(_AB, "ab")))
+@example((shift_rule(_AB, 1), Padded(_AB, "bab", "a", -4)))
+@example((LocalRule(_AB, 1, {("a", "b", "a"): "b"}, "total"), Padded(_AB, "b", "a")))
+def test_apply_rule_matches_per_cell_reference(case):
+    rule, cfg = case
+    assert _outcome(apply_rule, rule, cfg) == _outcome(apply_rule_per_cell, rule, cfg)
 
 
 class TestComposition:
