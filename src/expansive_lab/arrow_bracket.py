@@ -143,15 +143,15 @@ def transitions(n: int) -> list[tuple[str, tuple, tuple]]:
     return base + mirrored
 
 
-def _adjacent_brackets(word) -> bool:
-    return any(
-        is_bracket(word[i]) and is_bracket(word[i + 1]) for i in range(len(word) - 1)
-    )
-
-
-def _instance_offsets(length: int):
-    # offsets at which a pattern of this length covers the center of a 5-window
-    return range(max(0, 3 - length), min(2, 5 - length) + 1)
+def _adjacent_brackets(word, brackets: frozenset) -> bool:
+    """Whether two cells in a row hold symbols of the bracket set `brackets`."""
+    prev = False
+    for s in word:
+        cur = s in brackets
+        if cur and prev:
+            return True
+        prev = cur
+    return False
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,13 @@ def _build_table(n: int, rewrite_pairs, alphabet: Alphabet) -> dict:
     never exhibit (adjacent brackets, second arrow) are left to the identity
     default.  Raises ConflictingTransitions on inconsistent prescriptions."""
     non_arrow = [s for s in alphabet if not is_arrow(s)]
+    brackets = frozenset(filter(is_bracket, alphabet))
     table: dict = {}
     origin: dict = {}
     for name, lhs, rhs in rewrite_pairs:
         length = len(lhs)
-        for o in _instance_offsets(length):
+        # offsets at which the pattern covers the center of a 5-window
+        for o in range(max(0, 3 - length), min(2, 5 - length) + 1):
             fill_at = [i for i in range(5) if not o <= i < o + length]
             for fill in itertools.product(non_arrow, repeat=len(fill_at)):
                 w: list = [None] * 5
@@ -184,7 +186,7 @@ def _build_table(n: int, rewrite_pairs, alphabet: Alphabet) -> dict:
                 for i, s in zip(fill_at, fill):
                     w[i] = s
                 window = tuple(w)
-                if _adjacent_brackets(window):
+                if _adjacent_brackets(window, brackets):
                     continue
                 out = rhs[2 - o]
                 prev = table.get(window)
@@ -234,12 +236,13 @@ def conflict_report(n: int) -> list[str]:
     """
     alphabet = level_alphabet(n)
     non_arrow = [s for s in alphabet if not is_arrow(s)]
+    brackets = frozenset(filter(is_bracket, alphabet))
     pats = transitions(n)
     problems = []
     for arrow in (ARROW_RIGHT, ARROW_LEFT):
         for fill in itertools.product(non_arrow, repeat=4):
             window = fill[:2] + (arrow,) + fill[2:]
-            if _adjacent_brackets(window):
+            if _adjacent_brackets(window, brackets):
                 continue
             wanted: dict[int, tuple[str, str]] = {}
             for name, lhs, rhs in pats:
@@ -368,8 +371,6 @@ def walk_from_configuration(cfg: Padded, n: int) -> ArrowWalk:
 def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
     cells = dict(walk.brackets)
     cells[walk.pos] = ARROW_RIGHT if walk.facing > 0 else ARROW_LEFT
-    if not cells:
-        return Padded(alphabet, [], BLANK)
     lo, hi = min(cells), max(cells)
     word = [cells.get(i, BLANK) for i in range(lo, hi + 1)]
     return Padded(alphabet, word, BLANK, lo)
@@ -715,38 +716,19 @@ def admissible(cfg: Configuration, n: int) -> bool:
     one period (with the wrap-around adjacency included); an arrow in the
     period word repeats every period, so the period must be at least 5 for
     every rule window to see a single arrow."""
-    if isinstance(cfg, Padded):
-        if cfg.pad != BLANK:
-            return False
-        word = cfg.word
-        wrap = False
-    elif isinstance(cfg, Periodic):
-        word = cfg.word
-        wrap = True
-    else:
+    if not isinstance(cfg, (Padded, Periodic)):
         raise TypeError("unsupported configuration type")
-    arrows = 0
-    for s in word:
-        if is_arrow(s):
-            arrows += 1
-        elif s != BLANK:
-            info = bracket_info(s)
-            if info is None:
-                return False
-            _, marked, k = info
-            if marked and not 0 <= k < n:
-                return False
-            if not marked and not 0 <= k <= n:
-                return False
-    if arrows > 1:
+    word = cfg.word
+    arrows = sum(map(is_arrow, word))
+    if arrows > 1 or isinstance(cfg, Padded) and cfg.pad != BLANK:
         return False
-    if arrows and wrap and len(word) < 5:
-        return False
-    pairs = range(len(word) - 1) if not wrap else range(len(word))
-    for i in pairs:
-        if is_bracket(word[i]) and is_bracket(word[(i + 1) % len(word)]):
+    if isinstance(cfg, Periodic):
+        if arrows and len(word) < 5:
             return False
-    return True
+        word += word[:1]  # the wrap-around pair; at period 1 a bracket meets itself
+    alphabet = level_alphabet(n)
+    brackets = frozenset(filter(is_bracket, alphabet))
+    return all(s in alphabet for s in word) and not _adjacent_brackets(word, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -873,13 +855,14 @@ def admissible_periodic_words(n: int, period: int):
     which admissibility rules out)."""
     alphabet = level_alphabet(n)
     non_arrow = [s for s in alphabet if not is_arrow(s)]
+    brackets = frozenset(filter(is_bracket, alphabet))
     arrow_ok = period >= 5
     word: list = [None] * period
 
     def extend(i: int, used_arrow: bool):
         if i == period:
             # wrap-around adjacency; at period 1 a bracket neighbors itself
-            if is_bracket(word[-1]) and is_bracket(word[0]):
+            if word[-1] in brackets and word[0] in brackets:
                 return
             yield tuple(word)
             return
@@ -888,7 +871,7 @@ def admissible_periodic_words(n: int, period: int):
         else:
             choices = non_arrow + [ARROW_RIGHT, ARROW_LEFT]
         for s in choices:
-            if i > 0 and is_bracket(s) and is_bracket(word[i - 1]):
+            if i > 0 and s in brackets and word[i - 1] in brackets:
                 continue
             word[i] = s
             yield from extend(i + 1, used_arrow or is_arrow(s))
@@ -922,11 +905,7 @@ class InjectivityReport:
     def collisions_with_only_mobile_members(self) -> list:
         """Collision groups not explained by a stuck member; empty means the
         map is injective away from stuck configurations."""
-        bad = []
-        for group in self.collisions:
-            if not any(stuck for _, stuck in group):
-                bad.append(group)
-        return bad
+        return [g for g in self.collisions if not any(stuck for _, stuck in g)]
 
 
 def scan_periodic_injectivity(n: int, periods) -> InjectivityReport:
@@ -943,19 +922,15 @@ def scan_periodic_injectivity(n: int, periods) -> InjectivityReport:
     images: dict = {}
     points = 0
     stuck_points = 0
-    seen = set()
-    for p in sorted(periods):
+    for p in sorted(set(periods)):
         for w in admissible_periodic_words(n, p):
-            if canonical_point(w) != w or w in seen:
+            if canonical_point(w) != w:
                 continue
-            seen.add(w)
             points += 1
             x = Periodic(system.alphabet, w)
             y = apply_rule(system.rule, x)
-            has_arrow = any(is_arrow(s) for s in w)
-            stuck = has_arrow and y.word == w
-            if stuck:
-                stuck_points += 1
+            stuck = any(map(is_arrow, w)) and y.word == w
+            stuck_points += stuck
             images.setdefault(canonical_point(y.word), []).append((w, stuck))
     collisions = tuple(
         tuple(group) for group in images.values() if len(group) > 1

@@ -11,10 +11,12 @@ or domain error, 3 on an I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import re
 import sys
+import warnings
 
 from . import arrow_bracket as ab
 from .cycle_machine import (
@@ -295,6 +297,7 @@ def cmd_tower(args) -> int:
 # wiring
 
 
+@functools.cache  # parse_args leaves a parser unchanged, so one serves all calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expansive-lab",
@@ -403,17 +406,24 @@ def _absorb_negative_spans(argv):
     return out
 
 
+def _show_warning(message, *_):
+    # one line, like the error messages, without Python's source location
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_absorb_negative_spans(argv))
-    try:
-        return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, ab.Timeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, TypeError, ab.Timeout) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .shift_core import (
@@ -111,11 +111,11 @@ class SimParams:
     def N(self) -> int:
         return len(self.phi.alphabet)
 
-    @property
+    @cached_property
     def word_bits(self) -> int:
         return _word_bits(self.N)
 
-    @property
+    @cached_property
     def table_entries(self) -> int:
         """Distinct stored windows across the two tables; the identity
         default costs no program rows."""
@@ -197,6 +197,22 @@ class CycleSchedule:
     @property
     def synchronized_token(self) -> tuple:
         return ("transmit", 0, 0)
+
+    @cached_property
+    def _tokens(self) -> tuple:
+        """_tokens[t] is the token of cycle time t; this and the other
+        encoding tables below are built on first use."""
+        return tuple(token_for_t(self, t) for t in range(self.T))
+
+    @cached_property
+    def _times(self) -> dict:
+        return {token: t for t, token in enumerate(self._tokens)}
+
+    @cached_property
+    def _alphabet(self) -> Alphabet:
+        """The product alphabet of the four layers."""
+        layers = (0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (_BLANK,) + self._tokens
+        return Alphabet(sorted(itertools.product(*layers), key=repr))
 
 
 def min_block_length(n: int, entries: int, w: int, d: int) -> int:
@@ -323,8 +339,7 @@ def schedule_report(sched: CycleSchedule) -> dict:
 # the suspension
 
 
-@dataclass(frozen=True)
-class SuspensionState:
+class SuspensionState(NamedTuple):
     """A point (y, b, t) of the suspension: block phase b, cycle time t."""
 
     y: Periodic
@@ -343,21 +358,14 @@ def _check_schedule_match(p: SimParams, sched: CycleSchedule):
 
 
 def _check_state(s: SuspensionState, p: SimParams, sched: CycleSchedule):
-    if s.y.alphabet != p.phi.alphabet:
+    y, b, t = s
+    # equal alphabets are nearly always one object; `is` spares the __eq__ call
+    if y.alphabet is not p.phi.alphabet and y.alphabet != p.phi.alphabet:
         raise ValueError("state over the wrong alphabet")
-    if not 0 <= s.b < p.B:
-        raise ValueError(f"block phase {s.b} outside 0..{p.B - 1}")
-    if not 0 <= s.t < sched.T:
-        raise ValueError(f"cycle time {s.t} outside 0..{sched.T - 1}")
-
-
-def _cycle_map(p: SimParams, y: Periodic) -> Periodic:
-    # sigma^D after phi
-    return apply_rule(p.phi, y).shifted(p.D)
-
-
-def _cycle_map_inv(p: SimParams, y: Periodic) -> Periodic:
-    return apply_rule(p.phi_inv, y.shifted(-p.D))
+    if not 0 <= b < p.B:
+        raise ValueError(f"block phase {b} outside 0..{p.B - 1}")
+    if not 0 <= t < sched.T:
+        raise ValueError(f"cycle time {t} outside 0..{sched.T - 1}")
 
 
 def step_suspension(
@@ -366,25 +374,23 @@ def step_suspension(
     """One application of a suspension generator.
 
     "sigma" advances y by the shift exactly when the block phase wraps;
-    "phi" applies sigma^D phi to y exactly when the cycle time wraps.  The
-    inverse generators "sigma_inv" and "phi_inv" undo them.
+    "phi" applies the cycle map sigma^D phi to y exactly when the cycle time
+    wraps.  The inverse generators "sigma_inv" and "phi_inv" undo them.
     """
     _check_state(s, p, sched)
-    B, T = p.B, sched.T
+    y, b, t = s
     if generator == "sigma":
-        y = s.y.shifted(1) if s.b == 0 else s.y
-        return SuspensionState(y, (s.b + 1) % B, s.t)
+        return SuspensionState(y.shifted(1) if b == 0 else y, (b + 1) % p.B, t)
     if generator == "sigma_inv":
-        fires = (s.b - 1) % B == 0
-        y = s.y.shifted(-1) if fires else s.y
-        return SuspensionState(y, (s.b - 1) % B, s.t)
+        b = (b - 1) % p.B
+        return SuspensionState(y.shifted(-1) if b == 0 else y, b, t)
     if generator == "phi":
-        y = _cycle_map(p, s.y) if s.t == 0 else s.y
-        return SuspensionState(y, s.b, (s.t + 1) % T)
+        y = apply_rule(p.phi, y).shifted(p.D) if t == 0 else y
+        return SuspensionState(y, b, (t + 1) % sched.T)
     if generator == "phi_inv":
-        fires = (s.t - 1) % T == 0
-        y = _cycle_map_inv(p, s.y) if fires else s.y
-        return SuspensionState(y, s.b, (s.t - 1) % T)
+        t = (t - 1) % sched.T
+        y = apply_rule(p.phi_inv, y.shifted(-p.D)) if t == 0 else y
+        return SuspensionState(y, b, t)
     raise ValueError(f"unknown generator {generator!r}")
 
 
@@ -463,29 +469,10 @@ class _Codec:
         return tail
 
 
-class _ScheduleTables(NamedTuple):
-    alphabet: Alphabet  # the product alphabet of the four layers
-    tokens: tuple  # tokens[t] is the token of cycle time t
-    times: dict  # token -> cycle time
-
-
-@lru_cache(maxsize=32)
-def _schedule_tables(sched: CycleSchedule) -> _ScheduleTables:
-    tokens = tuple(token_for_t(sched, t) for t in range(sched.T))
-    symbols = itertools.product(
-        (0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (_BLANK,) + tokens
-    )
-    return _ScheduleTables(
-        Alphabet(sorted(symbols, key=repr)),
-        tokens,
-        {token: t for t, token in enumerate(tokens)},
-    )
-
-
 def encoding_alphabet(p: SimParams, sched: CycleSchedule) -> Alphabet:
     """Product alphabet of the four layers (block, program, data, state)."""
     _check_schedule_match(p, sched)
-    return _schedule_tables(sched).alphabet
+    return sched._alphabet
 
 
 def encode(
@@ -500,20 +487,19 @@ def encode(
     Cost for a state of period P: one application of phi_inv to y, one new
     head cell and one dict lookup of a prebuilt tail per block (a tail is
     built once per (y_j, (phi^-1 y)_j) pair and parameter set, in O(B)),
-    then the P*B cells are joined, rotated by b and checked against the
-    encoding alphabet, one hash per cell.
+    then the P*B cells are joined and rotated by b.  They are not checked
+    against the encoding alphabet: the schedule and the codec made them.
     """
     _check_schedule_match(p, sched)
     _check_state(s, p, sched)
     codec = p.codec
-    tables = _schedule_tables(sched)
-    token = tables.tokens[s.t]
+    token = sched._tokens[s.t]
     head = codec.program[0]
     cells: list = []
     for cur, prev in zip(s.y.word, apply_rule(p.phi_inv, s.y).word):
         cells.append((1, head, codec.bits[cur][0], token))
         cells += codec.tail(cur, prev)
-    return Periodic(tables.alphabet, cells[s.b :] + cells[: s.b])
+    return Periodic._of(sched._alphabet, tuple(cells[s.b :] + cells[: s.b]))
 
 
 def decode(
@@ -555,7 +541,7 @@ def _decode_blocks(c, p: SimParams, sched: CycleSchedule):
     if not all(type(h) is tuple and len(h) == 4 for h in heads):
         return None
     token = heads[0][3]
-    t = _schedule_tables(sched).times.get(token)
+    t = sched._times.get(token)
     if t is None or any(h[3] != token for h in heads):
         return None
     blocks = p.codec.blocks
@@ -566,7 +552,7 @@ def _decode_blocks(c, p: SimParams, sched: CycleSchedule):
     if None in pairs:
         return None
     cur, prev = zip(*pairs)
-    y = Periodic(p.phi.alphabet, cur)
+    y = Periodic._of(p.phi.alphabet, cur)
     if apply_rule(p.phi_inv, y).word != prev:
         return None
     return SuspensionState(y, b, t)

@@ -10,6 +10,7 @@ functions say which side they err on.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from bisect import bisect_left
@@ -79,12 +80,9 @@ def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
     out = []
     seen = set()
     for p in range(1, max_period + 1):
-        for idx in range(len(alphabet) ** p):
-            word, rest = [], idx
-            for _ in range(p):
-                rest, r = divmod(rest, len(alphabet))
-                word.append(alphabet.symbols[r])
-            word = tuple(word)
+        # word[0] varies fastest; this order picks each class's representative
+        for rev in itertools.product(alphabet.symbols, repeat=p):
+            word = rev[::-1]
             canon = min_rotation(word)
             if canon in seen:
                 continue

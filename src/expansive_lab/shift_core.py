@@ -15,6 +15,13 @@ Conventions used throughout the package:
 * applying a rule to a `Periodic` configuration preserves the period word
   length; applying it to a `Padded` one grows the support by at most the rule
   range on each side and the result is re-trimmed, so supports stay minimal.
+
+Symbols are checked at the boundary and trusted inside: the public
+constructors (`Periodic`, `Padded`, `LocalRule`, so `rule_from_json` too)
+raise KeyError through `Alphabet.check` for a symbol outside the alphabet.
+`Periodic._of` and `Padded._of` skip that check, and serve only symbols the
+library produced from checked ones: shifted words, `apply_rule` outputs (window
+centres, or table outputs `LocalRule` checked) and encoded suspension states.
 """
 
 from __future__ import annotations
@@ -62,6 +69,13 @@ class Alphabet:
     def __contains__(self, symbol: Symbol) -> bool:
         return symbol in self._index
 
+    def check(self, symbols: Iterable[Symbol], what: str = "symbol") -> None:
+        """Raise KeyError naming the first of `symbols` outside the alphabet;
+        `what` names the role of the symbols in the message."""
+        for s in symbols:
+            if s not in self._index:
+                raise KeyError(f"{what} {s!r} not in alphabet")
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -69,7 +83,9 @@ class Alphabet:
         return iter(self.symbols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
+        return self is other or (
+            isinstance(other, Alphabet) and self.symbols == other.symbols
+        )
 
     def __hash__(self) -> int:
         return hash(self.symbols)
@@ -115,9 +131,15 @@ class Periodic(Configuration):
         self.word = tuple(word)
         if not self.word:
             raise ValueError("period word must be non-empty")
-        for s in self.word:
-            if s not in alphabet:
-                raise KeyError(f"symbol {s!r} not in alphabet")
+        alphabet.check(self.word)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, word: tuple) -> "Periodic":
+        """`Periodic(alphabet, word)` without the checks, for a non-empty
+        tuple of symbols the library produced."""
+        self = object.__new__(cls)
+        self.alphabet, self.word = alphabet, word
+        return self
 
     @property
     def period(self) -> int:
@@ -133,9 +155,8 @@ class Periodic(Configuration):
         return (self.word * -(-(k + n) // p))[k : k + n]
 
     def shifted(self, k: int) -> "Periodic":
-        p = len(self.word)
-        k %= p
-        return Periodic(self.alphabet, self.word[k:] + self.word[:k])
+        k %= len(self.word)
+        return Periodic._of(self.alphabet, self.word[k:] + self.word[:k])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -169,20 +190,27 @@ class Padded(Configuration):
         pad: Symbol,
         anchor: int = 0,
     ):
-        self.alphabet = alphabet
-        if pad not in alphabet:
-            raise KeyError(f"pad symbol {pad!r} not in alphabet")
-        w = list(word)
-        for s in w:
-            if s not in alphabet:
-                raise KeyError(f"symbol {s!r} not in alphabet")
-        lo = 0
-        hi = len(w)
-        while lo < hi and w[lo] == pad:
+        alphabet.check((pad,), "pad symbol")
+        word = tuple(word)
+        alphabet.check(word)
+        self._set_trimmed(alphabet, word, pad, anchor)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, word: tuple, pad, anchor: int) -> "Padded":
+        """`Padded(alphabet, word, pad, anchor)` without the checks, for a
+        tuple of symbols the library produced; the word is still trimmed."""
+        self = object.__new__(cls)
+        self._set_trimmed(alphabet, word, pad, anchor)
+        return self
+
+    def _set_trimmed(self, alphabet: Alphabet, word: tuple, pad, anchor: int):
+        lo, hi = 0, len(word)
+        while lo < hi and word[lo] == pad:
             lo += 1
-        while hi > lo and w[hi - 1] == pad:
+        while hi > lo and word[hi - 1] == pad:
             hi -= 1
-        self.word = tuple(w[lo:hi])
+        self.alphabet = alphabet
+        self.word = word[lo:hi]
         self.pad = pad
         self.anchor = anchor + lo if self.word else 0
 
@@ -204,7 +232,7 @@ class Padded(Configuration):
         return (self.pad,) * i + self.word[i - a : j - a] + (self.pad,) * (n - j)
 
     def shifted(self, k: int) -> "Padded":
-        return Padded(self.alphabet, self.word, self.pad, self.anchor - k)
+        return Padded._of(self.alphabet, self.word, self.pad, self.anchor - k)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -233,6 +261,9 @@ class LocalRule:
       normal case for rules that only act near some marker);
     * ``"total"``: every window must be present; a missing one raises
       `MissingWindow` when evaluated.
+
+    The table is checked once, here, and `apply_rule` trusts its outputs
+    from then on: mutating ``table`` after construction is unsupported.
     """
 
     alphabet: Alphabet
@@ -249,11 +280,8 @@ class LocalRule:
         for window, out in self.table.items():
             if len(window) != width:
                 raise ValueError(f"window {window!r} has wrong width")
-            for s in window:
-                if s not in self.alphabet:
-                    raise KeyError(f"symbol {s!r} not in alphabet")
-            if out not in self.alphabet:
-                raise KeyError(f"output {out!r} not in alphabet")
+            self.alphabet.check(window)
+            self.alphabet.check((out,), "output")
 
     def __hash__(self) -> int:
         # the generated hash would hash the table dict; this one agrees
@@ -315,10 +343,10 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
         raise TypeError(f"unsupported configuration type {type(cfg)!r}")
     row = cfg.window(lo - r, hi - 1 + r)
     evaluate, width = rule.evaluate, 2 * r + 1
-    new = [evaluate(row[i : i + width]) for i in range(hi - lo)]
+    new = tuple([evaluate(row[i : i + width]) for i in range(hi - lo)])
     if isinstance(cfg, Periodic):
-        return Periodic(cfg.alphabet, new)
-    return Padded(cfg.alphabet, new, cfg.pad, lo)
+        return Periodic._of(cfg.alphabet, new)
+    return Padded._of(cfg.alphabet, new, cfg.pad, lo)
 
 
 def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration]:

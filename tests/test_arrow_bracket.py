@@ -6,6 +6,7 @@ are frozen here as regression oracles.
 """
 
 import functools
+import itertools
 import random
 import tracemalloc
 
@@ -33,6 +34,7 @@ from expansive_lab.arrow_bracket import (
     hierarchical_arrangement,
     hierarchical_choices,
     is_arrow,
+    is_bracket,
     level_alphabet,
     make_block,
     make_preblock,
@@ -106,6 +108,36 @@ def test_mirror_of_reset_close():
 def test_no_conflicting_transitions(n):
     assert conflict_report(n) == []
     build_rule(n)  # must not raise
+
+
+def _string_parsed_table(n, rewrite_pairs):
+    """The window table built with every symbol of every candidate window
+    parsed through `is_bracket`: the reference of `build_rule` and
+    `build_inverse_rule`, which test adjacency against a bracket set."""
+    non_arrow = [s for s in level_alphabet(n) if not is_arrow(s)]
+    table = {}
+    for _, lhs, rhs in rewrite_pairs:
+        length = len(lhs)
+        for o in range(max(0, 3 - length), min(2, 5 - length) + 1):
+            fill_at = [i for i in range(5) if not o <= i < o + length]
+            for fill in itertools.product(non_arrow, repeat=len(fill_at)):
+                w = [None] * 5
+                w[o : o + length] = lhs
+                for i, sym in zip(fill_at, fill):
+                    w[i] = sym
+                if any(is_bracket(w[i]) and is_bracket(w[i + 1]) for i in range(4)):
+                    continue
+                table.setdefault(tuple(w), rhs[2 - o])
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rule_tables_match_string_parsing_reference(n):
+    forward = _string_parsed_table(n, transitions(n))
+    assert list(build_rule(n).rule.table.items()) == list(forward.items())
+    reverse = [(name, rhs, lhs) for name, lhs, rhs in transitions(n)]
+    inverse = _string_parsed_table(n, reverse)
+    assert list(build_inverse_rule(n).table.items()) == list(inverse.items())
 
 
 def test_blank_quiescence():

@@ -228,10 +228,43 @@ def test_tower_rejects_bad_levels(capsys):
     assert "level" in err
 
 
-def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["ab-run", "--bogus", "1"])
-    assert exc.value.code == 2
+BAD_FLAG_ERR = """\
+usage: expansive-lab [-h]
+                     {ab-run,ab-cross,render,region,lyapunov,blocking,realize,tower}
+                     ...
+expansive-lab: error: unrecognized arguments: --bogus 1
+"""
+
+
+def test_unknown_flag_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    for _ in range(2):  # the parser is built once and reused
+        with pytest.raises(SystemExit) as exc:
+            main(["ab-run", "--bogus", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == BAD_FLAG_ERR
+
+
+def test_append_option_does_not_leak_between_calls(capsys):
+    _, first, _ = run(capsys, "blocking", "--word", "01", "--tmax", "5")
+    _, second, _ = run(capsys, "blocking", "--word", "1", "--tmax", "5")
+    assert first == "word,verdict,t\n01,blocking_up_to,5\n"
+    assert second == "word,verdict,t\n1,blocking_up_to,5\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lyapunov", "--system", "shift", "--tmax", "50", "--horizon", "3"),
+        ("realize", "--theta", "0"),
+    ],
+    ids=["truncation", "boundary-case"],
+)
+def test_warnings_print_as_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert err.count("\n") == 1 and err.startswith("warning: ")
+    assert ".py" not in err and "warnings.warn" not in err
 
 
 @pytest.mark.parametrize(

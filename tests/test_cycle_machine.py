@@ -452,6 +452,8 @@ def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
     y = Periodic(AB, word)
     s = SuspensionState(y, b % p.B, t % sched.T)
     c = encode(s, p, sched)
+    # encode builds its result unchecked; the validating constructor agrees
+    assert Periodic(c.alphabet, c.word) == c and type(c.word) is tuple
     if change is not None:
         j, o, layer, k = change
         i = ((j % y.period) * p.B + o % p.B - s.b) % c.period
@@ -653,6 +655,25 @@ def test_sim_params_json_full_kind():
     assert {y.word for y in p.points} == {
         ("a",), ("b",), ("a", "a"), ("b", "a"), ("b", "b"),
     }
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["Y"]["data"].append(["z"]), "symbol 'z' not in alphabet"),
+        (
+            lambda doc: doc["phi"]["entries"].append([["a"], "z"]),
+            "output 'z' not in alphabet",
+        ),
+    ],
+    ids=["point", "rule-output"],
+)
+def test_sim_params_json_rejects_foreign_symbols(edit, message):
+    doc = json.loads(sim_params_to_json(ident_params(8, 1, 0)))
+    edit(doc)
+    with pytest.raises(KeyError) as exc:
+        sim_params_from_json(json.dumps(doc))
+    assert exc.value.args == (message,)
 
 
 def test_sim_params_json_unknown_kind():

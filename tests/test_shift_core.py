@@ -349,3 +349,53 @@ class TestValidation:
     def test_bad_default(self, ab):
         with pytest.raises(ValueError):
             LocalRule(ab, 0, {}, "wild")
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Periodic(_AB, "abz"), "symbol 'z' not in alphabet"),
+            (lambda: Padded(_AB, "ab", "z"), "pad symbol 'z' not in alphabet"),
+            (lambda: Padded(_AB, "azb", "a"), "symbol 'z' not in alphabet"),
+            (lambda: LocalRule(_AB, 0, {("z",): "a"}), "symbol 'z' not in alphabet"),
+            (lambda: LocalRule(_AB, 0, {("a",): "z"}), "output 'z' not in alphabet"),
+            (
+                lambda: rule_from_json(
+                    '{"default":"identity","entries":[[["a"],"z"]],'
+                    '"radius":0,"symbols":["a","b"]}'
+                ),
+                "output 'z' not in alphabet",
+            ),
+        ],
+        ids=["periodic", "pad", "padded", "window", "output", "rule-json"],
+    )
+    def test_foreign_symbols_raise_key_error(self, build, message):
+        with pytest.raises(KeyError) as exc:
+            build()
+        assert exc.value.args == (message,)
+
+
+def _fields(x):
+    return type(x), tuple(getattr(x, name) for name in type(x).__slots__)
+
+
+def _revalidated(x):
+    """`x` rebuilt through its kind's validating constructor."""
+    if isinstance(x, Periodic):
+        return Periodic(x.alphabet, x.word)
+    return Padded(x.alphabet, x.word, x.pad, x.anchor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_and_configuration(), st.integers(-9, 9), st.integers(1, 4))
+def test_unchecked_results_pass_the_validating_constructor(case, k, steps):
+    """`apply_rule` (through `orbit`) and `shifted` build their results
+    without the symbol checks; the validating constructor accepts each of
+    them and returns it unchanged, trimmed word and anchor included."""
+    rule, cfg = case
+    built = [cfg.shifted(k)]
+    try:
+        built += orbit(rule, cfg, steps)[1:]
+    except (MissingWindow, QuiescenceViolation):
+        pass
+    for x in built + [y.shifted(k) for y in built]:
+        assert _fields(_revalidated(x)) == _fields(x)
