@@ -16,7 +16,8 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg
+from itertools import repeat
+from operator import neg, sub
 from typing import Iterable, Sequence
 
 from .shift_core import (
@@ -303,6 +304,17 @@ def polygon_to_lines(hull) -> str:
 # pair difference fronts
 
 
+def _moving_front(front, edge, step, n, outward):
+    """[front] followed by the cumulative extremes, on the side `outward`
+    (+1 right, -1 left), of edge + step*s for s = 1..n, where front already
+    holds edge: constant until the moving edge passes the front, then the
+    edge itself."""
+    if step * outward <= 0:
+        return [front] * (n + 1)
+    k = min(n + 1, (front - edge) // step + 1)  # s < k: not passed yet
+    return [front] * k + list(range(edge + step * k, edge + step * (n + 1), step))
+
+
 def _pair_fronts(rule, family, t_max, horizon):
     """Cumulative difference fronts of every pair of distinct members.
 
@@ -314,10 +326,21 @@ def _pair_fronts(rule, family, t_max, horizon):
 
     The members advance in lockstep, one rule application each per step,
     and each pair is compared on aligned words.  A step that leaves a
-    member's word unchanged acted on it as a shift, and since the rule
-    commutes with the shift it does so at every later step: from then on
-    the member is shifted instead of recomputed, and a pair of two fixed
-    members keeps its fronts.
+    member's word unchanged acted on it as a shift by its drift d, and
+    since the rule commutes with the shift it does so at every later step.
+    Once both members of a pair translate by one common drift (an all-pad
+    member is shift-invariant and matches any drift), the pair's difference
+    set D_t only moves: it is D_t - d*s at time t+s.  The pair's fronts are
+    then written out in closed form and the pair leaves the scan, unless
+    that moving set would leave [-horizon, horizon] by t_max (or, for
+    d != 0, the horizon clips this step's window); such a pair stays on the
+    step loop, which clips exactly.
+
+    Cost: one rule application per member and step until the member
+    translates, one comparison per pair and step until the pair translates,
+    then O(t_max) C-level work per pair.  The scan ends once every pair is
+    in closed form; a support still moving then is checked against the
+    horizon at t_max, since it moves linearly.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -334,25 +357,30 @@ def _pair_fronts(rule, family, t_max, horizon):
         for b in range(a + 1, len(family))
         if family[a] != family[b]
     }
+    if not fronts:
+        return fronts, False
     live = dict(fronts)
     orbit = list(family)
     drift = [None] * len(orbit)  # per-step shift once an orbit only translates
     clipped = False
     for t in range(t_max + 1):
-        if not live:
-            break
+        if t:
+            for k, y in enumerate(orbit):
+                if drift[k] is None:
+                    orbit[k] = apply_rule(rule, y)
+                    if orbit[k].word == y.word:
+                        drift[k] = y.anchor - orbit[k].anchor
+                elif drift[k]:
+                    orbit[k] = y.shifted(drift[k])
         lo = min((y.anchor for y in orbit if y.word), default=0)
         hi = max((y.anchor + len(y.word) - 1 for y in orbit if y.word), default=-1)
-        clipped = clipped or lo < -horizon or hi > horizon
+        whole = -horizon <= lo and hi <= horizon
+        clipped = clipped or not whole
         lo, hi = max(lo, -horizon), min(hi, horizon)
         rows = [y.window(lo, hi) for y in orbit]
         for (a, b), (right, left) in list(live.items()):
-            if t and drift[a] == drift[b] == 0:
-                right += [right[-1]] * (t_max + 1 - t)
-                left += [left[-1]] * (t_max + 1 - t)
-                del live[a, b]
-                continue
             r, l = (right[-1], left[-1]) if t else (None, None)
+            diff = ()
             if rows[a] != rows[b]:
                 diff = [
                     i for i, p, q in zip(range(lo, hi + 1), rows[a], rows[b])
@@ -360,15 +388,36 @@ def _pair_fronts(rule, family, t_max, horizon):
                 ]
                 r = diff[-1] if r is None else max(r, diff[-1])
                 l = diff[0] if l is None else min(l, diff[0])
-            right.append(r)
-            left.append(l)
-        for k, y in enumerate(orbit):
-            if drift[k] is None:
-                orbit[k] = apply_rule(rule, y)
-                if orbit[k].word == y.word:
-                    drift[k] = y.anchor - orbit[k].anchor
-            elif drift[k]:
-                orbit[k] = y.shifted(drift[k])
+            # the pair's common drift; an all-pad member matches any
+            d = drift[a] if orbit[a].word else drift[b]
+            if orbit[b].word and drift[b] != d:
+                d = None
+            # the closed form needs all of D_t - d*s inside the horizon for
+            # s <= t_max - t; a fixed pair (d == 0) keeps even a clipped D_t
+            moved = d * (t_max - t) if d else 0
+            if d is None or not (whole or d == 0) or diff and (
+                diff[0] - moved < -horizon or diff[-1] - moved > horizon
+            ):
+                right.append(r)
+                left.append(l)
+                continue
+            if diff:
+                right += _moving_front(r, diff[-1], -d, t_max - t, 1)
+                left += _moving_front(l, diff[0], -d, t_max - t, -1)
+            else:
+                right += [r] * (t_max + 1 - t)
+                left += [l] * (t_max + 1 - t)
+            del live[a, b]
+        if not live:
+            break
+    # every pair is written out up to t_max, but the scan stopped at time t;
+    # a support that still moves, inside the horizon at t, stays inside up
+    # to t_max iff it is inside at t_max
+    for y, d in zip(orbit, drift):
+        if d and y.word:
+            moved = d * (t_max - t)
+            if y.anchor - moved < -horizon or y.anchor + len(y.word) - 1 - moved > horizon:
+                clipped = True
     return fronts, clipped
 
 
@@ -418,25 +467,27 @@ def lyapunov_profile(
     distinct periodic points never agree on a half-line, which makes the
     premise vacuous and the profile identically zero.
 
-    Cost: one orbit per family member, not two per pair, and no rule
-    applications once a member's orbit only translates.
+    Cost: that of `_pair_fronts`, which writes out the fronts of a pair
+    that only translates in closed form, plus one C-level maximum per time
+    over the advances of the pairs whose fronts moved at all.
     """
     fronts, truncated = _pair_fronts(rule, family, t_max, horizon)
-    plus = [0] * (t_max + 1)
-    minus = [0] * (t_max + 1)
-    for right, left in fronts.values():
-        r0, l0 = right[0], left[0]
-        if r0 is None:
-            continue  # every difference sits beyond the horizon
-        plus = [max(p, r - r0) for p, r in zip(plus, right)]
-        minus = [max(m, l0 - l) for m, l in zip(minus, left)]
+    # a pair with every difference beyond the horizon has no fronts; a
+    # cumulative front that ends where it starts never advanced
+    seen = [(right, left) for right, left in fronts.values() if right[0] is not None]
+    plus = tuple(map(max, zip(repeat(0, t_max + 1), *(
+        map(sub, right, repeat(right[0])) for right, _ in seen if right[-1] != right[0]
+    ))))
+    minus = tuple(map(max, zip(repeat(0, t_max + 1), *(
+        map(sub, repeat(left[0]), left) for _, left in seen if left[-1] != left[0]
+    ))))
     if truncated:
         warnings.warn(
             "difference front reached the horizon; exponents are lower bounds",
             TruncationWarning,
             stacklevel=2,
         )
-    return LyapunovEstimate(t_max, horizon, tuple(plus), tuple(minus), truncated)
+    return LyapunovEstimate(t_max, horizon, plus, minus, truncated)
 
 
 def profile_from_fronts(right, left, start: int, horizon: int) -> LyapunovEstimate:
@@ -521,18 +572,22 @@ def blocking_word_search(
     every word of length <= max_len occurring in the family is reported;
     pass `words` to restrict the report.
 
-    Cost: one orbit per family member, not two per pair, and no rule
-    applications once a member's orbit only translates.
+    Cost: that of `_pair_fronts` (no step at all for a pair once it only
+    translates), one bisection per pair, word and side, and an occurrence
+    index holding only the word lengths reported.
     """
     fronts, _ = _pair_fronts(rule, family, t_max, math.inf)
     lo = min((y.support[0] if len(y.support) else 0) for y in family)
     hi = max((y.support[-1] if len(y.support) else 0) for y in family)
     lo, hi = lo - max_len - 2, hi + max_len + 2
+    lengths = range(1, max_len + 1)
+    if words is not None:
+        lengths = {len(w) for w in words}.intersection(lengths)
     occurrences: list[dict] = []
     for y in family:
         row = y.window(lo, hi)
         index: dict = {}
-        for length in range(1, max_len + 1):
+        for length in lengths:
             for c in range(lo, hi - length + 2):
                 index.setdefault(row[c - lo : c - lo + length], []).append(c)
         occurrences.append(index)

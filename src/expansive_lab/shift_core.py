@@ -299,6 +299,10 @@ class LocalRule:
         raise MissingWindow(window)
 
 
+# the most windows a materialized rule table may hold
+_COMPOSE_LIMIT = 4_000_000
+
+
 def identity_rule(alphabet: Alphabet) -> LocalRule:
     return LocalRule(alphabet, 0, {}, "identity")
 
@@ -308,11 +312,16 @@ def shift_rule(alphabet: Alphabet, d: int = 1) -> LocalRule:
 
     The output of a cell is the symbol d places to its right (to its left for
     negative d).  The table is materialized, so this is only meant for small
-    alphabets and |d| <= 2 or so.
+    alphabets and |d| <= 2 or so; a ValueError is raised before building a
+    table of more than _COMPOSE_LIMIT windows.
     """
     r = abs(d)
     if r == 0:
         return identity_rule(alphabet)
+    if len(alphabet) ** (2 * r + 1) > _COMPOSE_LIMIT:
+        raise ValueError(
+            f"shift table over {len(alphabet)} symbols at range {r} is too large"
+        )
     table = {
         w: w[r + d]
         for w in itertools.product(alphabet.symbols, repeat=2 * r + 1)
@@ -327,10 +336,14 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
         raise AlphabetMismatch(
             f"rule alphabet {rule.alphabet!r} != configuration alphabet {cfg.alphabet!r}"
         )
+    if not isinstance(cfg, (Periodic, Padded)):
+        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
+    if not rule.table and rule.default == "identity":
+        return cfg  # every cell keeps its symbol, the pad included
     r = rule.radius
     if isinstance(cfg, Periodic):
         lo, hi = 0, cfg.period
-    elif isinstance(cfg, Padded):
+    else:
         quiet = rule.evaluate((cfg.pad,) * (2 * r + 1))
         if quiet != cfg.pad:
             raise QuiescenceViolation(
@@ -339,8 +352,6 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
         if not cfg.word:
             return cfg
         lo, hi = cfg.anchor - r, cfg.anchor + len(cfg.word) + r
-    else:
-        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
     row = cfg.window(lo - r, hi - 1 + r)
     evaluate, width = rule.evaluate, 2 * r + 1
     new = tuple([evaluate(row[i : i + width]) for i in range(hi - lo)])
@@ -368,9 +379,6 @@ def agree_on(x: Configuration, y: Configuration, lo: int, hi: int) -> bool:
 def min_rotation(word: tuple) -> tuple:
     """The least rotation of a period word, one name per rotation class."""
     return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-_COMPOSE_LIMIT = 4_000_000
 
 
 def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:

@@ -277,9 +277,13 @@ def test_warnings_print_as_one_line(capsys, argv):
         ("region", "--n", "1", "--cmax", "-1"),
         ("lyapunov", "--system", "shift", "--horizon", "-1"),
         ("blocking", "--word", ""),
+        ("lyapunov", "--system", "shift", "--d", "40", "--tmax", "10"),
+        ("region", "--rule", "shift", "--d", "40", "--n", "1"),
+        ("blocking", "--rule", "shift", "--d", "-11", "--word", "1"),
     ],
     ids=["empty-span", "lyapunov-tmax", "blocking-tmax", "symbol", "cmax",
-         "horizon", "empty-word"],
+         "horizon", "empty-word", "lyapunov-shift-size", "region-shift-size",
+         "blocking-shift-size"],
 )
 def test_bad_pair_scan_inputs_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

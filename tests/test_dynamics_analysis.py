@@ -29,6 +29,7 @@ from expansive_lab.dynamics_analysis import (
     NotDeterminedAtScale,
     RefutedAt,
     TruncationWarning,
+    _pair_fronts,
     blocking_word_search,
     convex_hull,
     crossing_family,
@@ -51,6 +52,7 @@ from expansive_lab.shift_core import (
     Padded,
     Periodic,
     apply_rule,
+    compose_rules,
     identity_rule,
     orbit,
     shift_rule,
@@ -726,9 +728,106 @@ def test_pair_scans_match_per_pair_oracle(number, members, t_max, horizon,
         issubclass(w.category, TruncationWarning) for w in caught
     )
     reports = blocking_word_search(rule, family, max_len, t_max)
-    assert [(r.word, r.verdict) for r in reports] == _oracle_blocking(
-        rule, family, max_len, t_max
+    expected = _oracle_blocking(rule, family, max_len, t_max)
+    assert [(r.word, r.verdict) for r in reports] == expected
+    # a restricted report indexes only the lengths asked for; a word longer
+    # than max_len is never indexed, so nothing can refute it
+    asked = [w for w, _ in expected[::2]] + [("1",) * (max_len + 1)]
+    reports = blocking_word_search(rule, family, max_len, t_max, asked)
+    assert [(r.word, r.verdict) for r in reports] == expected[::2] + [
+        (asked[-1], BlockingUpTo(t_max))
+    ]
+
+
+def _oracle_fronts(rule, family, t_max, horizon):
+    """The raw output of `_pair_fronts`, pair by pair from the oracle's
+    extremes: cumulative fronts, and whether any pair's span was clipped."""
+    fronts, clipped = {}, False
+    for a, b in _distinct_pairs(family):
+        ext, bit = _oracle_extremes(
+            rule, family[a], family[b], t_max, margin=0, horizon=horizon
+        )
+        clipped = clipped or bit
+        right, left, r, l = [], [], None, None
+        for lo, hi in ext:
+            if hi is not None:
+                r = hi if r is None else max(r, hi)
+                l = lo if l is None else min(l, lo)
+            right.append(r)
+            left.append(l)
+        fronts[a, b] = (right, left)
+    return fronts, clipped
+
+
+def glider_rule():
+    """Range 2: a lone 1 steps one cell right and every other cell keeps
+    its symbol, so a lone 1 drifts by -1 while 11 is fixed."""
+    table = {}
+    for w in itertools.product("01", repeat=5):
+        if w[1:4] == ("0", "1", "0"):
+            table[w] = "0"
+        elif w[:3] == ("0", "1", "0"):
+            table[w] = "1"
+    return LocalRule(BIN, 2, table, "identity")
+
+
+SHIFTS = [shift_rule(BIN, d) for d in range(-2, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rule=st.sampled_from(SHIFTS),
+    members=st.lists(
+        st.tuples(st.text("01", max_size=5), st.integers(-4, 4)),
+        min_size=1,
+        max_size=5,
+    ),
+    t_max=st.integers(0, 30),
+    horizon=st.sampled_from((0, 1, 3, 10**6)),
+)
+# an empty member matches the drift of the other
+@example(rule=SHIFTS[3], members=[("", 0), ("101", -1), ("1", 2)], t_max=12,
+         horizon=10**6)
+# a lone 1 drifts, 11 stays: that pair stays on the step loop
+@example(rule=glider_rule(), members=[("1", 0), ("11", 3), ("", 0)], t_max=12,
+         horizon=10**6)
+# the shared 1s leave the horizon at t = 4 and the difference never does,
+# so the pair is in closed form from t = 1 and the late check must see it
+@example(rule=SHIFTS[1], members=[("111", 0), ("101", 0)], t_max=4,
+         horizon=5)
+# rule 132 erases 11 and trims 111 to 1, then the pair drifts 2 cells a step
+# from behind its front, which holds until the difference passes it
+@example(rule=compose_rules(shift_rule(BIN, -2), elementary_rule(132)),
+         members=[("11", 4), ("111", -3)], t_max=5, horizon=10**6)
+def test_translating_pairs_match_per_pair_oracle(rule, members, t_max,
+                                                 horizon):
+    family = tuple(Padded(BIN, tuple(w), "0", anchor=c) for w, c in members)
+    expected = _oracle_fronts(rule, family, t_max, horizon)
+    assert _pair_fronts(rule, family, t_max, horizon) == expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lyapunov_profile(rule, family, t_max, horizon)
+    assert expected[1] == any(
+        issubclass(w.category, TruncationWarning) for w in caught
     )
+
+
+def test_translating_examples_reach_the_cases_they_name():
+    glider = glider_rule()
+    lone, block = Padded(BIN, ("1",), "0"), Padded(BIN, ("1", "1"), "0")
+    assert apply_rule(glider, lone) == lone.shifted(-1)
+    assert apply_rule(glider, block) == block
+    # at t = 1 the difference set is {0}, 5 cells (not a multiple of the
+    # drift) behind the right front
+    trim = compose_rules(shift_rule(BIN, -2), elementary_rule(132))
+    family = (Padded(BIN, ("1",) * 2, "0", 4), Padded(BIN, ("1",) * 3, "0", -3))
+    fronts, _ = _oracle_fronts(trim, family, 5, 10**6)
+    assert fronts[0, 1][0] == [5, 5, 5, 5, 6, 8]
+    # the late crossing: clipped only at t_max, with the difference inside
+    family = (Padded(BIN, ("1",) * 3, "0"), Padded(BIN, tuple("101"), "0"))
+    assert _oracle_fronts(SHIFTS[1], family, 3, 5)[1] is False
+    fronts, clipped = _oracle_fronts(SHIFTS[1], family, 4, 5)
+    assert clipped and fronts[0, 1] == ([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,30 @@ class TestApplyRule:
         x = Periodic(abc, "abcab")
         assert apply_rule(rule, x) == x
 
+    def test_identity_rule_returns_its_input(self, ab, abc):
+        wide = LocalRule(abc, 2, {}, "identity")
+        for x in (
+            Periodic(abc, "abcab"),
+            Padded(abc, "bcb", pad="a", anchor=-2),
+            Padded(abc, "", pad="c"),
+        ):
+            assert apply_rule(identity_rule(abc), x) is x
+            assert apply_rule(wide, x) is x
+            with pytest.raises(AlphabetMismatch):
+                apply_rule(identity_rule(ab), x)
+
+        class Other(Configuration):
+            alphabet = abc
+
+        with pytest.raises(TypeError):
+            apply_rule(identity_rule(abc), Other())
+
+    def test_shift_rule_size_budget(self, ab, abc):
+        # 2**23 and 3**15 windows exceed the budget, checked before building
+        for alphabet, d in ((ab, 11), (ab, -11), (ab, 40), (abc, 7)):
+            with pytest.raises(ValueError, match="too large"):
+                shift_rule(alphabet, d)
+
     def test_shift_rule_matches_shifted(self, abc):
         for d in (-2, -1, 0, 1, 2):
             rule = shift_rule(abc, d)
