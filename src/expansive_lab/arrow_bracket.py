@@ -598,7 +598,6 @@ class CrossingReport:
     n: int
     steps: int
     restored: bool
-    trace_length: int
 
 
 def default_step_budget(k: int, n: int) -> int:
@@ -606,9 +605,7 @@ def default_step_budget(k: int, n: int) -> int:
     return 4 * (6 * n + 4) * (4 * n + 4) ** k + 100
 
 
-def run_crossing(
-    k: int, n: int, direction: str = "right", max_steps: int | None = None
-) -> CrossingReport:
+def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport:
     """Send the arrow through block(k, n) and count the steps.
 
     The right crossing starts from arrow·block (arrow immediately left of the
@@ -616,17 +613,17 @@ def run_crossing(
     block·arrow with the block restored; the left crossing is the mirror.
     The block is one resting node, so that time is its node S (see
     `_NodeTable`), the same both ways.  Raises Timeout if S exceeds the
-    budget.
+    budget, and ValueError if the budget is negative.
     """
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     block = make_block(k, n)
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left'")
     table = _NodeTable(n, {i: s for i, s in enumerate(block.word) if s != BLANK})
     steps = table.steps[table.opens[0][1]]
     budget = default_step_budget(k, n) if max_steps is None else max_steps
     if steps > budget:
         raise Timeout(budget)
-    return CrossingReport(k, n, steps, True, steps + 1)
+    return CrossingReport(k, n, steps, True)
 
 
 @dataclass(frozen=True)
@@ -692,6 +689,8 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     that time and stuck_at records it (the configuration no longer changes).
     Node crossings are replayed from their position blocks.
     """
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     if not isinstance(cfg, (Padded, Periodic)):
         raise TypeError("unsupported configuration type")
     count = sum(map(is_arrow, cfg.word))
@@ -953,6 +952,8 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
     Python code.  Returns two lists indexed by time: right[t] / left[t] are
     the extreme coordinates that have differed at any time <= t.
     """
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
     walk = walk_from_configuration(cfg, n)
     table = _NodeTable(n, walk.brackets)
     brackets, base = walk.brackets, dict(walk.brackets)

@@ -132,8 +132,8 @@ def cmd_ab_cross(args) -> int:
             try:
                 rep = ab.run_crossing(level, n, max_steps=args.max_steps)
                 rows.append((level, n, rep.steps, "true"))
-            except ab.Timeout:
-                rows.append((level, n, args.max_steps or -1, "false"))
+            except ab.Timeout as exc:
+                rows.append((level, n, exc.limit, "false"))
     if args.csv:
         lines = ["level,n,steps,restored"]
         lines += [f"{k},{n},{s},{r}" for k, n, s, r in rows]

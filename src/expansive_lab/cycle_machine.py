@@ -200,9 +200,14 @@ class CycleSchedule:
 
     @cached_property
     def _tokens(self) -> tuple:
-        """_tokens[t] is the token of cycle time t; this and the other
-        encoding tables below are built on first use."""
-        return tuple(token_for_t(self, t) for t in range(self.T))
+        """_tokens[t] is the token of cycle time t, read off the stages in
+        one pass; this and the other encoding tables below are built on
+        first use."""
+        return tuple(
+            (name, rep, phase)
+            for name, rep, dur in stage_segments(self)
+            for phase in range(dur)
+        )
 
     @cached_property
     def _times(self) -> dict:
@@ -291,24 +296,15 @@ def token_for_t(sched: CycleSchedule, t: int) -> tuple:
     """The (stage, repetition, phase) token shown by every block at time t."""
     if not 0 <= t < sched.T:
         raise ValueError(f"t={t} outside the cycle")
-    acc = 0
-    for name, rep, dur in stage_segments(sched):
-        if t < acc + dur:
-            return (name, rep, t - acc)
-        acc += dur
-    raise AssertionError("stage durations do not tile the cycle")
+    return sched._tokens[t]
 
 
 def t_for_token(sched: CycleSchedule, token: tuple) -> int:
-    acc = 0
-    for name, rep, dur in stage_segments(sched):
-        if (name, rep) == tuple(token[:2]):
-            phase = token[2]
-            if 0 <= phase < dur:
-                return acc + phase
-            break
-        acc += dur
-    raise MalformedConfiguration(f"no cycle time shows token {token!r}")
+    """The cycle time whose token equals `token`."""
+    t = sched._times.get(token)
+    if t is None:
+        raise MalformedConfiguration(f"no cycle time shows token {token!r}")
+    return t
 
 
 def schedule_report(sched: CycleSchedule) -> dict:
@@ -510,107 +506,77 @@ def decode(
     Raises MalformedConfiguration on a bad block layer, inconsistent or
     unknown state tokens, a program layer that differs from the parameters'
     program, out-of-range data words, or a previous word that is not the
-    phi-preimage of the current one.
+    phi-preimage of the current one.  The checks run block by block and
+    cell by cell, then on the tokens, then on the preimage, so the first
+    violation found in that order gives the message.
 
-    Cost for a period of P*B cells: finding b reads at most B cells; then
-    each block is one dict lookup keyed by its cells (one hash per cell),
-    the tokens are compared and looked up once, and phi_inv is applied to
-    the decoded word once.  A configuration with a block that `encode` has
-    not built for these parameters, or one that fails any check, is
-    decoded again by the per-cell scan `_decode_cells`, which gives the
-    verdict and the message.
+    Cost for a period of P*B cells: finding b reads B cells; then each
+    block is one dict lookup keyed by its cells (one hash per cell), the
+    tokens are compared and looked up once, and phi_inv is applied to the
+    decoded word once.  A block `encode` has not built for these
+    parameters is read cell by cell instead, by `_decode_block`.
     """
-    _check_schedule_match(p, sched)
-    state = _decode_blocks(c, p, sched)
-    return state if state is not None else _decode_cells(c, p, sched)
-
-
-def _decode_blocks(c, p: SimParams, sched: CycleSchedule):
-    """The table path of `decode`: the state, or None wherever the per-cell
-    scan has to decide."""
-    B = p.B
-    if not isinstance(c, Periodic) or c.period % B:
-        return None
-    word = c.word
-    b = next((k for k in range(B) if word[-k][0] == 1), None)
-    if b is None:
-        return None
-    word = word[-b:] + word[:-b]
-    heads = word[::B]
-    # other head shapes (a 5-tuple, a tuple subclass) are the scan's to judge
-    if not all(type(h) is tuple and len(h) == 4 for h in heads):
-        return None
-    token = heads[0][3]
-    t = sched._times.get(token)
-    if t is None or any(h[3] != token for h in heads):
-        return None
-    blocks = p.codec.blocks
-    pairs = [
-        blocks.get(h[:3] + word[j + 1 : j + B])
-        for j, h in zip(range(0, len(word), B), heads)
-    ]
-    if None in pairs:
-        return None
-    cur, prev = zip(*pairs)
-    y = Periodic._of(p.phi.alphabet, cur)
-    if apply_rule(p.phi_inv, y).word != prev:
-        return None
-    return SuspensionState(y, b, t)
-
-
-def _decode_cells(
-    c: Periodic, p: SimParams, sched: CycleSchedule
-) -> SuspensionState:
-    """`decode` by a scan of every cell of every layer; the reference the
-    table path is tested against, and the source of every rejection."""
     _check_schedule_match(p, sched)
     if not isinstance(c, Periodic):
         raise MalformedConfiguration("encoded configurations are periodic")
-    B, bits = p.B, p.word_bits
+    B = p.B
     if c.period % B:
         raise MalformedConfiguration(
             f"period {c.period} is not a multiple of B={B}"
         )
-    starts = [k for k in range(B) if c[-k][0] == 1]
+    word = c.word
+    # all B candidates are read, so a cell without a block layer there
+    # fails here whatever b is, before any block is checked
+    starts = [k for k in range(B) if word[-k][0] == 1]
     if not starts:
         raise MalformedConfiguration("no block beginning near the origin")
-    b = min(starts)
-    blocks = c.period // B
-    prog = program_word(p) + (_BLANK,) * (B - p.program_length())
-    tokens = set()
-    words, prevs = [], []
-    for j in range(blocks):
-        start = -b + j * B
-        cur_bits, prev_bits = [], []
-        for o in range(B):
-            bb, ps, ds, ss = c[start + o]
-            if bb != (1 if o == 0 else 0):
-                raise MalformedConfiguration("block layer is not 1 0^{B-1}")
-            if ps != prog[o]:
-                raise MalformedConfiguration(
-                    f"program layer mismatch at offset {o}"
-                )
-            if o == 0:
-                tokens.add(ss)
-            elif ss != _BLANK:
-                raise MalformedConfiguration("stray state token inside a block")
-            if o < bits:
-                cur_bits.append(ds)
-            elif o < 2 * bits:
-                prev_bits.append(ds)
-            elif ds != _BLANK:
-                raise MalformedConfiguration("stray data outside the words")
-        words.append(_bits_to_symbol(cur_bits, p.phi.alphabet))
-        prevs.append(_bits_to_symbol(prev_bits, p.phi.alphabet))
+    b = starts[0]
+    word = word[-b:] + word[:-b]
+    heads = word[::B]
+    blocks = p.codec.blocks
+    pairs = []
+    for j, h in zip(range(0, len(word), B), heads):
+        # the token is no part of the key; other head shapes are read
+        # cell by cell
+        pair = None
+        if type(h) is tuple and len(h) == 4:
+            pair = blocks.get(h[:3] + word[j + 1 : j + B])
+        pairs.append(pair or _decode_block(word[j : j + B], p))
+    tokens = {h[3] for h in heads}
     if len(tokens) != 1:
         raise MalformedConfiguration(f"blocks disagree on the token: {tokens}")
     t = t_for_token(sched, tokens.pop())
-    y = Periodic(p.phi.alphabet, words)
-    if list(apply_rule(p.phi_inv, y).word) != prevs:
+    cur, prev = zip(*pairs)
+    y = Periodic._of(p.phi.alphabet, cur)
+    if apply_rule(p.phi_inv, y).word != prev:
         raise MalformedConfiguration(
             "previous words are not the phi-preimage of the current ones"
         )
     return SuspensionState(y, b, t)
+
+
+def _decode_block(cells: tuple, p: SimParams) -> tuple:
+    """(cur, prev) of one block, read cell by cell; raises at the first
+    cell that breaks a layer invariant.  The head's token is left to
+    `decode`."""
+    bits, prog = p.word_bits, p.codec.program
+    data = []
+    for o, (bb, ps, ds, ss) in enumerate(cells):
+        if bb != (1 if o == 0 else 0):
+            raise MalformedConfiguration("block layer is not 1 0^{B-1}")
+        if ps != prog[o]:
+            raise MalformedConfiguration(f"program layer mismatch at offset {o}")
+        if o and ss != _BLANK:
+            raise MalformedConfiguration("stray state token inside a block")
+        if o < 2 * bits:
+            data.append(ds)
+        elif ds != _BLANK:
+            raise MalformedConfiguration("stray data outside the words")
+    alphabet = p.phi.alphabet
+    return (
+        _bits_to_symbol(data[:bits], alphabet),
+        _bits_to_symbol(data[bits:], alphabet),
+    )
 
 
 def _bits_to_symbol(bits_seq, alphabet: Alphabet):

@@ -199,8 +199,10 @@ def test_n2_crossings_by_level(k, steps):
 
 
 def test_left_crossing_is_symmetric():
+    # the stepped left crossing takes the block's one S, as the right does
     for k, n in [(0, 1), (0, 3), (1, 2), (2, 1)]:
-        assert run_crossing(k, n, "left").steps == run_crossing(k, n, "right").steps
+        assert _stepped_crossing(k, n, -1) == run_crossing(k, n).steps
+        assert _stepped_crossing(k, n, 1) == run_crossing(k, n).steps
 
 
 def test_crossing_growth_rate():
@@ -217,16 +219,19 @@ def test_crossing_timeout():
     with pytest.raises(Timeout) as err:
         run_crossing(1, 2, max_steps=10)
     assert err.value.limit == 10
+    with pytest.raises(Timeout) as err:
+        run_crossing(0, 1, max_steps=0)
+    assert err.value.limit == 0
+
+
+def test_negative_step_budget_rejected():
+    with pytest.raises(ValueError, match="max_steps must be >= 0"):
+        run_crossing(0, 1, max_steps=-3)
 
 
 def test_default_budget_covers_measured_crossings():
     for k, steps in N2_STEPS_BY_LEVEL.items():
         assert default_step_budget(k, 2) > steps
-
-
-def test_bad_direction_rejected():
-    with pytest.raises(ValueError):
-        run_crossing(0, 1, "up")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +339,17 @@ def test_trace_without_arrow():
     cfg = _padded_from_word(make_block(0, 1).word, 1)
     trace = arrow_trace(cfg, system, 10)
     assert trace.no_arrow and trace.pairs == ()
+
+
+def test_negative_t_max_rejected():
+    system = build_rule(1)
+    cfg = _padded_from_word((ARROW_RIGHT,), 1)
+    for call in (
+        lambda: arrow_trace(cfg, system, -1),
+        lambda: perturbation_front(cfg, 1, -1),
+    ):
+        with pytest.raises(ValueError, match="t_max must be >= 0"):
+            call()
 
 
 def test_trace_stuck_on_orphaned_marked_bracket():
@@ -680,14 +696,15 @@ def _assert_macro_matches_steps(cfg, n, t_max):
 @pytest.mark.parametrize("facing", [1, -1])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_crossing_steps_match_step_walker(n, facing):
-    direction = "right" if facing > 0 else "left"
+    # run_crossing has one S for both directions; the stepped walk checks
+    # it against each
     for k in range(5):
         steps = _stepped_crossing(k, n, facing)
-        assert run_crossing(k, n, direction).steps == steps
+        assert run_crossing(k, n).steps == steps
         with pytest.raises(Timeout) as err:
-            run_crossing(k, n, direction, max_steps=steps - 1)
+            run_crossing(k, n, max_steps=steps - 1)
         assert err.value.limit == steps - 1
-        assert run_crossing(k, n, direction, max_steps=steps).steps == steps
+        assert run_crossing(k, n, max_steps=steps).steps == steps
 
 
 def test_macro_walk_matches_step_walker_on_gate_landscape():

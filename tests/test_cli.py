@@ -300,14 +300,23 @@ def test_bad_pair_scan_inputs_exit_2(capsys, argv):
         ("lyapunov", "--system", "ab", "--horizon", "-1"),
         ("ab-cross", "--n", "1", "--level", "19"),
         ("tower", "--levels", "4,0,0"),
+        ("lyapunov", "--system", "ab", "--tmax", "-1"),
+        ("ab-cross", "--n", "1", "--level", "0", "--max-steps", "-3"),
     ],
     ids=["legend", "rule-size", "block-size", "ab-horizon", "crossing-size",
-         "tower-w"],
+         "tower-w", "ab-tmax", "crossing-budget"],
 )
 def test_bad_arrow_and_tower_inputs_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_crossing_timeout_prints_the_budget(capsys):
+    code, out, _ = run(capsys, "ab-cross", "--n", "1", "--level", "0..1",
+                       "--max-steps", "0", "--csv")
+    assert code == 0
+    assert out == "level,n,steps,restored\n0,1,0,false\n1,1,0,false\n"
 
 
 def test_stdout_and_file_output_agree(capsys, tmp_path):

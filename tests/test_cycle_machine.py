@@ -17,7 +17,6 @@ from expansive_lab.cycle_machine import (
     SimParams,
     SuspensionState,
     TowerLevel,
-    _decode_cells,
     build_schedule,
     decode,
     encode,
@@ -128,23 +127,39 @@ def test_schedule_stages_tile_the_cycle():
     ]
 
 
+def token_by_walk(sched, t):
+    """The token of cycle time t by a walk over the stages; the reference
+    for the schedule's token table."""
+    for name, rep, dur in stage_segments(sched):
+        if t < dur:
+            return (name, rep, t)
+        t -= dur
+    raise AssertionError("stage durations do not tile the cycle")
+
+
 def test_tokens_are_bijective_with_cycle_times():
-    sched = build_schedule(ident_params(16, 2, 1))
-    seen = set()
-    for t in range(sched.T):
-        token = token_for_t(sched, t)
-        assert t_for_token(sched, token) == t
-        seen.add(token)
-    assert len(seen) == sched.T
-    assert token_for_t(sched, 0) == sched.synchronized_token
+    for w, d in ((2, 1), (3, -2)):
+        sched = build_schedule(ident_params(16, w, d))
+        seen = set()
+        for t in range(sched.T):
+            token = token_for_t(sched, t)
+            assert token == token_by_walk(sched, t)
+            assert t_for_token(sched, token) == t
+            seen.add(token)
+        assert len(seen) == sched.T
+        assert token_for_t(sched, 0) == sched.synchronized_token
 
 
 def test_token_lookup_rejects_junk():
     sched = build_schedule(ident_params(8, 1, 0))
     with pytest.raises(MalformedConfiguration):
         t_for_token(sched, ("transmit", 0, sched.transmit))
-    with pytest.raises(ValueError):
-        token_for_t(sched, sched.T)
+    # a token matches only in full, not on its first three fields
+    with pytest.raises(MalformedConfiguration, match="no cycle time shows"):
+        t_for_token(sched, ("transmit", 0, 0, "x"))
+    for t in (sched.T, -1):
+        with pytest.raises(ValueError):
+            token_for_t(sched, t)
 
 
 def test_block_too_small_for_program():
@@ -390,9 +405,26 @@ def test_rejected_preimage_applies_phi_inv_once(monkeypatch):
     monkeypatch.setattr(cycle_machine, "apply_rule", counting)
     with pytest.raises(MalformedConfiguration, match="phi-preimage"):
         decode(Periodic(c.alphabet, cells), p, sched)
-    # the damaged block is unknown to the codec, so only the per-cell scan
-    # runs, and it applies phi_inv to the five decoded words once
+    # the damaged block is unknown to the codec and is read cell by cell;
+    # phi_inv is applied to the five decoded words once, on the one path
     assert calls == [p.phi_inv]
+
+
+def test_decode_rejects_unknown_tokens():
+    p = ident_params(4, 1, 0)
+    sched = build_schedule(p)
+    good = encode(SuspensionState(POINTS[2], 0, 0), p, sched)
+    token = ("transmit", 0, 0, "x")
+    cells = [
+        cell[:3] + (token,) if cell[0] == 1 else cell for cell in good.word
+    ]
+    bad = Periodic(Alphabet(dict.fromkeys(cells)), cells)
+    with pytest.raises(MalformedConfiguration) as err:
+        decode(bad, p, sched)
+    assert str(err.value) == f"no cycle time shows token {token!r}"
+    assert decode_outcome(decode_by_cell_scan, bad, p, sched) == (
+        MalformedConfiguration, str(err.value)
+    )
 
 
 def test_decode_rejects_all_zero_block_layer():
@@ -417,6 +449,72 @@ def codec_instance(kind, w, d):
     entries = len(set(phi.table) | set(phi_inv.table))
     p = SimParams(phi, phi_inv, POINTS, min_block_length(2, entries, w, d), w, d)
     return p, build_schedule(p)
+
+
+def decode_by_cell_scan(c, p, sched):
+    """`decode` by a scan of every cell of every layer of the whole
+    configuration, with the cycle time found by its own walk over the
+    stages; the reference the one-pass decoder is tested against."""
+    if not isinstance(c, Periodic):
+        raise MalformedConfiguration("encoded configurations are periodic")
+    B, bits = p.B, p.word_bits
+    if c.period % B:
+        raise MalformedConfiguration(
+            f"period {c.period} is not a multiple of B={B}"
+        )
+    starts = [k for k in range(B) if c[-k][0] == 1]
+    if not starts:
+        raise MalformedConfiguration("no block beginning near the origin")
+    b = min(starts)
+    prog = program_word(p) + (".",) * (B - p.program_length())
+
+    def symbol(bits_seq):
+        v = 0
+        for ch in bits_seq:
+            if ch not in ("0", "1"):
+                raise MalformedConfiguration(f"non-bit {ch!r} in a data word")
+            v = 2 * v + (ch == "1")
+        if v >= len(p.phi.alphabet):
+            raise MalformedConfiguration(f"data word {v} outside the alphabet")
+        return p.phi.alphabet.symbols[v]
+
+    tokens = set()
+    words, prevs = [], []
+    for j in range(c.period // B):
+        start = -b + j * B
+        cur_bits, prev_bits = [], []
+        for o in range(B):
+            bb, ps, ds, ss = c[start + o]
+            if bb != (1 if o == 0 else 0):
+                raise MalformedConfiguration("block layer is not 1 0^{B-1}")
+            if ps != prog[o]:
+                raise MalformedConfiguration(
+                    f"program layer mismatch at offset {o}"
+                )
+            if o == 0:
+                tokens.add(ss)
+            elif ss != ".":
+                raise MalformedConfiguration("stray state token inside a block")
+            if o < bits:
+                cur_bits.append(ds)
+            elif o < 2 * bits:
+                prev_bits.append(ds)
+            elif ds != ".":
+                raise MalformedConfiguration("stray data outside the words")
+        words.append(symbol(cur_bits))
+        prevs.append(symbol(prev_bits))
+    if len(tokens) != 1:
+        raise MalformedConfiguration(f"blocks disagree on the token: {tokens}")
+    token = tokens.pop()
+    t = next((u for u in range(sched.T) if token_by_walk(sched, u) == token), None)
+    if t is None:
+        raise MalformedConfiguration(f"no cycle time shows token {token!r}")
+    y = Periodic(p.phi.alphabet, words)
+    if list(apply_rule(p.phi_inv, y).word) != prevs:
+        raise MalformedConfiguration(
+            "previous words are not the phi-preimage of the current ones"
+        )
+    return SuspensionState(y, b, t)
 
 
 def decode_outcome(decoder, c, p, sched):
@@ -444,7 +542,7 @@ _ANY = st.integers(0, 10**6)
 @example(kind="identity", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 0, 0), fresh=False)
 @example(kind="identity", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 3, 2), fresh=False)
 def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
-    """The table path of `decode` gives the per-cell scan's state, or its
+    """`decode` gives the whole-configuration scan's state, or its
     exception and message, on encoded states with at most one cell changed
     in one layer; `fresh` decodes with equal parameters whose tables are
     still empty."""
@@ -457,7 +555,7 @@ def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
     if change is not None:
         j, o, layer, k = change
         i = ((j % y.period) * p.B + o % p.B - s.b) % c.period
-        tokens = tuple(token_for_t(sched, u) for u in range(sched.T))
+        tokens = tuple(token_by_walk(sched, u) for u in range(sched.T))
         values = ((0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (".",) + tokens)[layer]
         cell = list(c.word[i])
         cell[layer] = values[k % len(values)]
@@ -466,7 +564,7 @@ def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
         c = Periodic(c.alphabet, cells)
     if fresh:
         p = SimParams(p.phi, p.phi_inv, p.points, p.B, p.W, p.D)
-    want = decode_outcome(_decode_cells, c, p, sched)
+    want = decode_outcome(decode_by_cell_scan, c, p, sched)
     assert decode_outcome(decode, c, p, sched) == want
     if change is None:
         assert want == s
@@ -478,7 +576,7 @@ def test_decode_leaves_odd_head_cells_to_the_scan():
     cells = list(c.word)
     cells[p.B] += ("x",)  # the head of block 1 gains a fifth field
     odd = Periodic(Alphabet(dict.fromkeys(cells)), cells)
-    want = decode_outcome(_decode_cells, odd, p, sched)
+    want = decode_outcome(decode_by_cell_scan, odd, p, sched)
     assert want[0] is ValueError  # too many values to unpack
     assert decode_outcome(decode, odd, p, sched) == want
 
