@@ -49,9 +49,9 @@ class ConflictingTransitions(ValueError):
 class Timeout(RuntimeError):
     """An orbit search exceeded its step budget."""
 
-    def __init__(self, limit: int, message: str = ""):
+    def __init__(self, limit: int):
         self.limit = limit
-        super().__init__(message or f"no crossing within {limit} steps")
+        super().__init__(f"no crossing within {limit} steps")
 
 
 def open_bracket(k: int, marked: bool = False) -> str:
@@ -161,9 +161,6 @@ class ABSystem:
     n: int
     alphabet: Alphabet
     rule: LocalRule
-
-    def step(self, cfg: Configuration) -> Configuration:
-        return apply_rule(self.rule, cfg)
 
 
 def _build_table(n: int, rewrite_pairs, alphabet: Alphabet) -> dict:
@@ -369,11 +366,8 @@ def walk_from_configuration(cfg: Padded, n: int) -> ArrowWalk:
 
 
 def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
-    cells = dict(walk.brackets)
-    cells[walk.pos] = ARROW_RIGHT if walk.facing > 0 else ARROW_LEFT
-    lo, hi = min(cells), max(cells)
-    word = [cells.get(i, BLANK) for i in range(lo, hi + 1)]
-    return Padded(alphabet, word, BLANK, lo)
+    lo = min(walk.pos, min(walk.brackets, default=walk.pos))
+    return Padded(alphabet, walk.snapshot_word(), BLANK, lo)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,17 +1017,10 @@ def ascii_legend(n: int) -> dict[str, str]:
     return legend
 
 
-def render_text(rows, lo: int, hi: int, legend: dict | None = None) -> str:
+def render_text(rows, lo: int, hi: int, legend: dict) -> str:
     """One line per configuration, one legend character per cell."""
-    out = []
-    for cfg in rows:
-        row = cfg.window(lo, hi)
-        if legend is None:
-            line = "".join(str(s)[0] for s in row)
-        else:
-            line = "".join(legend[s] for s in row)
-        out.append(line)
-    return "\n".join(out) + "\n"
+    lines = ["".join(legend[s] for s in cfg.window(lo, hi)) for cfg in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_pgm(rows, lo: int, hi: int, alphabet: Alphabet) -> str:

@@ -103,20 +103,15 @@ def _arrow_block_start(n: int, level: int) -> Padded:
     )
 
 
-def _arrow_block_orbit(n: int, level: int, steps: int):
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    cfg = _arrow_block_start(n, level)
-    system = ab.build_rule(n)
-    rows = orbit(system.rule, cfg, steps)
-    lo = min(r.support[0] for r in rows)
-    hi = max(r.support[-1] for r in rows)
-    return system, rows, lo, hi
-
-
 def cmd_ab_run(args) -> int:
     legend = ab.ascii_legend(args.n) if args.format == "txt" else None
-    system, rows, lo, hi = _arrow_block_orbit(args.n, args.level, args.steps)
+    if args.steps < 0:
+        raise ValueError("steps must be nonnegative")
+    cfg = _arrow_block_start(args.n, args.level)
+    system = ab.build_rule(args.n)
+    rows = orbit(system.rule, cfg, args.steps)
+    lo = min(r.support[0] for r in rows)
+    hi = max(r.support[-1] for r in rows)
     if legend is not None:
         text = ab.render_text(rows, lo, hi, legend)
     else:
@@ -392,17 +387,12 @@ _SPAN_FLAGS = ("--trange", "--irange")
 def _absorb_negative_spans(argv):
     """Glue values like "-3..3" onto their flag so argparse does not read
     them as options."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _SPAN_FLAGS and nxt is not None and _SPAN_VALUE.match(nxt):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    out: list = []
+    for tok in argv:
+        if out and out[-1] in _SPAN_FLAGS and _SPAN_VALUE.match(tok):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -421,8 +411,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        except (ValueError, TypeError, ab.Timeout) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ValueError, TypeError, KeyError, ab.Timeout) as exc:
+            # str() of a KeyError is the repr of its message
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
             return 2
 
 

@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 
 from .shift_core import (
     Alphabet,
+    JsonObject,
     LocalRule,
     Periodic,
     apply_rule,
@@ -722,7 +723,7 @@ def sim_params_from_json(text: str) -> SimParams:
     {"kind": "full", "max_period": m}, which expands to one representative
     per rotation class of period up to m.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, object_hook=JsonObject)
     phi = rule_from_json(json.dumps(doc["phi"]))
     phi_inv = rule_from_json(json.dumps(doc["phi_inv"]))
     spec = doc["Y"]

@@ -14,9 +14,9 @@ import itertools
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import neg, sub
 from typing import Iterable, Sequence
 
@@ -44,10 +44,6 @@ class TruncationWarning(UserWarning):
 # configuration families
 
 
-def _as_alphabet(alphabet) -> Alphabet:
-    return alphabet if isinstance(alphabet, Alphabet) else Alphabet(alphabet)
-
-
 def padded_scale_family(
     alphabet: Alphabet,
     c_max: int,
@@ -63,7 +59,6 @@ def padded_scale_family(
     """
     if c_max < 0:
         raise ValueError("c_max must be >= 0")
-    alphabet = _as_alphabet(alphabet)
     others = [s for s in alphabet if s != pad]
     family = [Padded(alphabet, (), pad)]
     for c in range(-c_max, c_max + 1):
@@ -77,19 +72,12 @@ def padded_scale_family(
 def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
     """All periodic points of period up to max_period, one representative
     per rotation class."""
-    alphabet = _as_alphabet(alphabet)
-    out = []
-    seen = set()
+    reps: dict = {}
     for p in range(1, max_period + 1):
         # word[0] varies fastest; this order picks each class's representative
         for rev in itertools.product(alphabet.symbols, repeat=p):
-            word = rev[::-1]
-            canon = min_rotation(word)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(Periodic(alphabet, word))
-    return tuple(out)
+            reps.setdefault(min_rotation(rev[::-1]), rev[::-1])
+    return tuple(Periodic(alphabet, word) for word in reps.values())
 
 
 def crossing_family(k: int, n: int, shifts: Iterable[int] = (0,)) -> tuple:
@@ -105,22 +93,50 @@ def crossing_family(k: int, n: int, shifts: Iterable[int] = (0,)) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# orbits over a two-sided time range
+# orbits of a family
 
 
-def _orbit_table(rule, inverse, cfg, t_lo, t_hi):
+def _lockstep(rule, family):
+    """Yield (orbit, drift) at t = 0, 1, ...: orbit[k] is family[k] after t
+    steps, and drift[k] is None until a step leaves member k's word
+    unchanged.  That step shifted the member by drift[k] (0 if periodic),
+    and as the rule commutes with the shift so does every later one: the
+    member is shifted from then on, not stepped.  A padded member that is
+    a shift of an earlier one, its lead, follows its lead's orbit, shifted.
+    Both lists change in place between yields.  Cost: one rule application
+    per lead and step until the lead translates."""
+    orbit, drift = list(family), [None] * len(family)
+    leads: dict = {}  # padded members with one alphabet object, pad and word
+    lead = [
+        leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)
+        for k, y in enumerate(family)
+    ]
+    while True:
+        yield orbit, drift
+        for k, (y, j) in enumerate(zip(orbit, lead)):
+            if drift[k] is None and j < k:
+                orbit[k] = orbit[j].shifted(family[j].anchor - family[k].anchor)
+                drift[k] = drift[j]
+            elif drift[k] is None:
+                orbit[k] = apply_rule(rule, y)
+                if orbit[k].word == y.word:
+                    drift[k] = y.anchor - orbit[k].anchor if isinstance(y, Padded) else 0
+            elif drift[k]:
+                orbit[k] = y.shifted(drift[k])
+
+
+def _family_rows(rule, inverse, family, t_range, lo, hi):
+    """Yield (t, rows) for t in t_range, where rows[k] is family[k] at time
+    t read on [lo, hi]; negative times run the inverse."""
+    t_lo, t_hi = t_range
     if t_lo < 0 and inverse is None:
         raise InverseRequired("negative times need an inverse rule")
-    table = {0: cfg}
-    cur = cfg
-    for t in range(1, t_hi + 1):
-        cur = apply_rule(rule, cur)
-        table[t] = cur
-    cur = cfg
-    for t in range(-1, t_lo - 1, -1):
-        cur = apply_rule(inverse, cur)
-        table[t] = cur
-    return table
+    # zip takes the time first, so neither orbit steps past its last time
+    forward = zip(range(t_hi + 1), _lockstep(rule, family))
+    backward = zip(range(-1, t_lo - 1, -1), islice(_lockstep(inverse, family), 1, None))
+    for t, (orbit, _) in itertools.chain(forward, backward):
+        if t_lo <= t <= t_hi:
+            yield t, [y.window(lo, hi) for y in orbit]
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +177,20 @@ def determined_region(
     Cost: agreeing on [-n, n] is having equal windows there, so the pairs
     are those inside each class of equal windows, and a cell is determined
     iff every member agrees there with the first member of its class; each
-    time step compares one row per member, not one cell per pair.
+    time step compares one row per member, not one cell per pair.  The
+    members advance by `_lockstep`, forward with the rule and backward with
+    the inverse: at most one rule application per member and direction
+    when every member translates from step 1, as under a shift.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    t_lo, t_hi = t_range
     i_lo, i_hi = i_range
-    orbits = [_orbit_table(rule, inverse, y, t_lo, t_hi) for y in family]
     classes: dict = {}
     for m, y in enumerate(family):
         classes.setdefault(y.window(-n, n), []).append(m)
     links = [(c[0], m) for c in classes.values() for m in c[1:]]
     cells = set()
-    for t in range(t_lo, t_hi + 1):
-        rows = [orbit[t].window(i_lo, i_hi) for orbit in orbits]
+    for t, rows in _family_rows(rule, inverse, family, t_range, i_lo, i_hi):
         differ = {
             k for a, b in links if rows[a] != rows[b]
             for k, (p, q) in enumerate(zip(rows[a], rows[b])) if p != q
@@ -196,22 +212,22 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _half_hull(pts) -> list:
+    """The counterclockwise chain over sorted points, its last one dropped."""
+    chain: list = []
+    for p in pts:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain[:-1]
+
+
 def convex_hull(points) -> tuple:
     """Monotone-chain hull, counterclockwise, collinear points dropped."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return tuple(pts)
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
+    return tuple(_half_hull(pts) + _half_hull(reversed(pts)))
 
 
 def _segment_distance_sq(p, a, b) -> Fraction:
@@ -227,26 +243,13 @@ def _segment_distance_sq(p, a, b) -> Fraction:
     return dx * dx + dy * dy
 
 
-def _contains(hull, p) -> bool:
-    if len(hull) == 1:
-        return hull[0] == p
-    if len(hull) == 2:
-        return _segment_distance_sq(p, hull[0], hull[1]) == 0
-    return all(
-        _cross(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull))
-    )
-
-
 def _point_hull_distance_sq(p, hull) -> Fraction:
-    if _contains(hull, p):
+    """0 inside the hull, else the distance to its nearest side; a hull of
+    one or two vertices is a single, degenerate side."""
+    sides = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    if len(hull) > 2 and all(_cross(a, b, p) >= 0 for a, b in sides):
         return Fraction(0)
-    if len(hull) == 1:
-        a = hull[0]
-        return (p[0] - a[0]) ** 2 + (p[1] - a[1]) ** 2
-    return min(
-        _segment_distance_sq(p, hull[i], hull[(i + 1) % len(hull)])
-        for i in range(len(hull))
-    )
+    return min((_segment_distance_sq(p, a, b) for a, b in sides), default=Fraction(0))
 
 
 def hausdorff_distance_sq(hull_a, hull_b) -> Fraction:
@@ -324,23 +327,19 @@ def _pair_fronts(rule, family, t_max, horizon):
     they differed nowhere there); clipped tells whether a support ever
     reached past the horizon.
 
-    The members advance in lockstep, one rule application each per step,
-    and each pair is compared on aligned words.  A step that leaves a
-    member's word unchanged acted on it as a shift by its drift d, and
-    since the rule commutes with the shift it does so at every later step.
-    Once both members of a pair translate by one common drift (an all-pad
-    member is shift-invariant and matches any drift), the pair's difference
-    set D_t only moves: it is D_t - d*s at time t+s.  The pair's fronts are
-    then written out in closed form and the pair leaves the scan, unless
-    that moving set would leave [-horizon, horizon] by t_max (or, for
-    d != 0, the horizon clips this step's window); such a pair stays on the
-    step loop, which clips exactly.
+    The members advance by `_lockstep`, and each pair is compared on
+    aligned words.  Once both members of a pair translate by one common
+    drift d (an all-pad member is shift-invariant and matches any drift),
+    the pair's difference set D_t only moves: it is D_t - d*s at time t+s.
+    The pair's fronts are then written out in closed form and the pair
+    leaves the scan, unless that moving set would leave [-horizon, horizon]
+    by t_max (or, for d != 0, the horizon clips this step's window); such a
+    pair stays on the step loop, which clips exactly.
 
-    Cost: one rule application per member and step until the member
-    translates, one comparison per pair and step until the pair translates,
-    then O(t_max) C-level work per pair.  The scan ends once every pair is
-    in closed form; a support still moving then is checked against the
-    horizon at t_max, since it moves linearly.
+    Cost: that of `_lockstep`, one comparison per pair and step until the
+    pair translates, then O(t_max) C-level work per pair.  The scan ends
+    once every pair is in closed form; a support still moving then is
+    checked against the horizon at t_max, since it moves linearly.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -360,18 +359,8 @@ def _pair_fronts(rule, family, t_max, horizon):
     if not fronts:
         return fronts, False
     live = dict(fronts)
-    orbit = list(family)
-    drift = [None] * len(orbit)  # per-step shift once an orbit only translates
     clipped = False
-    for t in range(t_max + 1):
-        if t:
-            for k, y in enumerate(orbit):
-                if drift[k] is None:
-                    orbit[k] = apply_rule(rule, y)
-                    if orbit[k].word == y.word:
-                        drift[k] = y.anchor - orbit[k].anchor
-                elif drift[k]:
-                    orbit[k] = y.shifted(drift[k])
+    for t, (orbit, drift) in zip(range(t_max + 1), _lockstep(rule, family)):
         lo = min((y.anchor for y in orbit if y.word), default=0)
         hi = max((y.anchor + len(y.word) - 1 for y in orbit if y.word), default=-1)
         whole = -horizon <= lo and hi <= horizon
@@ -449,6 +438,27 @@ class LyapunovEstimate:
         return self.lambda_minus[t] / t if t else 0.0
 
 
+def _estimate(fronts, t_max, horizon, truncated) -> LyapunovEstimate:
+    # the advance of each cumulative (right, left) front from its start,
+    # maximized over the fronts; a pair with every difference beyond the
+    # horizon has no fronts, and a front that ends where it starts never
+    # advanced
+    seen = [(right, left) for right, left in fronts if right[0] is not None]
+    plus = tuple(map(max, zip(repeat(0, t_max + 1), *(
+        map(sub, right, repeat(right[0])) for right, _ in seen if right[-1] != right[0]
+    ))))
+    minus = tuple(map(max, zip(repeat(0, t_max + 1), *(
+        map(sub, repeat(left[0]), left) for _, left in seen if left[-1] != left[0]
+    ))))
+    if truncated:
+        warnings.warn(  # stacklevel 3 names the caller of the public function
+            "difference front reached the horizon; exponents are lower bounds",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return LyapunovEstimate(t_max, horizon, plus, minus, truncated)
+
+
 def lyapunov_profile(
     rule: LocalRule,
     family: Sequence[Padded],
@@ -472,33 +482,23 @@ def lyapunov_profile(
     over the advances of the pairs whose fronts moved at all.
     """
     fronts, truncated = _pair_fronts(rule, family, t_max, horizon)
-    # a pair with every difference beyond the horizon has no fronts; a
-    # cumulative front that ends where it starts never advanced
-    seen = [(right, left) for right, left in fronts.values() if right[0] is not None]
-    plus = tuple(map(max, zip(repeat(0, t_max + 1), *(
-        map(sub, right, repeat(right[0])) for right, _ in seen if right[-1] != right[0]
-    ))))
-    minus = tuple(map(max, zip(repeat(0, t_max + 1), *(
-        map(sub, repeat(left[0]), left) for _, left in seen if left[-1] != left[0]
-    ))))
-    if truncated:
-        warnings.warn(
-            "difference front reached the horizon; exponents are lower bounds",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return LyapunovEstimate(t_max, horizon, plus, minus, truncated)
+    return _estimate(fronts.values(), t_max, horizon, truncated)
 
 
 def profile_from_fronts(right, left, start: int, horizon: int) -> LyapunovEstimate:
     """Wrap precomputed cumulative fronts of a single perturbation (a
     configuration versus itself without the perturbing symbol) as an
-    estimate; `start` is the perturbation site, the initial difference."""
+    estimate; `start` is the perturbation site, the initial difference
+    right[0] == left[0].  As in `lyapunov_profile`, the fronts are clipped
+    to [-horizon, horizon], and one that passed it makes the estimate a
+    lower bound and warns."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    plus = tuple(r - start for r in right)
-    minus = tuple(start - l for l in left)
-    return LyapunovEstimate(len(right) - 1, horizon, plus, minus)
+    clipped = ([min(r, horizon) for r in right], [max(l, -horizon) for l in left])
+    return _estimate(
+        [clipped] if abs(start) <= horizon else [], len(right) - 1, horizon,
+        right[-1] > horizon or left[-1] < -horizon,
+    )
 
 
 def lyapunov_csv(estimate: LyapunovEstimate) -> str:
@@ -539,7 +539,6 @@ def embedded_word_family(
     one extra non-pad symbol two cells right of the word and two cells left
     of it.  The variant pairs give every embedded word both one-sided
     shielding tests something to shield against."""
-    alphabet = _as_alphabet(alphabet)
     mark = mark if mark is not None else next(s for s in alphabet if s != pad)
     family = []
     for w in words:
@@ -680,12 +679,15 @@ def direction_probe(
     Data cells are the band intersected with [-E, E] x [-T, T]; the query
     box is the half-scale window, which keeps the question meaningful (a
     bounded band can never pin down cells whose input cones leave it).
-    Returns ExpansiveAtScale, or NotDeterminedAtScale with a witness pair
-    agreeing on the band yet differing inside the query box.
+    Returns ExpansiveAtScale, or NotDeterminedAtScale with the first pair
+    (in lexicographic order) agreeing on the band yet differing inside the
+    query box, and their first differing cell (time-major).
+
+    Cost: that of `_lockstep` both ways.  Members with equal band cells form
+    a class, and its first differing pair is its first member with the
+    first member that differs from it: one comparison per member, not pair.
     """
     e_extent, t_extent = extent
-    if t_extent > 0 and inverse is None:
-        raise InverseRequired("the probe window spans negative times")
     band = [
         (i, t)
         for t in range(-t_extent, t_extent + 1)
@@ -697,19 +699,23 @@ def direction_probe(
         for t in range(-(t_extent // 2), t_extent // 2 + 1)
         for i in range(-(e_extent // 2), e_extent // 2 + 1)
     ]
-    orbits = [_orbit_table(rule, inverse, y, -t_extent, t_extent) for y in family]
-    # rows[m][t][e_extent + i] is cell i of member m at time t
-    rows = [{t: x.window(-e_extent, e_extent) for t, x in o.items()} for o in orbits]
-    checked = 0
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            ra, rb = rows[a], rows[b]
-            if not all(ra[t][e_extent + i] == rb[t][e_extent + i] for i, t in band):
-                continue
-            checked += 1
-            for i, t in query:
-                if ra[t][e_extent + i] != rb[t][e_extent + i]:
-                    return NotDeterminedAtScale(
-                        direction, extent, (a, b), (i, t)
-                    )
-    return ExpansiveAtScale(direction, extent, checked)
+    # rows[t][m][e_extent + i] is cell i of member m at time t
+    rows = dict(_family_rows(
+        rule, inverse, family, (-t_extent, t_extent), -e_extent, e_extent
+    ))
+
+    def cells(m, spots):
+        return tuple(rows[t][m][e_extent + i] for i, t in spots)
+
+    classes: dict = {}
+    for m in range(len(family)):
+        classes.setdefault(cells(m, band), []).append(m)
+    for first, *rest in classes.values():  # in the order of their first members
+        box = cells(first, query)
+        for m in rest:
+            other = cells(m, query)
+            if other != box:
+                cell = next(c for c, p, q in zip(query, box, other) if p != q)
+                return NotDeterminedAtScale(direction, extent, (first, m), cell)
+    pairs = sum(len(c) * (len(c) - 1) // 2 for c in classes.values())
+    return ExpansiveAtScale(direction, extent, pairs)

@@ -296,7 +296,7 @@ class LocalRule:
             return out
         if self.default == "identity":
             return window[self.radius]
-        raise MissingWindow(window)
+        raise MissingWindow(f"total rule has no entry for window {window!r}")
 
 
 # the most windows a materialized rule table may hold
@@ -447,8 +447,17 @@ def rule_to_json(rule: LocalRule) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class JsonObject(dict):
+    """A JSON object as the file readers parse it (``object_hook``): reading
+    a key it lacks raises ValueError naming the key, like any other
+    malformed input."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key!r}")
+
+
 def rule_from_json(text: str) -> LocalRule:
-    doc = json.loads(text)
+    doc = json.loads(text, object_hook=JsonObject)
     alphabet = Alphabet(doc["symbols"])
     table = {tuple(w): out for w, out in doc["entries"]}
     return LocalRule(alphabet, doc["radius"], table, doc["default"])

@@ -54,7 +54,10 @@ def _as_fraction(value: Rational) -> Fraction:
             "float targets are inexact; pass a Fraction, an int, or a "
             "decimal string"
         )
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"target {value!r} has a zero denominator") from None
 
 
 def _ceil(x: Fraction) -> int:
@@ -142,15 +145,15 @@ def lambda_eval(prog: SlopeProgram, depth: Optional[int] = None):
     return lam, bound
 
 
-def direction_of(lam: Fraction, thickness: int = 1) -> Direction:
+def direction_of(lam: Fraction) -> Direction:
     """Non-expansive direction for a realized lambda: vertical at zero,
     slope 1/lambda otherwise."""
     lam = _as_fraction(lam)
     if abs(lam) >= 1:
         raise ValueError("realized slopes satisfy |lambda| < 1")
     if lam == 0:
-        return Direction(thickness, vertical=True)
-    return Direction(thickness, slope=Fraction(1) / lam)
+        return Direction(1, vertical=True)
+    return Direction(1, slope=Fraction(1) / lam)
 
 
 # ---------------------------------------------------------------------------

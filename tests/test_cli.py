@@ -325,3 +325,60 @@ def test_stdout_and_file_output_agree(capsys, tmp_path):
     target = tmp_path / "table.csv"
     assert main([*args, "--out", str(target)]) == 0
     assert target.read_text() == out
+
+
+def _rule_doc(**edits):
+    doc = json.loads(rule_to_json(shift_rule(Alphabet(("0", "1")), 1)))
+    doc.update(edits)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {"rule.json": {k: v for k, v in _rule_doc().items() if k != "entries"}},
+            ("region", "--params", "rule.json", "--n", "1", "--trange", "0..1"),
+            "missing key 'entries'",
+        ),
+        (
+            {"params.json": {"B": 4, "W": 1, "D": 0}},
+            ("tower", "--levels", "8,1,0", "--params", "params.json"),
+            "missing key 'phi'",
+        ),
+        (
+            {"rule.json": _rule_doc(entries=[[["0", "0", "0"], "2"]])},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "output '2' not in alphabet",
+        ),
+        (
+            {"rule.json": _rule_doc(entries=[[["0", "0", "0"], "0"]])},
+            ("blocking", "--params", "rule.json", "--word", "1", "--tmax", "3"),
+            "total rule has no entry for window ('0', '0', '1')",
+        ),
+        ({}, ("realize", "--theta", "1/0"), "target '1/0' has a zero denominator"),
+    ],
+    ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero"],
+)
+def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
+                                              files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "horizon, plus, warned",
+    [("1000000", 1948, False), ("3", 5, True), ("0", 0, True)],
+)
+def test_lyapunov_ab_clips_to_the_horizon(capsys, horizon, plus, warned):
+    code, out, err = run(capsys, "lyapunov", "--system", "ab", "--n", "1",
+                         "--level", "1", "--tmax", "2000", "--horizon", horizon)
+    assert code == 0
+    assert out.splitlines()[1].split()[:2] == ["lambda_plus", str(plus)]
+    assert err == (
+        "warning: difference front reached the horizon; exponents are lower "
+        "bounds\n" if warned else ""
+    )

@@ -5,6 +5,7 @@ against independent brute-force evaluations of their defining quantifiers,
 not against the module's own bookkeeping.
 """
 
+import functools
 import itertools
 import warnings
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from expansive_lab import dynamics_analysis
 from expansive_lab.arrow_bracket import (
     ARROW_LEFT,
     ARROW_RIGHT,
@@ -48,6 +50,7 @@ from expansive_lab.dynamics_analysis import (
 )
 from expansive_lab.shift_core import (
     Alphabet,
+    AlphabetMismatch,
     LocalRule,
     Padded,
     Periodic,
@@ -414,6 +417,50 @@ def test_profile_truncation_clamps_and_warns():
         est = lyapunov_profile(shift_rule(BIN), bin_family(2), 8, horizon=3)
     assert est.truncated
     assert est.lambda_minus == (0, 1, 2, 3, 4, 5, 5, 5, 5)
+
+
+@functools.cache
+def _arrow_rule(n):
+    return build_rule(n).rule
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 2),
+    level=st.integers(0, 1),
+    site=st.integers(-4, 2),
+    t_max=st.integers(0, 200),
+    horizon=st.sampled_from((0, 1, 3, 10, 10**6)),
+)
+@example(n=1, level=1, site=-2, t_max=200, horizon=3)
+@example(n=1, level=0, site=-2, t_max=0, horizon=0)
+def test_walker_profile_clips_like_the_pair_profile(n, level, site, t_max,
+                                                     horizon):
+    """The walker's fronts of one arrow, clipped to the horizon, give the
+    pair profile of the configuration and itself without its arrow; the
+    warning comes iff a front passed the horizon, which a support then did
+    too."""
+    alpha = level_alphabet(n)
+    block = make_block(level, n).word
+    cfg = Padded(alpha, (ARROW_RIGHT, BLANK) + block, BLANK, anchor=site)
+    bare = Padded(alpha, block, BLANK, anchor=site + 2)
+    right, left = perturbation_front(cfg, n, t_max)
+    assert right[0] == left[0] == site
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = profile_from_fronts(right, left, right[0], horizon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = lyapunov_profile(_arrow_rule(n), (cfg, bare), t_max, horizon)
+    assert (est.t_max, est.horizon) == (t_max, horizon)
+    assert (est.lambda_plus, est.lambda_minus) == (
+        want.lambda_plus, want.lambda_minus
+    )
+    assert est.truncated == (right[-1] > horizon or left[-1] < -horizon)
+    assert est.truncated <= want.truncated
+    assert est.truncated == any(
+        issubclass(w.category, TruncationWarning) for w in caught
+    )
 
 
 def test_profile_rejects_periodic_members():
@@ -916,3 +963,187 @@ def test_probe_without_inverse():
         sigma, None, bin_family(8), Direction(Fraction(1), slope=Fraction(0)), (6, 0)
     )
     assert isinstance(probe, ExpansiveAtScale)
+
+
+# ---------------------------------------------------------------------------
+# family scans against per-member orbits
+
+
+def orbit_table(rule, inverse, cfg, t_lo, t_hi):
+    """{t: cfg after t steps} for t_lo <= t <= t_hi and t = 0, every member
+    stepped on its own with `orbit`, backward with the inverse: the family
+    scans before the lockstep orbit, kept as their reference."""
+    table = dict(enumerate(orbit(rule, cfg, max(t_hi, 0))))
+    if t_lo < 0:
+        table.update((-s, x) for s, x in enumerate(orbit(inverse, cfg, -t_lo)))
+    return table
+
+
+def region_oracle(rule, inverse, family, n, t_range, i_range):
+    """Every cell of every pair agreeing on [-n, n], compared one by one."""
+    (t_lo, t_hi), (i_lo, i_hi) = t_range, i_range
+    tables = [orbit_table(rule, inverse, y, t_lo, t_hi) for y in family]
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(len(family)), 2)
+        if family[a].window(-n, n) == family[b].window(-n, n)
+    ]
+    return frozenset(
+        (i, t)
+        for t in range(t_lo, t_hi + 1)
+        for i in range(i_lo, i_hi + 1)
+        if all(tables[a][t][i] == tables[b][t][i] for a, b in pairs)
+    )
+
+
+def probe_oracle(rule, inverse, family, direction, extent):
+    """The probe pair by pair, in lexicographic order: (verdict type,
+    witness pair, witness cell, pairs checked)."""
+    e_extent, t_extent = extent
+    tables = [orbit_table(rule, inverse, y, -t_extent, t_extent) for y in family]
+    band = [
+        (i, t)
+        for t in range(-t_extent, t_extent + 1)
+        for i in range(-e_extent, e_extent + 1)
+        if direction.contains(i, t)
+    ]
+    query = [
+        (i, t)
+        for t in range(-(t_extent // 2), t_extent // 2 + 1)
+        for i in range(-(e_extent // 2), e_extent // 2 + 1)
+    ]
+    checked = 0
+    for a, b in itertools.combinations(range(len(family)), 2):
+        ta, tb = tables[a], tables[b]
+        if any(ta[t][i] != tb[t][i] for i, t in band):
+            continue
+        checked += 1
+        for i, t in query:
+            if ta[t][i] != tb[t][i]:
+                return NotDeterminedAtScale, (a, b), (i, t), None
+    return ExpansiveAtScale, None, None, checked
+
+
+# shifts run both ways; rules without an inverse run forward only: 184
+# (a lone 1 translates at once, 11 after a transient), 90 (a lone 1 never
+# translates), 132 and the glider (a lone 1 drifts, 11 is fixed)
+RULE_CASES = [(shift_rule(BIN, d), shift_rule(BIN, -d)) for d in range(-2, 3)] + [
+    (elementary_rule(k), None) for k in (184, 90, 132)
+] + [(glider_rule(), None)]
+_members = st.one_of(
+    st.builds(
+        lambda w, c: Padded(BIN, tuple(w), "0", anchor=c),
+        st.text("01", max_size=4),
+        st.integers(-4, 4),
+    ),
+    st.builds(lambda w: Periodic(BIN, tuple(w)), st.text("01", min_size=1, max_size=3)),
+)
+_directions = st.one_of(
+    st.builds(
+        lambda r: Direction(r, vertical=True),
+        st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))),
+    ),
+    st.builds(
+        lambda r, s: Direction(r, slope=s),
+        st.sampled_from((Fraction(1, 2), Fraction(1))),
+        st.sampled_from([Fraction(k, 2) for k in range(-4, 5)]),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.sampled_from(RULE_CASES),
+    family=st.lists(_members, min_size=1, max_size=7).map(tuple),
+    n=st.integers(-1, 3),
+    t_range=st.tuples(st.integers(-4, 2), st.integers(-2, 4)),
+    i_lo=st.integers(-8, 1),
+    width=st.integers(0, 12),
+    direction=_directions,
+    extent=st.tuples(st.integers(0, 6), st.integers(0, 3)),
+)
+# 184: the empty member, a lone 1 and its translate, 11 with a transient
+# and two periodic members
+@example(
+    case=RULE_CASES[5],
+    family=(Padded(BIN, (), "0"), Padded(BIN, ("1",), "0"), Padded(BIN, ("1",), "0", 3),
+            Padded(BIN, ("1", "1"), "0", -3), Periodic(BIN, ("0", "1")),
+            Periodic(BIN, ("0", "1", "1"))),
+    n=1, t_range=(0, 5), i_lo=-8, width=14,
+    direction=Direction(Fraction(1), slope=Fraction(1)), extent=(4, 0),
+)
+# 90: a lone 1 and 11 never translate
+@example(
+    case=RULE_CASES[6],
+    family=(Padded(BIN, ("1",), "0"), Padded(BIN, ("1", "1"), "0", 1), Padded(BIN, (), "0")),
+    n=0, t_range=(0, 4), i_lo=-6, width=12,
+    direction=Direction(Fraction(1), vertical=True), extent=(5, 0),
+)
+# the 2-shift both ways over single-site deviations and two longer words
+@example(
+    case=RULE_CASES[4],
+    family=padded_scale_family(BIN, 3, "0", [("1", "0", "1"), ("1", "1")]),
+    n=2, t_range=(-3, 3), i_lo=-8, width=17,
+    direction=Direction(Fraction(1), slope=Fraction(-1, 2)), extent=(6, 2),
+)
+def test_family_scans_match_per_member_orbits(case, family, n, t_range, i_lo,
+                                              width, direction, extent):
+    rule, inverse = case
+    if inverse is None:  # forward-only ranges
+        t_range, extent = (max(t_range[0], 0), t_range[1]), (extent[0], 0)
+    i_range = (i_lo, i_lo + width - 1)
+    region = determined_region(rule, family, n, t_range, i_range, inverse)
+    assert region.cells == region_oracle(rule, inverse, family, n, t_range, i_range)
+    probe = direction_probe(rule, inverse, family, direction, extent)
+    kind, pair, cell, checked = probe_oracle(rule, inverse, family, direction, extent)
+    assert type(probe) is kind
+    if kind is ExpansiveAtScale:
+        assert probe.pairs_checked == checked
+    else:
+        assert (probe.witness_pair, probe.witness_cell) == (pair, cell)
+
+
+def test_region_steps_each_member_at_most_once_per_direction(monkeypatch):
+    """Under a shift every member translates from step 1, so the region
+    costs at most one rule application per member and time direction."""
+    calls = []
+
+    def counted(rule, cfg):
+        calls.append(cfg)
+        return apply_rule(rule, cfg)
+
+    monkeypatch.setattr(dynamics_analysis, "apply_rule", counted)
+    family = padded_scale_family(BIN, 12, "0", [("1", "1", "0", "1")])
+    region = determined_region(
+        shift_rule(BIN, 2), family, 2, (-3, 3), (-6, 6), shift_rule(BIN, -2)
+    )
+    assert region.cells == {
+        (i, t) for t in range(-3, 4) for i in range(-6, 7) if abs(i + 2 * t) <= 2
+    }
+    assert 0 < len(calls) <= 2 * len(family)
+
+
+def test_family_scans_keep_members_over_other_pads_apart():
+    """One word over two pads makes two configurations that are not shifts
+    of each other, so neither may follow the other's orbit; over two
+    alphabets, the rule still meets each member."""
+    abc = Alphabet("012")
+    rule, inverse = shift_rule(abc, 1), shift_rule(abc, -1)
+    family = (
+        Padded(abc, ("2",), "0"),
+        Padded(abc, ("2",), "1", anchor=2),
+        Padded(abc, (), "1"),
+    )
+    region = determined_region(rule, family, 0, (-2, 2), (-5, 5), inverse)
+    assert region.cells == region_oracle(rule, inverse, family, 0, (-2, 2), (-5, 5))
+    direction = Direction(Fraction(1), slope=Fraction(0))
+    probe = direction_probe(rule, inverse, family, direction, (4, 2))
+    kind, pair, cell, checked = probe_oracle(rule, inverse, family, direction, (4, 2))
+    assert type(probe) is kind
+    if kind is ExpansiveAtScale:
+        assert probe.pairs_checked == checked
+    else:
+        assert (probe.witness_pair, probe.witness_cell) == (pair, cell)
+    mixed = (Padded(BIN, ("1",), "0"), Padded(abc, ("1",), "0", anchor=1))
+    with pytest.raises(AlphabetMismatch):
+        determined_region(shift_rule(BIN), mixed, 0, (0, 1), (-2, 2))
