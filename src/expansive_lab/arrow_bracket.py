@@ -21,6 +21,7 @@ counters stay below n).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from array import array
@@ -203,13 +204,16 @@ def _build_table(n: int, rewrite_pairs, alphabet: Alphabet) -> dict:
 MAX_COUNTER_BOUND = 15
 
 
+@functools.lru_cache(maxsize=4)
 def build_rule(n: int) -> ABSystem:
     """Assemble the automaton at counter bound n.
 
     The returned system's rule is a partial range-2 table with identity
     default; quiescence of the blank and conflict-freeness are structural
     (and re-checked exhaustively by `conflict_report`).  Raises ValueError
-    for n above `MAX_COUNTER_BOUND` before building anything.
+    for n above `MAX_COUNTER_BOUND` before building anything, on every call.
+    The systems of the last four bounds are cached and shared: the system
+    is frozen, and mutating its rule's table is unsupported.
     """
     if n > MAX_COUNTER_BOUND:
         raise ValueError(

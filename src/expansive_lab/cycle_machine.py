@@ -34,10 +34,10 @@ from typing import NamedTuple, Sequence
 
 from .shift_core import (
     Alphabet,
-    JsonObject,
     LocalRule,
     Periodic,
     apply_rule,
+    json_object,
     rule_from_json,
     rule_to_json,
 )
@@ -723,7 +723,7 @@ def sim_params_from_json(text: str) -> SimParams:
     {"kind": "full", "max_period": m}, which expands to one representative
     per rotation class of period up to m.
     """
-    doc = json.loads(text, object_hook=JsonObject)
+    doc = json_object(text)
     phi = rule_from_json(json.dumps(doc["phi"]))
     phi_inv = rule_from_json(json.dumps(doc["phi_inv"]))
     spec = doc["Y"]

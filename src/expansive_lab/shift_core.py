@@ -20,8 +20,9 @@ Symbols are checked at the boundary and trusted inside: the public
 constructors (`Periodic`, `Padded`, `LocalRule`, so `rule_from_json` too)
 raise KeyError through `Alphabet.check` for a symbol outside the alphabet.
 `Periodic._of` and `Padded._of` skip that check, and serve only symbols the
-library produced from checked ones: shifted words, `apply_rule` outputs (window
-centres, or table outputs `LocalRule` checked) and encoded suspension states.
+library produced from checked ones: shifted words, `apply_rule` and `orbit`
+outputs (window centres, or table outputs `LocalRule` checked) and encoded
+suspension states.
 """
 
 from __future__ import annotations
@@ -361,13 +362,56 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
 
 
 def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration]:
-    """[cfg, rule(cfg), ..., rule^steps(cfg)] (length steps+1)."""
+    """[cfg, rule(cfg), ..., rule^steps(cfg)] (length steps+1), equal to
+    stepping `apply_rule`, with the same exceptions.
+
+    Step 1 is a full `apply_rule`, which makes every check.  After it a
+    cell whose window did not change keeps its output, so each later step
+    evaluates, left to right, only the cells within the rule range of the
+    last step's changes (coordinates for `Padded`, indices mod p for
+    `Periodic`) and copies the rest.  Cost: one `apply_rule`, then per step
+    at most 2r+1 window evaluations per cell the last step changed, plus
+    one C-level copy of the word.
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     out = [cfg]
-    for _ in range(steps):
-        cfg = apply_rule(rule, cfg)
-        out.append(cfg)
+    if steps == 0:
+        return out
+    y = apply_rule(rule, cfg)
+    out.append(y)
+    r, evaluate = rule.radius, rule.evaluate
+    width = 2 * r + 1
+    p = cfg.period if isinstance(cfg, Periodic) else None
+    # every cell step 1 could change: the period, or the support and r more each side
+    lo, hi = (0, p - 1) if p else (cfg.anchor - r, cfg.anchor + len(cfg.word) - 1 + r)
+    changed = [
+        i for i, a, b in zip(range(lo, hi + 1), cfg.window(lo, hi), y.window(lo, hi))
+        if a != b
+    ]
+    for _ in range(steps - 1):
+        if not changed:
+            out += [y] * (steps + 1 - len(out))
+            break
+        near = {c + d for c in changed for d in range(-r, r + 1)}
+        dirty = sorted({i % p for i in near} if p else near)
+        if not p:
+            lo, hi = dirty[0], dirty[-1]
+            if y.word:
+                lo, hi = min(lo, y.anchor), max(hi, y.anchor + len(y.word) - 1)
+        # cell i's window is window[i - lo : i - lo + width]
+        window = y.window(lo - r, hi + r)
+        new = [evaluate(window[i - lo : i - lo + width]) for i in dirty]
+        changed = [i for i, s in zip(dirty, new) if window[i - lo + r] != s]
+        row = list(window[r : len(window) - r])
+        for i, s in zip(dirty, new):
+            row[i - lo] = s
+        if changed:
+            y = (
+                Periodic._of(y.alphabet, tuple(row)) if p
+                else Padded._of(y.alphabet, tuple(row), y.pad, lo)
+            )
+        out.append(y)
     return out
 
 
@@ -456,8 +500,21 @@ class JsonObject(dict):
         raise ValueError(f"missing key {key!r}")
 
 
-def rule_from_json(text: str) -> LocalRule:
+_JSON_KINDS = {list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_object(text: str) -> JsonObject:
+    """Parse a rule, parameter or program file: ValueError unless the text
+    is a JSON object, and on reading a key the object lacks."""
     doc = json.loads(text, object_hook=JsonObject)
+    if not isinstance(doc, JsonObject):
+        raise ValueError(f"expected a JSON object, got {_JSON_KINDS[type(doc)]}")
+    return doc
+
+
+def rule_from_json(text: str) -> LocalRule:
+    doc = json_object(text)
     alphabet = Alphabet(doc["symbols"])
     table = {tuple(w): out for w, out in doc["entries"]}
     return LocalRule(alphabet, doc["radius"], table, doc["default"])

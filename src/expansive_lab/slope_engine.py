@@ -30,6 +30,7 @@ from .cycle_machine import (
     shape_transform,  # noqa: F401  (part of this module's interface)
 )
 from .dynamics_analysis import Direction
+from .shift_core import json_object
 
 
 class InvalidLevel(ValueError):
@@ -355,7 +356,7 @@ def program_to_json(prog: SlopeProgram) -> str:
 def program_from_json(text: str) -> SlopeProgram:
     """Parse a program file, checking the stored evaluation against a
     fresh one so stale files fail loudly."""
-    doc = json.loads(text)
+    doc = json_object(text)
     levels = tuple(
         LevelParams(lv["B"], lv["W"], lv["D"], lv["T"])
         for lv in doc["levels"]

@@ -5,7 +5,6 @@ completion and cross-checking small cases against the range-2 cell map; they
 are frozen here as regression oracles.
 """
 
-import functools
 import itertools
 import random
 import tracemalloc
@@ -138,6 +137,14 @@ def test_rule_tables_match_string_parsing_reference(n):
     reverse = [(name, rhs, lhs) for name, lhs, rhs in transitions(n)]
     inverse = _string_parsed_table(n, reverse)
     assert list(build_inverse_rule(n).table.items()) == list(inverse.items())
+
+
+def test_build_rule_shares_one_system_per_bound():
+    assert build_rule(2) is build_rule(2)
+    assert build_rule(1) is not build_rule(2)
+    for _ in range(2):  # a refusal is not cached: every call raises
+        with pytest.raises(ValueError, match="counter bound 16 is above the limit 15"):
+            build_rule(16)
 
 
 def test_blank_quiescence():
@@ -646,9 +653,6 @@ def test_render_pgm_shape():
 # ---------------------------------------------------------------------------
 # macro-stepping against the step walker
 
-_system = functools.lru_cache(build_rule)
-
-
 def _stepped_crossing(k, n, facing):
     """Steps until arrow and block first stand restored on the far side,
     by ArrowWalk.step alone."""
@@ -686,7 +690,7 @@ def _stepped_orbit(cfg, n, t_max):
 
 def _assert_macro_matches_steps(cfg, n, t_max):
     path, stuck_at, right, left = _stepped_orbit(cfg, n, t_max)
-    trace = arrow_trace(cfg, _system(n), t_max)
+    trace = arrow_trace(cfg, build_rule(n), t_max)
     assert trace.positions == path
     assert trace.pairs == tuple(enumerate(path))
     assert trace.stuck_at == stuck_at

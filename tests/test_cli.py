@@ -357,8 +357,24 @@ def _rule_doc(**edits):
             "total rule has no entry for window ('0', '0', '1')",
         ),
         ({}, ("realize", "--theta", "1/0"), "target '1/0' has a zero denominator"),
+        (
+            {"rule.json": []},
+            ("region", "--params", "rule.json", "--n", "1", "--trange", "0..1"),
+            "expected a JSON object, got an array",
+        ),
+        (
+            {"rule.json": []},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "expected a JSON object, got an array",
+        ),
+        (
+            {"params.json": "B"},
+            ("tower", "--levels", "8,1,0", "--params", "params.json"),
+            "expected a JSON object, got a string",
+        ),
     ],
-    ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero"],
+    ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
+         "region-rule-array", "blocking-rule-array", "params-string"],
 )
 def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
                                               files, argv, message):

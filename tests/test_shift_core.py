@@ -283,6 +283,37 @@ def test_apply_rule_matches_per_cell_reference(case):
     assert _outcome(apply_rule, rule, cfg) == _outcome(apply_rule_per_cell, rule, cfg)
 
 
+def _stepped_orbit(rule, cfg, steps):
+    """`orbit` as one `apply_rule` per step: the reference of the orbit
+    that re-evaluates only the cells next to the last step's changes."""
+    out = [cfg]
+    for _ in range(steps):
+        out.append(apply_rule(rule, out[-1]))
+    return out
+
+
+# on a quiescent "a" background a "b" spreads one cell each way per step
+_SPREAD = LocalRule(_AB, 1, {("a", "a", "b"): "b", ("b", "a", "a"): "b"}, "identity")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rule_and_configuration(), st.integers(0, 8))
+@example((shift_rule(_AB, 2), Periodic(_AB, "ab")), 5)  # radius above the period
+@example((shift_rule(_AB, -1), Periodic(_AB, "aab")), 6)
+@example((_SPREAD, Padded(_AB, "b", "a", 3)), 5)  # support grows at both ends
+@example((LocalRule(_AB, 1, {("a", "a", "b"): "b", ("a", "b", "a"): "b",
+                             ("b", "a", "a"): "a", ("a", "a", "a"): "a"}, "total"),
+          Padded(_AB, "b", "a")), 3)  # MissingWindow at step 2
+def test_orbit_matches_stepped_apply_rule(case, steps):
+    rule, cfg = case
+
+    def fields(kernel):
+        got = _outcome(lambda rule, cfg: kernel(rule, cfg, steps), rule, cfg)
+        return [_fields(x) for x in got] if isinstance(got, list) else got
+
+    assert fields(orbit) == fields(_stepped_orbit)
+
+
 class TestComposition:
     def test_compose_matches_sequential_application(self, ab):
         rng = random.Random(99)
@@ -412,9 +443,10 @@ def _revalidated(x):
 @settings(max_examples=300, deadline=None)
 @given(_rule_and_configuration(), st.integers(-9, 9), st.integers(1, 4))
 def test_unchecked_results_pass_the_validating_constructor(case, k, steps):
-    """`apply_rule` (through `orbit`) and `shifted` build their results
-    without the symbol checks; the validating constructor accepts each of
-    them and returns it unchanged, trimmed word and anchor included."""
+    """`apply_rule`, `orbit` (its first step is `apply_rule`, later steps
+    its own) and `shifted` build their results without the symbol checks;
+    the validating constructor accepts each of them and returns it
+    unchanged, trimmed word and anchor included."""
     rule, cfg = case
     built = [cfg.shifted(k)]
     try:

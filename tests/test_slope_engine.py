@@ -258,6 +258,17 @@ def test_program_json_rejects_tampered_lambda():
         program_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"theta": null}', "missing key 'levels'"),
+     ("[]", "expected a JSON object, got an array")],
+)
+def test_program_json_malformed_raises_value_error(text, message):
+    with pytest.raises(ValueError) as exc:
+        program_from_json(text)
+    assert exc.value.args == (message,)
+
+
 def test_program_json_without_target():
     prog = SlopeProgram((QUARTER, QUARTER))
     parsed = program_from_json(program_to_json(prog))
