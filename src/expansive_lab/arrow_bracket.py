@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
+from .dynamics_analysis import Front
 from .shift_core import (
     Alphabet,
     Configuration,
@@ -393,10 +394,11 @@ class _NodeTable:
     a_0 = 6n+4, a_(k+1) = (4n+2)a_k + 6n+4.
 
     Nodes are numbered by shape, (width, ((child offset, child shape),
-    ...)).  The crossing blocks of a shape, relative to its open bracket,
-    are built from its children's on first use: the arrow position after
-    each step, and the running front on the side the arrow travels to
-    (the farthest cell that the arrow or a changed bracket has reached).
+    ...)).  What a crossing of a shape does, relative to its open bracket,
+    is built from its children's on first use: the arrow position after
+    each step, and the moves of the running front on the side the arrow
+    travels to (the farthest cell that the arrow or a changed bracket has
+    reached).
     """
 
     def __init__(self, n: int, brackets: dict):
@@ -439,24 +441,24 @@ class _NodeTable:
             self.steps.append((2 * self.n + 1) * r + 2 * self.n + 2)
         return shape
 
-    def _traversal(self, shape: int, facing: int, child_block) -> array:
-        """One interior traversal from the cell after the entered bracket
-        to the cell before the far one, with child_block(child, facing)
-        replayed for each child."""
+    def _traversal(self, shape: int, facing: int) -> array:
+        """Arrow positions over one interior traversal, from the cell after
+        the entered bracket to the cell before the far one, each child's
+        crossing replayed."""
         width, children = self._keys[shape]
         out = array("q")
         if facing > 0:
             cur = 1
             for off, s in children:
                 out.extend(range(cur + 1, off))
-                out.extend(map(off.__add__, child_block(s, 1)))
+                out.extend(map(off.__add__, self.positions(s, 1)))
                 cur = off + self._keys[s][0] + 1
             out.extend(range(cur + 1, width))
         else:
             cur = width - 1
             for off, s in reversed(children):
                 out.extend(range(cur - 1, off + self._keys[s][0], -1))
-                out.extend(map(off.__add__, child_block(s, -1)))
+                out.extend(map(off.__add__, self.positions(s, -1)))
                 cur = off - 1
             out.extend(range(cur - 1, 0, -1))
         return out
@@ -468,30 +470,39 @@ class _NodeTable:
         if blk is None:
             w = self._keys[shape][0]
             near, far = (1, w - 1) if facing > 0 else (w - 1, 1)
-            there = self._traversal(shape, facing, self.positions)
-            back = self._traversal(shape, -facing, self.positions)
+            there = self._traversal(shape, facing)
+            back = self._traversal(shape, -facing)
             round_trip = there + array("q", (far,)) + back + array("q", (near,))
             exit_cell = w + 1 if facing > 0 else -1
             blk = array("q", (near,)) + round_trip * self.n + there + array("q", (exit_cell,))
             self._blocks[key] = blk
         return blk
 
-    def front(self, shape: int, facing: int) -> array:
-        """Running front on the exit side after each step of a crossing:
-        nondecreasing going right, nonincreasing going left.  It reaches
-        the far bracket at the first bounce and stays there until the
-        arrow leaves."""
+    def front(self, shape: int, facing: int) -> list:
+        """Moves of the running front on the exit side during a crossing:
+        (step, cell) whenever it moves, the cells increasing going right
+        and decreasing going left.  It takes each cell of the first
+        traversal in turn, reaches the far bracket at the first bounce and
+        stays there until the arrow leaves, at step S."""
         key = ("front", shape, facing)
-        blk = self._blocks.get(key)
-        if blk is None:
-            w = self._keys[shape][0]
-            near, far, exit_cell = (1, w, w + 1) if facing > 0 else (w - 1, 0, -1)
-            there = self._traversal(shape, facing, self.front)
-            rest = self.steps[shape] - 2 - len(there)
-            blk = array("q", (near,)) + there + array("q", (far,)) * rest
-            blk.append(exit_cell)
-            self._blocks[key] = blk
-        return blk
+        moves = self._blocks.get(key)
+        if moves is None:
+            w, children = self._keys[shape]
+            far = w if facing > 0 else 0
+            cur = 1 if facing > 0 else w - 1  # the arrow after step 1
+            t, moves = 1, [(1, cur)]
+            for off, s in children if facing > 0 else reversed(children):
+                blanks = range(cur + facing, off if facing > 0 else off + self._keys[s][0], facing)
+                moves += zip(range(t + 1, t + 1 + len(blanks)), blanks)
+                t += len(blanks)
+                moves += ((t + k, off + x) for k, x in self.front(s, facing))
+                t += self.steps[s]
+                cur = moves[-1][1]
+            blanks = range(cur + facing, far, facing)
+            moves += zip(range(t + 1, t + 1 + len(blanks)), blanks)
+            moves += [(t + len(blanks) + 1, far), (self.steps[shape], far + facing)]
+            self._blocks[key] = moves
+        return moves
 
 
 def _macro_steps(walk: ArrowWalk, table: _NodeTable, t_max: int):
@@ -944,52 +955,49 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
     ``cfg`` (one arrow) and the fixed point obtained by deleting its arrow.
 
     Only cells the arrow touches can ever differ from the arrowless
-    background.  A single tick moves the fronts in O(1); a node crossing
-    (see `_NodeTable`) moves only the front on its exit side, which is
-    replayed from the node's front block, O(1) per step with no per-step
-    Python code.  Returns two lists indexed by time: right[t] / left[t] are
-    the extreme coordinates that have differed at any time <= t.
+    background.  Returns two `Front`s of length t_max + 1: right[t] /
+    left[t] are the extreme coordinates that have differed at any time
+    <= t.
+
+    Cost: a single tick moves the fronts in O(1), and a node crossing (see
+    `_NodeTable`) moves only the front on its exit side, taken from the
+    node's front moves by one bisection.  Each front holds one breakpoint
+    per move, O(Lambda) in all, not one entry per step.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     walk = walk_from_configuration(cfg, n)
     table = _NodeTable(n, walk.brackets)
     brackets, base = walk.brackets, dict(walk.brackets)
-    right = [walk.pos]
-    left = [walk.pos]
     hi = lo = walk.pos
+    right, left = [(0, hi, 0)], [(0, lo, 0)]
     for cell, shape in _macro_steps(walk, table, t_max):
         if shape is None:
-            pos = walk.pos
+            top = bottom = walk.pos
             if brackets.get(cell) != base.get(cell):
-                hi, lo = max(hi, cell), min(lo, cell)
-            if pos > hi:
-                hi = pos
-            elif pos < lo:
-                lo = pos
-            right.append(hi)
-            left.append(lo)
-        # a jump over the node opening at `cell`: its front block is
-        # monotone, so it takes over from hi (or lo) at its first entry
-        # beyond it, and the front on the other side stays put
-        elif walk.facing > 0:
-            f = table.front(shape, 1)
-            k = bisect_right(f, hi - cell)
-            right += [hi] * k
-            right += map(cell.__add__, f[k:])
-            left += [lo] * len(f)
-            hi = max(hi, cell + f[-1])
+                top, bottom = max(top, cell), min(bottom, cell)
+            # a tick moves the arrow and its faced cell one way only
+            if top > hi:
+                hi = top
+                right.append((walk.steps, hi, 0))
+            elif bottom < lo:
+                lo = bottom
+                left.append((walk.steps, lo, 0))
+            continue
+        # a jump over the node opening at `cell`: its front moves take over
+        # from hi (or lo) at the first one beyond it, and the front on the
+        # other side stays put
+        t = walk.steps - table.steps[shape]
+        moves = table.front(shape, walk.facing)
+        if walk.facing > 0:
+            k = bisect_right(moves, hi - cell, key=itemgetter(1))
+            right += [(t + s, cell + x, 0) for s, x in moves[k:]]
+            hi = max(hi, cell + moves[-1][1])
         else:
-            f = table.front(shape, -1)
-            k = bisect_right(f, cell - lo, key=operator.neg)
-            left += [lo] * k
-            left += map(cell.__add__, f[k:])
-            right += [hi] * len(f)
-            lo = min(lo, cell + f[-1])
-    remaining = t_max + 1 - len(right)
-    right += [hi] * remaining
-    left += [lo] * remaining
-    return right, left
+            k = bisect_right(moves, cell - lo, key=lambda m: -m[1])
+            left += [(t + s, cell + x, 0) for s, x in moves[k:]]
+            lo = min(lo, cell + moves[-1][1])
+    return Front(t_max + 1, right), Front(t_max + 1, left)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,11 @@ def cmd_region(args) -> int:
 
 
 def cmd_lyapunov(args) -> int:
+    # before the walk or the scan, which take time in t_max
+    if args.tmax < 0:
+        raise ValueError("t_max must be >= 0")
+    if args.horizon < 0:
+        raise ValueError("horizon must be >= 0")
     if args.system == "ab":
         cfg = _arrow_block_start(args.n, args.level)
         right, left = ab.perturbation_front(cfg, args.n, args.tmax)

@@ -723,7 +723,10 @@ def sim_params_from_json(text: str) -> SimParams:
     {"kind": "full", "max_period": m}, which expands to one representative
     per rotation class of period up to m.
     """
-    doc = json_object(text)
+    doc = json_object(text, {
+        "phi": {}, "phi_inv": {}, "B": int, "W": int, "D": int,
+        "Y": {"kind": str, "data": [list], "max_period": int},
+    })
     phi = rule_from_json(json.dumps(doc["phi"]))
     phi_inv = rule_from_json(json.dumps(doc["phi_inv"]))
     spec = doc["Y"]

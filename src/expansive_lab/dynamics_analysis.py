@@ -10,15 +10,16 @@ functions say which side they err on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import neg, sub
-from typing import Iterable, Sequence
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 from .shift_core import (
     Alphabet,
@@ -307,39 +308,174 @@ def polygon_to_lines(hull) -> str:
 # pair difference fronts
 
 
-def _moving_front(front, edge, step, n, outward):
-    """[front] followed by the cumulative extremes, on the side `outward`
-    (+1 right, -1 left), of edge + step*s for s = 1..n, where front already
-    holds edge: constant until the moving edge passes the front, then the
-    edge itself."""
-    if step * outward <= 0:
-        return [front] * (n + 1)
-    k = min(n + 1, (front - edge) // step + 1)  # s < k: not passed yet
-    return [front] * k + list(range(edge + step * k, edge + step * (n + 1), step))
+_TIME, _VALUE = itemgetter(0), itemgetter(1)  # of a breakpoint
+
+
+def _push(breaks, t, v, s):
+    """Append the breakpoint (t, v, s) unless it continues the last piece."""
+    if breaks:
+        pt, pv, ps = breaks[-1]
+        if ps == s and (pv + ps * (t - pt) if ps else pv) == v:
+            return
+    breaks.append((t, v, s))
+
+
+class Front(Sequence):
+    """A monotone front f(0), ..., f(n-1), held as breakpoints (t, v, s):
+    from time t to the next breakpoint, f is v + s*(t' - t).  A value of
+    None (slope 0) stands for no front yet.
+
+    It reads as the tuple of its values: len, indexing, slicing, iteration
+    and equality with a list or tuple (and, like a list, it is unhashable).
+    The methods work on the breakpoints, so a front with k of them costs
+    O(k) to clip or merge and O(log k) to search, whatever its length.
+    """
+
+    __slots__ = ("_n", "_b")
+
+    def __init__(self, n: int, breaks: list):
+        # the times of `breaks` start at 0 and increase, all below n
+        self._n = n
+        self._b = breaks
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self):
+        ends = chain(map(_TIME, islice(self._b, 1, None)), (self._n,))
+        return chain.from_iterable(
+            range(v, v + s * (end - t), s) if s else repeat(v, end - t)
+            for (t, v, s), end in zip(self._b, ends)
+        )
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return list(self)[t]
+        t = range(self._n)[t]
+        bt, v, s = self._b[bisect_right(self._b, t, key=_TIME) - 1]
+        return v + s * (t - bt) if s else v
+
+    def __eq__(self, other):
+        if not isinstance(other, (Front, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Front({self._n}, {self._b!r})"
+
+    @property
+    def start(self):
+        """f(0)."""
+        return self._b[0][1]
+
+    def advance(self) -> Front:
+        """|f(t) - f(0)|: how far the front has come from its start."""
+        v0 = self.start
+        c = -1 if self[-1] < v0 else 1
+        return Front(self._n, [(t, c * (v - v0), c * s) for t, v, s in self._b])
+
+    def clip(self, h) -> Front:
+        """Every value v as min(max(v, -h), h)."""
+        floor, ceiling = Front(self._n, [(0, -h, 0)]), Front(self._n, [(0, h, 0)])
+        return Front.envelope([Front.envelope([self, floor]), ceiling], -1)
+
+    def reach(self, x) -> int:
+        """The first t >= 1 at which the front has come as far as x from
+        f(0), going the way x lies; len(self) if it never does."""
+        b, v0 = self._b, self._b[0][1]
+        if x == v0:
+            return 1
+        if x > v0:
+            c, k = 1, bisect_left(b, x, key=_VALUE)
+        else:
+            c, k = -1, bisect_left(b, -x, key=lambda p: -p[1])
+        first = b[k][0] if k < len(b) else self._n
+        if k:  # the piece before may climb to x on its way
+            t, v, s = b[k - 1]
+            if c * s > 0:
+                first = min(first, t + (c * (x - v) - 1) // (c * s) + 1)
+        return max(1, first)
+
+    @staticmethod
+    def envelope(fronts, outward: int = 1) -> Front:
+        """The outermost of equally long fronts at each t: their maximum for
+        outward = 1, their minimum for -1.  Merges the breakpoints two
+        fronts at a time: between breakpoints both are lines, and the
+        steeper one overtakes the other at most once."""
+        unique = {tuple(f._b): f for f in fronts}.values()
+        return functools.reduce(functools.partial(_outer, c=outward), unique)
+
+
+def _outer(f: Front, g: Front, c: int) -> Front:
+    n, fb, gb, out = f._n, f._b, g._b, []
+    i = j = a = 0
+    while a < n:
+        (ft, fv, fs), (gt, gv, gs) = fb[i], gb[j]
+        fe = fb[i + 1][0] if i + 1 < len(fb) else n
+        ge = gb[j + 1][0] if j + 1 < len(gb) else n
+        # (value at a, slope), going outward; the leader last
+        (ov, os), (lv, ls) = sorted(((c * (fv + fs * (a - ft)), c * fs),
+                                     (c * (gv + gs * (a - gt)), c * gs)))
+        _push(out, a, c * lv, c * ls)
+        end = min(fe, ge)
+        if os > ls:
+            k = (lv - ov - 1) // (os - ls) + 1  # steps until it draws level
+            if a + k < end:
+                _push(out, a + k, c * (ov + os * k), c * os)
+        i += fe == end
+        j += ge == end
+        a = end
+    return Front(n, out)
+
+
+def _drifting(front, diff, step, m, horizon) -> list:
+    """Breakpoints over s = 0..m-1 of a cumulative front, now at `front`,
+    toward which a difference set `diff` moves `step` cells per step.  Each
+    residue class of diff mod |step| walks on its own lattice, so its
+    outermost member gives one ramp, held at its last cell inside the
+    horizon; the front is their envelope with its value now."""
+    c = 1 if step > 0 else -1
+    tops: dict = {}  # residue -> outermost member, times c
+    for p in reversed(diff) if c > 0 else diff:
+        tops.setdefault(p % step, c * p)
+        if len(tops) == c * step:  # every class has its outermost member
+            break
+    # the front's value now, unless a ramp starts there and outruns it
+    ramps = [] if c * front in tops.values() else [[(0, front, 0)]]
+    for w in tops.values():
+        # k: the steps the ramp climbs
+        k = (horizon - w) // (c * step) if w + c * step * (m - 1) > horizon else m
+        ramps.append([(0, c * w, step if k else 0)])
+        if 0 < k < m:
+            ramps[-1].append((k, c * w + step * k, 0))
+    if len(ramps) == 1:
+        return ramps[0]
+    return Front.envelope([Front(m, b) for b in ramps], c)._b
 
 
 def _pair_fronts(rule, family, t_max, horizon):
     """Cumulative difference fronts of every pair of distinct members.
 
-    Returns ({(a, b): (right, left)}, clipped).  right[t] and left[t] are
-    the rightmost and leftmost positions in [-horizon, horizon] at which the
-    orbits of family[a] and family[b] differed at some time <= t (None while
-    they differed nowhere there); clipped tells whether a support ever
-    reached past the horizon.
+    Returns ({(a, b): (right, left)}, clipped), with right and left two
+    `Front`s.  right[t] and left[t] are the rightmost and leftmost
+    positions in [-horizon, horizon] at which the orbits of family[a] and
+    family[b] differed at some time <= t (None while they differed nowhere
+    there); clipped tells whether a support ever reached past the horizon.
 
     The members advance by `_lockstep`, and each pair is compared on
     aligned words.  Once both members of a pair translate by one common
     drift d (an all-pad member is shift-invariant and matches any drift),
     the pair's difference set D_t only moves: it is D_t - d*s at time t+s.
-    The pair's fronts are then written out in closed form and the pair
-    leaves the scan, unless that moving set would leave [-horizon, horizon]
-    by t_max (or, for d != 0, the horizon clips this step's window); such a
+    The pair's fronts then follow in closed form (`_drifting`, which clips
+    at the horizon) and the pair leaves the scan, unless d != 0 and the
+    horizon clips this step's window, which would hide part of D_t; such a
     pair stays on the step loop, which clips exactly.
 
     Cost: that of `_lockstep`, one comparison per pair and step until the
-    pair translates, then O(t_max) C-level work per pair.  The scan ends
-    once every pair is in closed form; a support still moving then is
-    checked against the horizon at t_max, since it moves linearly.
+    pair translates, then O(1 + |d|) breakpoints per front: a front holds
+    one breakpoint per move on the step loop and no per-step list.  The
+    scan ends once every pair is in closed form; a support still moving
+    then is checked against the horizon at t_max, since it moves linearly.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -350,17 +486,18 @@ def _pair_fronts(rule, family, t_max, horizon):
             raise TypeError("pair scans need padded configurations")
         if y.pad != family[0].pad:
             raise ValueError("family members must share one pad symbol")
-    fronts = {
+    n = t_max + 1
+    breaks = {
         (a, b): ([], [])
         for a in range(len(family))
         for b in range(a + 1, len(family))
         if family[a] != family[b]
     }
-    if not fronts:
-        return fronts, False
-    live = dict(fronts)
+    if not breaks:
+        return breaks, False
+    live = dict(breaks)
     clipped = False
-    for t, (orbit, drift) in zip(range(t_max + 1), _lockstep(rule, family)):
+    for t, (orbit, drift) in zip(range(n), _lockstep(rule, family)):
         lo = min((y.anchor for y in orbit if y.word), default=0)
         hi = max((y.anchor + len(y.word) - 1 for y in orbit if y.word), default=-1)
         whole = -horizon <= lo and hi <= horizon
@@ -368,7 +505,7 @@ def _pair_fronts(rule, family, t_max, horizon):
         lo, hi = max(lo, -horizon), min(hi, horizon)
         rows = [y.window(lo, hi) for y in orbit]
         for (a, b), (right, left) in list(live.items()):
-            r, l = (right[-1], left[-1]) if t else (None, None)
+            r, l = (right[-1][1], left[-1][1]) if t else (None, None)
             diff = ()
             if rows[a] != rows[b]:
                 diff = [
@@ -377,25 +514,24 @@ def _pair_fronts(rule, family, t_max, horizon):
                 ]
                 r = diff[-1] if r is None else max(r, diff[-1])
                 l = diff[0] if l is None else min(l, diff[0])
+            if not t or r != right[-1][1]:
+                right.append((t, r, 0))
+            if not t or l != left[-1][1]:
+                left.append((t, l, 0))
             # the pair's common drift; an all-pad member matches any
             d = drift[a] if orbit[a].word else drift[b]
             if orbit[b].word and drift[b] != d:
                 d = None
-            # the closed form needs all of D_t - d*s inside the horizon for
-            # s <= t_max - t; a fixed pair (d == 0) keeps even a clipped D_t
-            moved = d * (t_max - t) if d else 0
-            if d is None or not (whole or d == 0) or diff and (
-                diff[0] - moved < -horizon or diff[-1] - moved > horizon
-            ):
-                right.append(r)
-                left.append(l)
+            # the closed form needs all of D_t; a fixed pair (d == 0) keeps
+            # even a clipped D_t
+            if d is None or not (whole or d == 0):
                 continue
-            if diff:
-                right += _moving_front(r, diff[-1], -d, t_max - t, 1)
-                left += _moving_front(l, diff[0], -d, t_max - t, -1)
-            else:
-                right += [r] * (t_max + 1 - t)
-                left += [l] * (t_max + 1 - t)
+            if diff and d:  # the front on the side D_t moves to
+                side, v = (right, r) if d < 0 else (left, l)
+                if side[-1][0] == t:
+                    side.pop()
+                for s, w, z in _drifting(v, diff, -d, n - t, horizon):
+                    _push(side, t + s, w, z)
             del live[a, b]
         if not live:
             break
@@ -407,6 +543,7 @@ def _pair_fronts(rule, family, t_max, horizon):
             moved = d * (t_max - t)
             if y.anchor - moved < -horizon or y.anchor + len(y.word) - 1 - moved > horizon:
                 clipped = True
+    fronts = {pair: (Front(n, r), Front(n, l)) for pair, (r, l) in breaks.items()}
     return fronts, clipped
 
 
@@ -427,8 +564,8 @@ class LyapunovEstimate:
 
     t_max: int
     horizon: int
-    lambda_plus: tuple
-    lambda_minus: tuple
+    lambda_plus: Front
+    lambda_minus: Front
     truncated: bool = False
 
     def ratio_plus(self, t: int) -> float:
@@ -440,16 +577,13 @@ class LyapunovEstimate:
 
 def _estimate(fronts, t_max, horizon, truncated) -> LyapunovEstimate:
     # the advance of each cumulative (right, left) front from its start,
-    # maximized over the fronts; a pair with every difference beyond the
-    # horizon has no fronts, and a front that ends where it starts never
-    # advanced
-    seen = [(right, left) for right, left in fronts if right[0] is not None]
-    plus = tuple(map(max, zip(repeat(0, t_max + 1), *(
-        map(sub, right, repeat(right[0])) for right, _ in seen if right[-1] != right[0]
-    ))))
-    minus = tuple(map(max, zip(repeat(0, t_max + 1), *(
-        map(sub, repeat(left[0]), left) for _, left in seen if left[-1] != left[0]
-    ))))
+    # maximized over the fronts and 0; a pair with every difference beyond
+    # the horizon has no fronts, and a front that ends where it starts
+    # never advanced
+    zero = Front(t_max + 1, [(0, 0, 0)])
+    seen = [pair for pair in fronts if pair[0].start is not None]
+    plus = Front.envelope([zero, *(r.advance() for r, _ in seen if r[-1] != r[0])])
+    minus = Front.envelope([zero, *(l.advance() for _, l in seen if l[-1] != l[0])])
     if truncated:
         warnings.warn(  # stacklevel 3 names the caller of the public function
             "difference front reached the horizon; exponents are lower bounds",
@@ -477,9 +611,8 @@ def lyapunov_profile(
     distinct periodic points never agree on a half-line, which makes the
     premise vacuous and the profile identically zero.
 
-    Cost: that of `_pair_fronts`, which writes out the fronts of a pair
-    that only translates in closed form, plus one C-level maximum per time
-    over the advances of the pairs whose fronts moved at all.
+    Cost: that of `_pair_fronts`, plus one merge of breakpoints per
+    pair for the envelope of the advances: O(breakpoints), not O(t_max).
     """
     fronts, truncated = _pair_fronts(rule, family, t_max, horizon)
     return _estimate(fronts.values(), t_max, horizon, truncated)
@@ -491,23 +624,24 @@ def profile_from_fronts(right, left, start: int, horizon: int) -> LyapunovEstima
     estimate; `start` is the perturbation site, the initial difference
     right[0] == left[0].  As in `lyapunov_profile`, the fronts are clipped
     to [-horizon, horizon], and one that passed it makes the estimate a
-    lower bound and warns."""
+    lower bound and warns.
+
+    Cost: O(breakpoints) of the two `Front`s, one per move of the walker's
+    front, whatever the number of steps.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    clipped = ([min(r, horizon) for r in right], [max(l, -horizon) for l in left])
     return _estimate(
-        [clipped] if abs(start) <= horizon else [], len(right) - 1, horizon,
-        right[-1] > horizon or left[-1] < -horizon,
+        [(right.clip(horizon), left.clip(horizon))] if abs(start) <= horizon else [],
+        len(right) - 1, horizon, right[-1] > horizon or left[-1] < -horizon,
     )
 
 
 def lyapunov_csv(estimate: LyapunovEstimate) -> str:
     lines = ["t,Lambda_plus,Lambda_minus,ratio_plus,ratio_minus"]
-    for t in range(1, estimate.t_max + 1):
-        lines.append(
-            f"{t},{estimate.lambda_plus[t]},{estimate.lambda_minus[t]},"
-            f"{estimate.ratio_plus(t):.6f},{estimate.ratio_minus(t):.6f}"
-        )
+    rows = zip(itertools.count(), estimate.lambda_plus, estimate.lambda_minus)
+    for t, plus, minus in islice(rows, 1, None):
+        lines.append(f"{t},{plus},{minus},{plus / t:.6f},{minus / t:.6f}")
     return "\n".join(lines) + "\n"
 
 
@@ -572,8 +706,9 @@ def blocking_word_search(
     pass `words` to restrict the report.
 
     Cost: that of `_pair_fronts` (no step at all for a pair once it only
-    translates), one bisection per pair, word and side, and an occurrence
-    index holding only the word lengths reported.
+    translates), one `Front.reach` (a bisection over breakpoints) per pair,
+    word and side, and an occurrence index holding only the word lengths
+    reported.
     """
     fronts, _ = _pair_fronts(rule, family, t_max, math.inf)
     lo = min((y.support[0] if len(y.support) else 0) for y in family)
@@ -599,21 +734,20 @@ def blocking_word_search(
         hits = []
         for (a, _), (right, left) in fronts.items():
             spots = occurrences[a].get(word, ())
+            r, l = right.start, left.start
             # right side: earliest occurrence strictly beyond the initial
-            # difference front refutes soonest; the fronts are cumulative,
-            # so the first time they reach it is found by bisection
-            c = next((c for c in spots if c > right[0]), None)
+            # difference front refutes soonest, when the front reaches it
+            c = next((c for c in spots if c > r), None)
             if c is not None:
-                hits.append(bisect_left(right, c, 1))
+                hits.append(right.reach(c))
             # left side: latest occurrence ending before the leftmost
             # initial difference
             end = next(
-                (c + len(word) - 1 for c in reversed(spots)
-                 if c + len(word) - 1 < left[0]),
+                (c + len(word) - 1 for c in reversed(spots) if c + len(word) - 1 < l),
                 None,
             )
             if end is not None:
-                hits.append(bisect_left(left, -end, 1, key=neg))
+                hits.append(left.reach(end))
         refuted = min(hits, default=t_max + 1)
         verdict = BlockingUpTo(t_max) if refuted > t_max else RefutedAt(refuted)
         reports.append(BlockingReport(word, t_max, verdict))

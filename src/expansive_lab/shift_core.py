@@ -501,20 +501,44 @@ class JsonObject(dict):
 
 
 _JSON_KINDS = {list: "an array", str: "a string", int: "a number",
-               float: "a number", bool: "a boolean", type(None): "null"}
+               float: "a number", bool: "a boolean", type(None): "null",
+               JsonObject: "an object"}
 
 
-def json_object(text: str) -> JsonObject:
+def _check_json(value, spec, key) -> None:
+    """ValueError naming `key` unless value has the shape `spec`: a type,
+    [spec] for an array of such items, or {key: spec} for an object whose
+    keys, where present, hold those shapes (a missing key is reported when
+    it is read)."""
+    kind = JsonObject if isinstance(spec, dict) else list if isinstance(spec, list) else spec
+    if not isinstance(value, kind):
+        want = "an integer" if kind is int else _JSON_KINDS[kind]
+        raise ValueError(f"key {key!r}: expected {want}, got {_JSON_KINDS[type(value)]}")
+    if isinstance(spec, dict):
+        for k, item in spec.items():
+            if k in value:
+                _check_json(value[k], item, k)
+    elif isinstance(spec, list):
+        for item in value:
+            _check_json(item, spec[0], key)
+
+
+def json_object(text: str, fields: dict) -> JsonObject:
     """Parse a rule, parameter or program file: ValueError unless the text
-    is a JSON object, and on reading a key the object lacks."""
+    is a JSON object whose keys hold the shapes of `fields` (see
+    `_check_json`), and on reading a key the object lacks."""
     doc = json.loads(text, object_hook=JsonObject)
     if not isinstance(doc, JsonObject):
         raise ValueError(f"expected a JSON object, got {_JSON_KINDS[type(doc)]}")
+    _check_json(doc, fields, None)
     return doc
 
 
+_RULE_FIELDS = {"symbols": list, "radius": int, "default": str, "entries": [list]}
+
+
 def rule_from_json(text: str) -> LocalRule:
-    doc = json_object(text)
+    doc = json_object(text, _RULE_FIELDS)
     alphabet = Alphabet(doc["symbols"])
     table = {tuple(w): out for w, out in doc["entries"]}
     return LocalRule(alphabet, doc["radius"], table, doc["default"])

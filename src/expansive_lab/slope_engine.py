@@ -356,7 +356,11 @@ def program_to_json(prog: SlopeProgram) -> str:
 def program_from_json(text: str) -> SlopeProgram:
     """Parse a program file, checking the stored evaluation against a
     fresh one so stale files fail loudly."""
-    doc = json_object(text)
+    fraction = {"num": int, "den": int}
+    doc = json_object(text, {
+        "levels": [{"B": int, "W": int, "D": int, "T": int}],
+        "lambda": fraction, "bound": fraction,
+    })
     levels = tuple(
         LevelParams(lv["B"], lv["W"], lv["D"], lv["T"])
         for lv in doc["levels"]

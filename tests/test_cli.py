@@ -372,9 +372,31 @@ def _rule_doc(**edits):
             ("tower", "--levels", "8,1,0", "--params", "params.json"),
             "expected a JSON object, got a string",
         ),
+        (
+            {"rule.json": _rule_doc(entries=5)},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'entries': expected an array, got a number",
+        ),
+        (
+            {"rule.json": _rule_doc(entries=[5])},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'entries': expected an array, got a number",
+        ),
+        (
+            {"params.json": {"Y": []}},
+            ("tower", "--levels", "8,1,0", "--params", "params.json"),
+            "key 'Y': expected an object, got an array",
+        ),
+        (
+            {"params.json": {"B": "4"}},
+            ("tower", "--levels", "8,1,0", "--params", "params.json"),
+            "key 'B': expected an integer, got a string",
+        ),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
-         "region-rule-array", "blocking-rule-array", "params-string"],
+         "region-rule-array", "blocking-rule-array", "params-string",
+         "entries-number", "entry-number", "params-y-array",
+         "params-b-string"],
 )
 def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
                                               files, argv, message):
@@ -383,6 +405,17 @@ def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
         (tmp_path / name).write_text(json.dumps(doc))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, name", [("--horizon", "horizon"), ("--tmax", "t_max")])
+def test_lyapunov_checks_its_bounds_before_the_walk(capsys, monkeypatch, flag, name):
+    def walk(*_):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr("expansive_lab.arrow_bracket.walk_from_configuration", walk)
+    code, out, err = run(capsys, "lyapunov", "--system", "ab", "--tmax", "3000000",
+                         flag, "-1")
+    assert (code, out, err) == (2, "", f"error: {name} must be >= 0\n")
 
 
 @pytest.mark.parametrize(

@@ -5,8 +5,11 @@ against independent brute-force evaluations of their defining quantifiers,
 not against the module's own bookkeeping.
 """
 
+import bisect
 import functools
 import itertools
+import operator
+import time
 import warnings
 from fractions import Fraction
 
@@ -875,6 +878,79 @@ def test_translating_examples_reach_the_cases_they_name():
     assert _oracle_fronts(SHIFTS[1], family, 3, 5)[1] is False
     fronts, clipped = _oracle_fronts(SHIFTS[1], family, 4, 5)
     assert clipped and fronts[0, 1] == ([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
+
+
+def test_drifting_fronts_hold_each_residue_class_at_the_horizon():
+    # D = {0, 3} moves right 2 cells a step and is in closed form from t = 1;
+    # within the horizon 8, 3 gets to 7 only, while 0 walks on to 8 at t = 4
+    family = (Padded(BIN, (), "0"), Padded(BIN, tuple("1001"), "0"))
+    got = _pair_fronts(SHIFTS[0], family, 8, 8)
+    assert got == _oracle_fronts(SHIFTS[0], family, 8, 8)
+    assert got[0][0, 1][0] == [3, 5, 7, 7, 8, 8, 8, 8, 8]
+
+
+def test_pair_fronts_of_a_long_scan_stay_small():
+    """Each pair of a shifted family is a ramp clipped at the horizon: a
+    few breakpoints per front, however long the scan."""
+    fronts, clipped = _pair_fronts(shift_rule(BIN, 1), bin_family(2), 10**6, 10**6)
+    assert clipped
+    assert all(len(f._b) <= 3 for pair in fronts.values() for f in pair)
+    right, left = fronts[0, 1]
+    assert (len(left), left[10**6 - 2], left[-1]) == (10**6 + 1, -10**6, -10**6)
+
+
+def test_profile_costs_little_beside_the_walk():
+    """profile_from_fronts works on the walker's breakpoints, so it takes a
+    small part of the walk that makes them, at 10^6 steps as at any."""
+    cfg = Padded(level_alphabet(2), (ARROW_RIGHT, BLANK) + make_block(16, 2).word,
+                 BLANK, anchor=-2)
+    start = time.perf_counter()
+    right, left = perturbation_front(cfg, 2, 10**6)
+    walk = time.perf_counter() - start
+    start = time.perf_counter()
+    profile_from_fronts(right, left, right[0], 10**6)
+    assert time.perf_counter() - start < walk / 4
+
+
+@st.composite
+def monotone_fronts(draw, n, sign):
+    """A random front of length n, nondecreasing for sign 1 and
+    nonincreasing for -1, with its values as a list."""
+    times = sorted(draw(st.sets(st.integers(1, n - 1), max_size=5))) if n > 1 else []
+    v, breaks = draw(st.integers(-12, 12)), []
+    for t, end in zip([0, *times], [*times, n]):
+        s = draw(st.integers(0, 3))
+        breaks.append((t, sign * v, sign * s))
+        v += s * (end - 1 - t) + draw(st.integers(0, 2))
+    values = []
+    for t in range(n):
+        b, v, s = max(p for p in breaks if p[0] <= t)
+        values.append(v + s * (t - b))
+    return dynamics_analysis.Front(n, breaks), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 25), sign=st.sampled_from((1, -1)),
+       h=st.integers(0, 20), k=st.integers(1, 4))
+def test_front_methods_match_per_time_lists(data, n, sign, h, k):
+    drawn = [data.draw(monotone_fronts(n, sign)) for _ in range(k)]
+    front, values = drawn[0]
+    # a sequence view of its values
+    assert list(front) == values and front == values and front == tuple(values)
+    assert [front[t] for t in range(-n, n)] == values * 2
+    assert front[1:] == values[1:] and front[::-2] == values[::-2]
+    assert front != values[:-1] and front != values + [0]
+    with pytest.raises(TypeError):
+        hash(front)
+    assert front.advance() == [abs(v - values[0]) for v in values]
+    assert front.clip(h) == [min(max(v, -h), h) for v in values]
+    outer = max if sign > 0 else min
+    assert dynamics_analysis.Front.envelope([f for f, _ in drawn], sign) == [
+        outer(col) for col in zip(*(vs for _, vs in drawn))
+    ]
+    x = values[0] + sign * data.draw(st.integers(0, 40))
+    key = None if sign > 0 else operator.neg
+    assert front.reach(x) == bisect.bisect_left(values, sign * x, 1, key=key)
 
 
 # ---------------------------------------------------------------------------
