@@ -1029,19 +1029,32 @@ def ascii_legend(n: int) -> dict[str, str]:
     return legend
 
 
+def diagram_lines(rows, lo: int, hi: int, glyphs: dict, sep: str):
+    """Yield one line per configuration of `rows`, newline included: the
+    glyphs of its cells lo..hi, joined by sep.  Cost: one table lookup per
+    cell; it holds one row at a time, so `rows` may be a lazy orbit."""
+    glyph = glyphs.__getitem__
+    for cfg in rows:
+        yield sep.join(map(glyph, cfg.window(lo, hi))) + "\n"
+
+
+def pgm_lines(rows, lo: int, hi: int, height: int, alphabet: Alphabet):
+    """Yield a plain (ASCII) PGM space-time diagram of the `height`
+    configurations of `rows`: the header, then one image row per time step
+    starting at t = 0, pixel value = alphabet index of the symbol.  Cost:
+    that of `diagram_lines`."""
+    yield f"P2\n{hi - lo + 1} {height}\n{max(1, len(alphabet) - 1)}\n"
+    yield from diagram_lines(rows, lo, hi, {s: str(i) for i, s in enumerate(alphabet)}, " ")
+
+
 def render_text(rows, lo: int, hi: int, legend: dict) -> str:
-    """One line per configuration, one legend character per cell."""
-    lines = ["".join(legend[s] for s in cfg.window(lo, hi)) for cfg in rows]
-    return "\n".join(lines) + "\n"
+    """One line per configuration of the list `rows`, one legend
+    character per cell.  Cost: that of `diagram_lines`, and the text is
+    held whole."""
+    return "".join(diagram_lines(rows, lo, hi, legend, "")) or "\n"
 
 
 def render_pgm(rows, lo: int, hi: int, alphabet: Alphabet) -> str:
-    """Plain (ASCII) PGM space-time diagram, one image row per time step
-    starting at t = 0, pixel value = alphabet index of the symbol."""
-    width = hi - lo + 1
-    height = len(rows)
-    maxval = max(1, len(alphabet) - 1)
-    lines = [f"P2\n{width} {height}\n{maxval}"]
-    for cfg in rows:
-        lines.append(" ".join(str(alphabet.index(s)) for s in cfg.window(lo, hi)))
-    return "\n".join(lines) + "\n"
+    """`pgm_lines` of the list `rows`, joined.  Cost: that of
+    `diagram_lines`, and the text is held whole."""
+    return "".join(pgm_lines(rows, lo, hi, len(rows), alphabet))

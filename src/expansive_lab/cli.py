@@ -14,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import re
 import sys
 import warnings
@@ -41,7 +42,7 @@ from .shift_core import (
     Alphabet,
     Padded,
     identity_rule,
-    orbit,
+    iterate,
     rule_from_json,
     shift_rule,
 )
@@ -67,12 +68,14 @@ def _span(text: str) -> range:
     return range(v, v + 1)
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text, path: str | None) -> None:
+    """Write text, or text chunks as they come, to stdout or to path."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _binary_rule(args):
@@ -103,20 +106,35 @@ def _arrow_block_start(n: int, level: int) -> Padded:
     )
 
 
+# the most cells an ab-run diagram may hold: 2^30 cells are 1-2 GiB of text
+MAX_RENDER_CELLS = 2**30
+
+
 def cmd_ab_run(args) -> int:
     legend = ab.ascii_legend(args.n) if args.format == "txt" else None
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
     cfg = _arrow_block_start(args.n, args.level)
     system = ab.build_rule(args.n)
-    rows = orbit(system.rule, cfg, args.steps)
-    lo = min(r.support[0] for r in rows)
-    hi = max(r.support[-1] for r in rows)
+    height = args.steps + 1
+    # the orbit runs twice, holding one row at a time: once for the span,
+    # checked against the budget at t = 0 and each time it widens, and once
+    # to render
+    lo, hi = math.inf, -math.inf
+    for y in itertools.islice(iterate(system.rule, cfg), height):
+        a, b = y.anchor, y.anchor + len(y.word) - 1
+        if a < lo or b > hi:
+            lo, hi = min(lo, a), max(hi, b)
+            if height * (hi - lo + 1) > MAX_RENDER_CELLS:
+                raise ValueError(
+                    f"a diagram of {height} rows {hi - lo + 1} cells wide exceeds "
+                    f"MAX_RENDER_CELLS = {MAX_RENDER_CELLS} cells"
+                )
+    rows = itertools.islice(iterate(system.rule, cfg), height)
     if legend is not None:
-        text = ab.render_text(rows, lo, hi, legend)
+        _write(ab.diagram_lines(rows, lo, hi, legend, ""), args.out)
     else:
-        text = ab.render_pgm(rows, lo, hi, system.alphabet)
-    _write(text, args.out)
+        _write(ab.pgm_lines(rows, lo, hi, height, system.alphabet), args.out)
     return 0
 
 

@@ -28,6 +28,7 @@ from .shift_core import (
     Padded,
     Periodic,
     apply_rule,
+    iterate,
     min_rotation,
 )
 
@@ -104,14 +105,17 @@ def _lockstep(rule, family):
     and as the rule commutes with the shift so does every later one: the
     member is shifted from then on, not stepped.  A padded member that is
     a shift of an earlier one, its lead, follows its lead's orbit, shifted.
-    Both lists change in place between yields.  Cost: one rule application
-    per lead and step until the lead translates."""
+    Both lists change in place between yields.  Cost: one `apply_rule` per
+    lead, for step 1; a lead that does not translate then draws its later
+    steps from `iterate`, which re-evaluates only the cells next to the
+    last step's changes, until it translates."""
     orbit, drift = list(family), [None] * len(family)
     leads: dict = {}  # padded members with one alphabet object, pad and word
     lead = [
         leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)
         for k, y in enumerate(family)
     ]
+    steps: dict = {}  # lead -> its later steps, once step 1 did not translate it
     while True:
         yield orbit, drift
         for k, (y, j) in enumerate(zip(orbit, lead)):
@@ -119,9 +123,12 @@ def _lockstep(rule, family):
                 orbit[k] = orbit[j].shifted(family[j].anchor - family[k].anchor)
                 drift[k] = drift[j]
             elif drift[k] is None:
-                orbit[k] = apply_rule(rule, y)
+                orbit[k] = next(steps[k]) if k in steps else apply_rule(rule, y)
                 if orbit[k].word == y.word:
                     drift[k] = y.anchor - orbit[k].anchor if isinstance(y, Padded) else 0
+                    steps.pop(k, None)
+                elif k not in steps:
+                    steps[k] = islice(iterate(rule, y, orbit[k]), 2, None)
             elif drift[k]:
                 orbit[k] = y.shifted(drift[k])
 
@@ -328,7 +335,8 @@ class Front(Sequence):
     It reads as the tuple of its values: len, indexing, slicing, iteration
     and equality with a list or tuple (and, like a list, it is unhashable).
     The methods work on the breakpoints, so a front with k of them costs
-    O(k) to clip or merge and O(log k) to search, whatever its length.
+    O(k) to clip or merge and O(log k) to search, whatever its length; a
+    slice costs O(log k) plus the span it covers.
     """
 
     __slots__ = ("_n", "_b")
@@ -342,15 +350,24 @@ class Front(Sequence):
         return self._n
 
     def __iter__(self):
-        ends = chain(map(_TIME, islice(self._b, 1, None)), (self._n,))
+        return self._values(0)
+
+    def _values(self, a: int):
+        """f(a), f(a + 1), ..., f(n - 1), lazily, from the piece holding a."""
+        k = max(bisect_right(self._b, a, key=_TIME) - 1, 0)
+        ends = chain(map(_TIME, islice(self._b, k + 1, None)), (self._n,))
         return chain.from_iterable(
-            range(v, v + s * (end - t), s) if s else repeat(v, end - t)
-            for (t, v, s), end in zip(self._b, ends)
+            range(v + s * (max(t, a) - t), v + s * (end - t), s) if s
+            else repeat(v, end - max(t, a))
+            for (t, v, s), end in zip(islice(self._b, k, None), ends)
         )
 
     def __getitem__(self, t):
-        if isinstance(t, slice):
-            return list(self)[t]
+        if isinstance(t, slice):  # read from the slice's first time on
+            r = range(self._n)[t]
+            up = r if r.step > 0 else r[::-1]
+            got = list(islice(self._values(up.start), 0, len(up) * up.step, up.step))
+            return got if r.step > 0 else got[::-1]
         t = range(self._n)[t]
         bt, v, s = self._b[bisect_right(self._b, t, key=_TIME) - 1]
         return v + s * (t - bt) if s else v

@@ -20,7 +20,7 @@ Symbols are checked at the boundary and trusted inside: the public
 constructors (`Periodic`, `Padded`, `LocalRule`, so `rule_from_json` too)
 raise KeyError through `Alphabet.check` for a symbol outside the alphabet.
 `Periodic._of` and `Padded._of` skip that check, and serve only symbols the
-library produced from checked ones: shifted words, `apply_rule` and `orbit`
+library produced from checked ones: shifted words, `apply_rule` and `iterate`
 outputs (window centres, or table outputs `LocalRule` checked) and encoded
 suspension states.
 """
@@ -361,25 +361,25 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
     return Padded._of(cfg.alphabet, new, cfg.pad, lo)
 
 
-def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration]:
-    """[cfg, rule(cfg), ..., rule^steps(cfg)] (length steps+1), equal to
-    stepping `apply_rule`, with the same exceptions.
+def iterate(rule: LocalRule, cfg: Configuration, first: Configuration | None = None):
+    """Yield cfg, rule(cfg), rule^2(cfg), ... lazily, equal to stepping
+    `apply_rule` and raising its exceptions when the step that meets them
+    is asked for.  `first`, when given, is ``apply_rule(rule, cfg)``
+    already computed, and stands for step 1.
 
     Step 1 is a full `apply_rule`, which makes every check.  After it a
     cell whose window did not change keeps its output, so each later step
     evaluates, left to right, only the cells within the rule range of the
     last step's changes (coordinates for `Padded`, indices mod p for
-    `Periodic`) and copies the rest.  Cost: one `apply_rule`, then per step
-    at most 2r+1 window evaluations per cell the last step changed, plus
-    one C-level copy of the word.
+    `Periodic`) and copies the rest; once a step changes nothing, every
+    later item is the same object.  Cost: nothing until an item is asked
+    for; one `apply_rule` for the first step, then per step at most 2r+1
+    window evaluations per cell the last step changed, plus one C-level
+    copy of the word.  It holds cfg and the current configuration.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = [cfg]
-    if steps == 0:
-        return out
-    y = apply_rule(rule, cfg)
-    out.append(y)
+    yield cfg
+    y = apply_rule(rule, cfg) if first is None else first
+    yield y
     r, evaluate = rule.radius, rule.evaluate
     width = 2 * r + 1
     p = cfg.period if isinstance(cfg, Periodic) else None
@@ -389,10 +389,7 @@ def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration
         i for i, a, b in zip(range(lo, hi + 1), cfg.window(lo, hi), y.window(lo, hi))
         if a != b
     ]
-    for _ in range(steps - 1):
-        if not changed:
-            out += [y] * (steps + 1 - len(out))
-            break
+    while changed:
         near = {c + d for c in changed for d in range(-r, r + 1)}
         dirty = sorted({i % p for i in near} if p else near)
         if not p:
@@ -403,16 +400,26 @@ def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration
         window = y.window(lo - r, hi + r)
         new = [evaluate(window[i - lo : i - lo + width]) for i in dirty]
         changed = [i for i, s in zip(dirty, new) if window[i - lo + r] != s]
+        if not changed:
+            break
         row = list(window[r : len(window) - r])
         for i, s in zip(dirty, new):
             row[i - lo] = s
-        if changed:
-            y = (
-                Periodic._of(y.alphabet, tuple(row)) if p
-                else Padded._of(y.alphabet, tuple(row), y.pad, lo)
-            )
-        out.append(y)
-    return out
+        y = (
+            Periodic._of(y.alphabet, tuple(row)) if p
+            else Padded._of(y.alphabet, tuple(row), y.pad, lo)
+        )
+        yield y
+    yield from itertools.repeat(y)
+
+
+def orbit(rule: LocalRule, cfg: Configuration, steps: int) -> list[Configuration]:
+    """[cfg, rule(cfg), ..., rule^steps(cfg)] (length steps+1): the first
+    steps+1 items of `iterate`, with its exceptions.  Cost: that of
+    `iterate`, and the list holds every row."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    return list(itertools.islice(iterate(rule, cfg), steps + 1))
 
 
 def agree_on(x: Configuration, y: Configuration, lo: int, hi: int) -> bool:

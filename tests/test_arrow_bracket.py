@@ -635,6 +635,13 @@ def test_render_pgm_golden():
     assert pgm == "P2\n7 2\n8\n1 4 0 0 0 6 0\n0 7 1 0 0 6 0\n"
 
 
+def test_render_of_no_rows():
+    # an empty text diagram is one empty line; a PGM one is its header
+    system = build_rule(1)
+    assert render_text([], -1, 5, ascii_legend(1)) == "\n"
+    assert render_pgm([], -1, 5, system.alphabet) == "P2\n7 0\n8\n"
+
+
 def test_render_pgm_shape():
     n = 2
     system = build_rule(n)

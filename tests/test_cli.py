@@ -1,12 +1,14 @@
 """Command line behavior: formats, golden outputs, exit codes."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from expansive_lab import arrow_bracket, cli
 from expansive_lab.cli import main
-from expansive_lab.shift_core import Alphabet, rule_to_json, shift_rule
+from expansive_lab.shift_core import Alphabet, Padded, orbit, rule_to_json, shift_rule
 from expansive_lab.slope_engine import program_from_json
 
 
@@ -55,6 +57,58 @@ def test_ab_run_reports_io_failure(capsys, tmp_path):
                        "--out", str(tmp_path / "missing" / "x.txt"))
     assert code == 3
     assert "error" in err
+
+
+def test_ab_run_refuses_a_diagram_over_the_cell_budget(capsys, tmp_path):
+    # 3*10^8 + 1 rows of the 7-cell start are over 2^30 cells at t = 0
+    target = tmp_path / "d.txt"
+    code, out, err = run(capsys, "ab-run", "--level", "0", "--steps", "300000000",
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a diagram of 300000001 rows 7 cells wide exceeds "
+        f"MAX_RENDER_CELLS = {2**30} cells\n"
+    )
+    assert not target.exists()
+
+
+def test_ab_run_checks_the_budget_as_the_diagram_widens(capsys, tmp_path, monkeypatch):
+    # the level-0 start is 7 cells wide, and the span first widens at t = 12
+    # once the arrow has crossed: 101 rows fit the budget at 7 cells, not at 8
+    monkeypatch.setattr(cli, "MAX_RENDER_CELLS", 101 * 7)
+    target = tmp_path / "d.pgm"
+    code, _, err = run(capsys, "ab-run", "--level", "0", "--steps", "100",
+                       "--format", "pgm", "--out", str(target))
+    assert code == 2
+    assert err == "error: a diagram of 101 rows 8 cells wide exceeds MAX_RENDER_CELLS = 707 cells\n"
+    assert not target.exists()
+
+
+def test_ab_run_memory_does_not_grow_with_steps(tmp_path):
+    # level 3 at n = 1 crosses in 2590 steps, so the diagram stays 91 cells
+    # wide; the run streams its rows instead of holding them
+    system = arrow_bracket.build_rule(1)
+    main(["ab-run", "--steps", "1", "--format", "pgm", "--out", str(tmp_path / "warm")])
+    peaks = {}
+    for steps in (250, 2500):
+        target = tmp_path / f"{steps}.pgm"
+        tracemalloc.start()
+        try:
+            assert main(["ab-run", "--n", "1", "--level", "3", "--steps", str(steps),
+                         "--format", "pgm", "--out", str(target)]) == 0
+            _, peaks[steps] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2500] - peaks[250]) <= 256 * 1024
+    start = Padded(system.alphabet,
+                   (arrow_bracket.ARROW_RIGHT, arrow_bracket.BLANK)
+                   + arrow_bracket.make_block(3, 1).word,
+                   arrow_bracket.BLANK, anchor=-2)
+    rows = orbit(system.rule, start, 2500)
+    lo = min(r.anchor for r in rows)
+    hi = max(r.anchor + len(r.word) - 1 for r in rows)
+    assert hi - lo + 1 == 91
+    assert target.read_text() == arrow_bracket.render_pgm(rows, lo, hi, system.alphabet)
 
 
 def test_ab_cross_csv_matches_crossing_laws(capsys):

@@ -10,6 +10,7 @@ import functools
 import itertools
 import operator
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -953,6 +954,23 @@ def test_front_methods_match_per_time_lists(data, n, sign, h, k):
     assert front.reach(x) == bisect.bisect_left(values, sign * x, 1, key=key)
 
 
+def test_front_slice_costs_what_it_holds():
+    """A slice reads the values it holds, from the piece where it starts,
+    not the whole front."""
+    front = dynamics_analysis.Front(10**6, [(0, 0, 1), (10, 10, 0), (999_990, 11, 2)])
+    tracemalloc.start()
+    try:
+        head = front[:3]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert head == [0, 1, 2]
+    assert peak < 64 * 1024
+    assert front[-3:] == [25, 27, 29] and front[-1:-4:-1] == [29, 27, 25]
+    assert front[8:13] == [8, 9, 10, 10, 10] and front[999_989:999_992:2] == [10, 13]
+    assert front[5:5] == [] and front[7:3] == [] and front[3:7:-1] == []
+
+
 # ---------------------------------------------------------------------------
 # directional probes
 
@@ -1177,6 +1195,81 @@ def test_family_scans_match_per_member_orbits(case, family, n, t_range, i_lo,
         assert probe.pairs_checked == checked
     else:
         assert (probe.witness_pair, probe.witness_cell) == (pair, cell)
+
+
+def _stepped_orbit(rule, cfg, steps):
+    """One `apply_rule` per step: the reference of every faster orbit."""
+    out = [cfg]
+    for _ in range(steps):
+        out.append(apply_rule(rule, out[-1]))
+    return out
+
+
+# rules under which members change without translating: 90 (a lone 1
+# grows both ways for ever), 184 (11 translates after a transient) and the
+# glider (a lone 1 drifts until it joins 11: 10011 changes twice, then stays)
+ACTIVE_RULES = [elementary_rule(90), elementary_rule(184), glider_rule()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rule=st.sampled_from(ACTIVE_RULES),
+    family=st.lists(_members, min_size=1, max_size=5).map(tuple),
+    t_max=st.integers(200, 230),
+)
+@example(
+    rule=ACTIVE_RULES[0],
+    family=(Padded(BIN, ("1",), "0"), Padded(BIN, ("1", "1"), "0", 1),
+            Padded(BIN, ("1",), "0", 4), Periodic(BIN, ("0", "0", "1"))),
+    t_max=200,
+)
+@example(
+    rule=ACTIVE_RULES[1],
+    family=(Padded(BIN, ("1", "1", "0", "1"), "0", -3), Padded(BIN, (), "0"),
+            Periodic(BIN, ("0", "1", "1"))),
+    t_max=200,
+)
+@example(
+    rule=ACTIVE_RULES[2],
+    family=(Padded(BIN, tuple("10011"), "0"), Padded(BIN, tuple("100011"), "0", 2),
+            Padded(BIN, ("1", "0", "1"), "0", -4)),
+    t_max=200,
+)
+def test_lockstep_matches_stepped_orbits_on_active_rules(rule, family, t_max):
+    """The lockstep orbit, the family scans on it and their per-member
+    references agree member by member on rules that keep members busy."""
+    want = [_stepped_orbit(rule, y, t_max) for y in family]
+    for t, (got, _) in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
+        assert got == [w[t] for w in want]
+    assert [orbit(rule, y, t_max) for y in family] == want
+    i_range = (-12, 12)
+    region = determined_region(rule, family, 1, (0, t_max), i_range)
+    assert region.cells == region_oracle(rule, None, family, 1, (0, t_max), i_range)
+
+
+def test_lockstep_applies_the_rule_once_per_lead(monkeypatch):
+    """An arrow configuration never translates: `_lockstep` applies the
+    rule to each lead once, for step 1, and draws its later steps from the
+    dense orbit; a translate of a lead follows it and is never stepped."""
+    calls = []
+
+    def counted(rule, cfg):
+        calls.append(cfg)
+        return apply_rule(rule, cfg)
+
+    monkeypatch.setattr(dynamics_analysis, "apply_rule", counted)
+    system = build_rule(1)
+    rule = system.rule
+    family = tuple(
+        Padded(system.alphabet, (ARROW_RIGHT, BLANK) + make_block(k, 1).word, BLANK, c)
+        for k in (0, 1) for c in (-2, 5)
+    )
+    t_max = 300
+    want = [orbit(rule, y, t_max) for y in family]
+    for t, (got, drift) in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
+        assert got == [w[t] for w in want]
+    assert drift == [None] * 4
+    assert len(calls) == 2
 
 
 def test_region_steps_each_member_at_most_once_per_direction(monkeypatch):
