@@ -174,6 +174,10 @@ def cmd_render(args) -> int:
 
 
 def cmd_region(args) -> int:
+    # the library reads n = -1 as an empty agreement window; the CLI's
+    # agreement radius starts at 0
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
     rule, inverse = _binary_rule(args)
     t_range = _span(args.trange)
     i_range = _span(args.irange)

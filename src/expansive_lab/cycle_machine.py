@@ -232,6 +232,10 @@ def schedule_from_counts(
 ) -> CycleSchedule:
     """Concrete schedule for an alphabet of n symbols and a table of
     `entries` stored windows, without materializing the map itself."""
+    if n < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if entries < 0:
+        raise ValueError("table_entries must be >= 0")
     bits = _word_bits(n)
     if b < _program_length(bits, entries, w, d):
         raise BlockTooSmall(
@@ -306,30 +310,6 @@ def t_for_token(sched: CycleSchedule, token: tuple) -> int:
     if t is None:
         raise MalformedConfiguration(f"no cycle time shows token {token!r}")
     return t
-
-
-def schedule_report(sched: CycleSchedule) -> dict:
-    """JSON-ready summary with every stage duration and the exact total."""
-    return {
-        "B": sched.B,
-        "W": sched.W,
-        "D": sched.D,
-        "word_bits": sched.word_bits,
-        "table_entries": sched.table_entries,
-        "constants": {f"c{i}": getattr(sched, f"c{i}") for i in range(1, 7)},
-        "stages": {
-            "transmit": sched.transmit,
-            "copy": sched.copy,
-            "lookup": sched.lookup,
-            "writeback": sched.writeback,
-            "shift_per_block": sched.round_length,
-            "shift_repeats": abs(sched.D),
-            "wait_per_round": sched.round_length,
-            "wait_repeats": sched.W,
-            "resync": sched.resync,
-        },
-        "T": sched.T,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,6 @@ class DeterminedRegion:
 
     n: int
     cells: frozenset
-    family_id: str
     t_range: tuple
     i_range: tuple
 
@@ -174,7 +173,6 @@ def determined_region(
     t_range: tuple,
     i_range: tuple,
     inverse: LocalRule | None = None,
-    family_id: str = "user",
 ) -> DeterminedRegion:
     """Brute-force determined region over all family pairs.
 
@@ -204,111 +202,12 @@ def determined_region(
             for k, (p, q) in enumerate(zip(rows[a], rows[b])) if p != q
         }
         cells.update((i_lo + k, t) for k in range(i_hi - i_lo + 1) if k not in differ)
-    return DeterminedRegion(n, frozenset(cells), family_id, t_range, i_range)
+    return DeterminedRegion(n, frozenset(cells), t_range, i_range)
 
 
 def region_to_lines(region: DeterminedRegion) -> str:
     """Sorted "(i,t)" pairs, one per line."""
     return "\n".join(f"({i},{t})" for i, t in sorted(region.cells)) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# exact rational convex geometry
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _half_hull(pts) -> list:
-    """The counterclockwise chain over sorted points, its last one dropped."""
-    chain: list = []
-    for p in pts:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-            chain.pop()
-        chain.append(p)
-    return chain[:-1]
-
-
-def convex_hull(points) -> tuple:
-    """Monotone-chain hull, counterclockwise, collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return tuple(pts)
-    return tuple(_half_hull(pts) + _half_hull(reversed(pts)))
-
-
-def _segment_distance_sq(p, a, b) -> Fraction:
-    ab = (b[0] - a[0], b[1] - a[1])
-    ap = (p[0] - a[0], p[1] - a[1])
-    denom = ab[0] * ab[0] + ab[1] * ab[1]
-    if denom == 0:
-        return ap[0] * ap[0] + ap[1] * ap[1]
-    t = Fraction(ab[0] * ap[0] + ab[1] * ap[1], denom)
-    t = max(Fraction(0), min(Fraction(1), t))
-    dx = p[0] - (a[0] + t * ab[0])
-    dy = p[1] - (a[1] + t * ab[1])
-    return dx * dx + dy * dy
-
-
-def _point_hull_distance_sq(p, hull) -> Fraction:
-    """0 inside the hull, else the distance to its nearest side; a hull of
-    one or two vertices is a single, degenerate side."""
-    sides = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    if len(hull) > 2 and all(_cross(a, b, p) >= 0 for a, b in sides):
-        return Fraction(0)
-    return min((_segment_distance_sq(p, a, b) for a, b in sides), default=Fraction(0))
-
-
-def hausdorff_distance_sq(hull_a, hull_b) -> Fraction:
-    """Squared Hausdorff distance between two convex hulls, exact.
-
-    For convex sets the supremum of the distance-to-the-other-set is
-    attained at a vertex, so scanning vertices suffices.
-    """
-    d = Fraction(0)
-    for p in hull_a:
-        d = max(d, _point_hull_distance_sq(p, hull_b))
-    for q in hull_b:
-        d = max(d, _point_hull_distance_sq(q, hull_a))
-    return d
-
-
-@dataclass(frozen=True)
-class PolygonSequence:
-    scales: tuple
-    hulls: tuple
-    gaps_sq: tuple
-
-    def gaps(self) -> list[float]:
-        return [float(g) ** 0.5 for g in self.gaps_sq]
-
-
-def prediction_polygon(regions: Sequence[DeterminedRegion]) -> PolygonSequence:
-    """Scale each region by 1/n and hull it; report consecutive gaps.
-
-    Vertices are exact rationals; the squared Hausdorff distances between
-    consecutive hulls measure how fast the scaled shapes settle.
-    """
-    if not regions:
-        raise ValueError("need at least one region")
-    first = regions[0].family_id
-    for r in regions:
-        if r.family_id != first:
-            raise ValueError("regions come from different family generators")
-    hulls = []
-    for r in regions:
-        pts = [(Fraction(i, r.n), Fraction(t, r.n)) for i, t in r.cells]
-        hulls.append(convex_hull(pts))
-    gaps = tuple(
-        hausdorff_distance_sq(a, b) for a, b in zip(hulls, hulls[1:])
-    )
-    return PolygonSequence(tuple(r.n for r in regions), tuple(hulls), gaps)
-
-
-def polygon_to_lines(hull) -> str:
-    """Rational vertex list, one "x,y" pair per line."""
-    return "\n".join(f"{x},{y}" for x, y in hull) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -513,21 +513,30 @@ _JSON_KINDS = {list: "an array", str: "a string", int: "a number",
 
 
 def _check_json(value, spec, key) -> None:
-    """ValueError naming `key` unless value has the shape `spec`: a type,
-    [spec] for an array of such items, or {key: spec} for an object whose
+    """ValueError naming `key` unless value has the shape `spec`: a type or
+    a tuple of types, [spec] for an array of such items, [spec, spec, ...]
+    for an array of exactly those items, or {key: spec} for an object whose
     keys, where present, hold those shapes (a missing key is reported when
     it is read)."""
     kind = JsonObject if isinstance(spec, dict) else list if isinstance(spec, list) else spec
     if not isinstance(value, kind):
-        want = "an integer" if kind is int else _JSON_KINDS[kind]
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        want = " or ".join("an integer" if k is int else _JSON_KINDS[k] for k in kinds)
         raise ValueError(f"key {key!r}: expected {want}, got {_JSON_KINDS[type(value)]}")
     if isinstance(spec, dict):
         for k, item in spec.items():
             if k in value:
                 _check_json(value[k], item, k)
-    elif isinstance(spec, list):
+    elif isinstance(spec, list) and len(spec) == 1:
         for item in value:
             _check_json(item, spec[0], key)
+    elif isinstance(spec, list):
+        if len(value) != len(spec):
+            raise ValueError(
+                f"key {key!r}: expected an array of {len(spec)} items, got {len(value)}"
+            )
+        for item, item_spec in zip(value, spec):
+            _check_json(item, item_spec, key)
 
 
 def json_object(text: str, fields: dict) -> JsonObject:
@@ -541,7 +550,9 @@ def json_object(text: str, fields: dict) -> JsonObject:
     return doc
 
 
-_RULE_FIELDS = {"symbols": list, "radius": int, "default": str, "entries": [list]}
+_SYMBOL = (str, int)
+_RULE_FIELDS = {"symbols": [_SYMBOL], "radius": int, "default": str,
+                "entries": [[[_SYMBOL], _SYMBOL]]}
 
 
 def rule_from_json(text: str) -> LocalRule:

@@ -158,7 +158,7 @@ def direction_of(lam: Fraction) -> Direction:
 
 
 # ---------------------------------------------------------------------------
-# prediction polygons
+# the delta polygon
 
 
 @dataclass(frozen=True)
@@ -171,30 +171,6 @@ class ShapePolygon:
 
     vertices: tuple
 
-    @property
-    def upper(self) -> tuple:
-        return self.vertices[1]
-
-    @property
-    def lower(self) -> tuple:
-        return self.vertices[3]
-
-    def _sides(self, vertex):
-        x, y = vertex
-        toward_right = None if x == 1 else y / (x - 1)
-        toward_left = None if x == -1 else y / (x + 1)
-        return (toward_right, toward_left)
-
-    @property
-    def upper_slopes(self) -> tuple:
-        """Slopes of the sides joining the upper vertex to (1,0) and to
-        (-1,0); None for a vertical side."""
-        return self._sides(self.upper)
-
-    @property
-    def lower_slopes(self) -> tuple:
-        return self._sides(self.lower)
-
 
 def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:
     """Vertices of the depth-fold product shape, outermost level applied
@@ -205,14 +181,6 @@ def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:
     x, y = m[0][1], m[1][1]
     one, zero = Fraction(1), Fraction(0)
     return ShapePolygon(((one, zero), (x, y), (-one, zero), (-x, -y)))
-
-
-def shape_polygon_lines(poly: ShapePolygon) -> str:
-    lines = [
-        f"{x.numerator}/{x.denominator},{y.numerator}/{y.denominator}"
-        for x, y in poly.vertices
-    ]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -334,10 +334,11 @@ def test_warnings_print_as_one_line(capsys, argv):
         ("lyapunov", "--system", "shift", "--d", "40", "--tmax", "10"),
         ("region", "--rule", "shift", "--d", "40", "--n", "1"),
         ("blocking", "--rule", "shift", "--d", "-11", "--word", "1"),
+        ("region", "--n", "-1"),
     ],
     ids=["empty-span", "lyapunov-tmax", "blocking-tmax", "symbol", "cmax",
          "horizon", "empty-word", "lyapunov-shift-size", "region-shift-size",
-         "blocking-shift-size"],
+         "blocking-shift-size", "region-n"],
 )
 def test_bad_pair_scan_inputs_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -412,6 +413,26 @@ def _rule_doc(**edits):
         ),
         ({}, ("realize", "--theta", "1/0"), "target '1/0' has a zero denominator"),
         (
+            {},
+            ("realize", "--theta", "1/3", "--depth", "3", "--alphabet-size", "0"),
+            "alphabet size must be >= 1",
+        ),
+        (
+            {},
+            ("realize", "--theta", "1/3", "--depth", "3", "--alphabet-size", "-5"),
+            "alphabet size must be >= 1",
+        ),
+        (
+            {},
+            ("realize", "--theta", "1/3", "--depth", "3", "--table-entries", "-1"),
+            "table_entries must be >= 0",
+        ),
+        (
+            {},
+            ("realize", "--theta", "1/3", "--depth", "3", "--table-entries", "-100"),
+            "table_entries must be >= 0",
+        ),
+        (
             {"rule.json": []},
             ("region", "--params", "rule.json", "--n", "1", "--trange", "0..1"),
             "expected a JSON object, got an array",
@@ -437,6 +458,26 @@ def _rule_doc(**edits):
             "key 'entries': expected an array, got a number",
         ),
         (
+            {"rule.json": _rule_doc(entries=[[5, "0"]])},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'entries': expected an array, got a number",
+        ),
+        (
+            {"rule.json": _rule_doc(entries=[[["0", "0", "0"]]])},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'entries': expected an array of 2 items, got 1",
+        ),
+        (
+            {"rule.json": _rule_doc(entries=[[["0", "0", "0"], "0", "1"]])},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'entries': expected an array of 2 items, got 3",
+        ),
+        (
+            {"rule.json": _rule_doc(symbols=["0", ["1"]])},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'symbols': expected a string or an integer, got an array",
+        ),
+        (
             {"params.json": {"Y": []}},
             ("tower", "--levels", "8,1,0", "--params", "params.json"),
             "key 'Y': expected an object, got an array",
@@ -448,8 +489,11 @@ def _rule_doc(**edits):
         ),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
+         "realize-alphabet-0", "realize-alphabet-negative", "realize-entries-1",
+         "realize-entries-100",
          "region-rule-array", "blocking-rule-array", "params-string",
-         "entries-number", "entry-number", "params-y-array",
+         "entries-number", "entry-number", "window-number", "entry-short",
+         "entry-long", "symbol-array", "params-y-array",
          "params-b-string"],
 )
 def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,

@@ -26,7 +26,6 @@ from expansive_lab.cycle_machine import (
     pi_inv_on_encoded,
     pi_on_encoded,
     program_word,
-    schedule_report,
     shape_transform,
     sim_params_from_json,
     sim_params_to_json,
@@ -184,21 +183,6 @@ def test_idealized_schedule_has_no_overhead():
     sched = idealized_schedule(10, 2, 1)
     assert sched.T == 10 * 4
     assert sched.overhead == 0
-
-
-def test_schedule_report_is_complete():
-    sched = build_schedule(ident_params(16, 2, 1))
-    rep = schedule_report(sched)
-    assert rep["T"] == sched.T
-    stages = rep["stages"]
-    assert (
-        stages["transmit"] + stages["copy"] + stages["lookup"]
-        + stages["writeback"]
-        + stages["shift_repeats"] * stages["shift_per_block"]
-        + stages["wait_repeats"] * stages["wait_per_round"]
-        + stages["resync"]
-    ) == sched.T
-    json.dumps(rep)  # must be serializable as handed out
 
 
 # ---------------------------------------------------------------------------

@@ -37,18 +37,14 @@ from expansive_lab.dynamics_analysis import (
     TruncationWarning,
     _pair_fronts,
     blocking_word_search,
-    convex_hull,
     crossing_family,
     determined_region,
     direction_probe,
     embedded_word_family,
-    hausdorff_distance_sq,
     lyapunov_csv,
     lyapunov_profile,
     padded_scale_family,
     periodic_family,
-    polygon_to_lines,
-    prediction_polygon,
     profile_from_fronts,
     region_to_lines,
 )
@@ -228,74 +224,6 @@ def test_region_to_lines_golden():
     assert region_to_lines(region) == (
         "(-1,0)\n(-1,1)\n(0,0)\n(0,1)\n(1,0)\n(1,1)\n"
     )
-
-
-# ---------------------------------------------------------------------------
-# exact rational geometry
-
-
-def test_convex_hull_of_grid_is_counterclockwise_corners():
-    pts = [(x, y) for x in range(3) for y in range(3)]
-    assert convex_hull(pts) == ((0, 0), (2, 0), (2, 2), (0, 2))
-
-
-def test_convex_hull_degenerate_inputs():
-    assert convex_hull([(5, 5)]) == ((5, 5),)
-    assert convex_hull([(0, 0), (1, 2)]) == ((0, 0), (1, 2))
-    assert convex_hull([(0, 0), (1, 1), (2, 2)]) == ((0, 0), (2, 2))
-
-
-def test_hausdorff_translated_squares():
-    a = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-    b = convex_hull([(3, 0), (4, 0), (4, 1), (3, 1)])
-    assert hausdorff_distance_sq(a, b) == 9
-    assert hausdorff_distance_sq(a, a) == 0
-
-
-def test_hausdorff_nested_squares():
-    outer = convex_hull([(0, 0), (3, 0), (3, 3), (0, 3)])
-    inner = convex_hull([(1, 1), (2, 1), (2, 2), (1, 2)])
-    assert hausdorff_distance_sq(outer, inner) == 2
-
-
-def test_hausdorff_point_against_square():
-    square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert hausdorff_distance_sq(((0, 0),), square) == 2
-
-
-def test_prediction_polygon_scales_identity_regions():
-    fam = bin_family(8)
-    ident = identity_rule(BIN)
-    regions = [
-        determined_region(ident, fam, n, (0, 2), (-6, 6), family_id="scale")
-        for n in (2, 4)
-    ]
-    seq = prediction_polygon(regions)
-    assert seq.scales == (2, 4)
-    one = Fraction(1)
-    assert seq.hulls[0] == ((-one, 0), (one, 0), (one, one), (-one, one))
-    assert seq.hulls[1] == (
-        (-one, 0),
-        (one, 0),
-        (one, Fraction(1, 2)),
-        (-one, Fraction(1, 2)),
-    )
-    assert seq.gaps_sq == (Fraction(1, 4),)
-    assert seq.gaps() == [0.5]
-
-
-def test_prediction_polygon_rejects_mixed_families():
-    fam = bin_family(6)
-    ident = identity_rule(BIN)
-    r1 = determined_region(ident, fam, 1, (0, 1), (-4, 4), family_id="a")
-    r2 = determined_region(ident, fam, 2, (0, 1), (-4, 4), family_id="b")
-    with pytest.raises(ValueError):
-        prediction_polygon([r1, r2])
-
-
-def test_polygon_to_lines_golden():
-    hull = ((Fraction(-1), Fraction(0)), (Fraction(1), Fraction(1, 2)))
-    assert polygon_to_lines(hull) == "-1,0\n1,1/2\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""Every public top-level function and class of the package is reached by
+something other than its own module's unit tests: the CLI, another package
+module, the acceptance gates, the benchmark harness or another test module.
+A name that only its own tests call is a candidate for deletion; the few
+kept on purpose are listed in ALLOWED, each with its reason.
+
+The count is by name, so a local variable elsewhere that happens to share
+a name counts as a use, and so does each part of a dotted string such as
+the benchmark's "cycle_machine.program_word.calls": the scan errs toward
+calling a name reached.
+"""
+
+import ast
+import pathlib
+import re
+
+THIS = pathlib.Path(__file__).resolve()
+ROOT = THIS.parents[1]
+PACKAGE = ROOT / "src" / "expansive_lab"
+
+ALLOWED = {
+    "arrow_bracket.admissible": "the admissibility oracle the configuration tests check against",
+    "arrow_bracket.conflict_report": "the exhaustive check that the transition table has no conflict",
+    "cycle_machine.sim_params_to_json": "writes the parameter files the reader tests parse",
+    "cycle_machine.token_for_t": "inverse of t_for_token; the clock and tampered-decode tests build tokens with it",
+    "dynamics_analysis.crossing_family": "arrow-crossing family of the pair-front oracle tests",
+    "dynamics_analysis.direction_probe": "the paper's expansiveness probe along a direction",
+    "shift_core.rules_equal": "the behavioural rule equality the composition and serialization tests check with",
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def _identifiers(node) -> set:
+    """Every name a piece of code uses: bare names, attributes, imports and
+    the parts of dotted strings."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if _DOTTED.fullmatch(sub.value):
+                names.update(sub.value.split("."))
+    return names
+
+
+def _file_identifiers(path) -> set:
+    return _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def unreached(module, used_elsewhere) -> list:
+    """Public top-level names of `module` that `used_elsewhere` lacks and
+    that no code of `module` reaches: its top-level statements, or the body
+    of one of its names that is itself reached."""
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    bodies = {node.name: _identifiers(node) for node in tree.body if isinstance(node, _DEFS)}
+    top = set().union(*(_identifiers(n) for n in tree.body if not isinstance(n, _DEFS)))
+    live = bodies.keys() & (used_elsewhere | top)
+    while more := set().union(*(bodies[n] for n in live)) & bodies.keys() - live:
+        live |= more
+    return sorted(n for n in bodies.keys() - live if not n.startswith("_"))
+
+
+def _unreached_in_package(allowed) -> list:
+    """Dotted names of `unreached` over every package module, with the
+    names in `allowed` taken as reached (this file's own list is no use)."""
+    tests = ROOT / "tests"
+    modules = sorted(PACKAGE.glob("*.py"))
+    files = modules + sorted(tests.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = {path: _file_identifiers(path) for path in files if path != THIS}
+    found = []
+    for module in modules:
+        own_tests = tests / f"test_{module.stem}.py"
+        elsewhere = set().union(*(v for p, v in used.items() if p not in (module, own_tests)))
+        kept = {n.partition(".")[2] for n in allowed if n.startswith(f"{module.stem}.")}
+        found += [f"{module.stem}.{name}" for name in unreached(module, elsewhere | kept)]
+    return found
+
+
+def test_every_public_name_is_reached_beyond_its_own_tests():
+    assert _unreached_in_package(ALLOWED) == []
+    # an allowed name that gained a caller leaves the list
+    assert sorted(ALLOWED.keys() - set(_unreached_in_package(()))) == []
+
+
+def test_the_scan_follows_calls_inside_a_module(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "LIMIT = helper\n"
+        "def helper(): return 1\n"
+        "def used(): return _private()\n"
+        "def _private(): return inner()\n"
+        "def inner(): return 2\n"
+        "def dead(): return dead_too()\n"
+        "def dead_too(): return dead()\n"
+        "class Unused: pass\n"
+    )
+    assert unreached(module, {"used"}) == ["Unused", "dead", "dead_too"]

@@ -19,7 +19,6 @@ from expansive_lab.slope_engine import (
     program_from_json,
     program_to_json,
     realize_slope,
-    shape_polygon_lines,
     shape_transform,
 )
 
@@ -87,22 +86,23 @@ def test_shape_transform_fixed_points():
 def test_delta_polygon_unit_ball():
     poly = delta_polygon(SlopeProgram(()), 0)
     assert poly.vertices == ((1, 0), (0, 1), (-1, 0), (0, -1))
-    assert poly.upper_slopes == (-1, 1)
+    x, y = poly.vertices[1]
+    assert (y / (x - 1), y / (x + 1)) == (-1, 1)
 
 
 def test_delta_polygon_one_level():
     poly = delta_polygon(SlopeProgram((QUARTER,)), 1)
-    assert poly.upper == (1, 4)
-    assert poly.lower == (-1, -4)
-    assert poly.upper_slopes == (None, 2)  # right side is vertical
-    assert poly.lower_slopes == (2, None)
+    assert poly.vertices == ((1, 0), (1, 4), (-1, 0), (-1, -4))
+    x, y = poly.vertices[1]
+    assert y / (x + 1) == 2  # the right side, x = 1, is vertical
 
 
 def test_delta_polygon_two_levels_brackets_inverse_slope():
     poly = delta_polygon(SlopeProgram((QUARTER, QUARTER)), 2)
-    x, y = poly.upper
+    x, y = poly.vertices[1]
     assert (x, y) == (5, 16)
-    lo, hi = sorted(poly.upper_slopes)
+    # the sides from the apex to (1,0) and (-1,0), as gate 10 computes them
+    lo, hi = sorted((y / (x - 1), y / (x + 1)))
     assert lo < y / x < hi
     # the diagonal slope is the reciprocal of the nested sum
     assert y / x == 1 / F(5, 16)
@@ -112,13 +112,8 @@ def test_delta_polygon_height_doubles_per_level():
     prog = realize_slope(F(1, 3), 8, idealized=True)
     for m in range(9):
         poly = delta_polygon(prog, m)
-        assert poly.upper[1] >= 2**m
-        assert poly.lower[1] <= -(2**m)
-
-
-def test_polygon_export_format():
-    out = shape_polygon_lines(delta_polygon(SlopeProgram((QUARTER,)), 1))
-    assert out == "1/1,0/1\n1/1,4/1\n-1/1,0/1\n-1/1,-4/1\n"
+        assert poly.vertices[1][1] >= 2**m
+        assert poly.vertices[3][1] <= -(2**m)
 
 
 def test_direction_of():
