@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .shift_core import (
 BLANK = "-"
 ARROW_RIGHT = ">"
 ARROW_LEFT = "<"
+_ARROWS = (ARROW_RIGHT, ARROW_LEFT)
 
 
 class ConflictingTransitions(ValueError):
@@ -280,7 +282,10 @@ class ArrowWalk:
     O(1) and is the oracle of the macro-stepping in `arrow_trace`,
     `perturbation_front` and `run_crossing`, which cross a whole resting
     bracket node in one jump (see `_NodeTable`) and so pay per tick only
-    outside the nodes they can jump, plus O(1) per step replayed.
+    outside the nodes they can jump, plus O(1) per step replayed.  Their
+    walker holds only the brackets of the cells the arrow has neared, and
+    they find nodes only where it faces one (see `_macro_steps`); what is
+    left of their set-up over the whole word is counting its arrows in C.
     """
 
     n: int
@@ -375,13 +380,28 @@ def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
     return Padded(alphabet, walk.snapshot_word(), BLANK, lo)
 
 
+def _walk_and_table(cfg: Padded, n: int):
+    """A walker at the one arrow of `cfg`, holding no brackets yet, and the
+    node table of its word, for `_macro_steps`.  Checks what
+    `walk_from_configuration` checks, with scans in C."""
+    if cfg.pad != BLANK:
+        raise ValueError("walker expects blank padding")
+    word = cfg.word
+    right = word.count(ARROW_RIGHT)
+    count = right + word.count(ARROW_LEFT)
+    if count != 1:
+        raise ValueError(f"expected exactly one arrow, found {count}")
+    pos = cfg.anchor + word.index(ARROW_RIGHT if right else ARROW_LEFT)
+    return ArrowWalk(n, {}, pos, 1 if right else -1), _NodeTable(n, word, cfg.anchor)
+
+
 # ---------------------------------------------------------------------------
 # macro-stepping over resting bracket nodes
 
 
 class _NodeTable:
-    """The resting bracket nodes of one landscape and the cost of crossing
-    each, after HashLife (Gosper, Physica D 10, 1984).
+    """The resting bracket nodes of one configuration and the cost of
+    crossing each, after HashLife (Gosper, Physica D 10, 1984).
 
     A node is a matched pair of resting brackets `[n` ... `]n` whose
     interior holds only nodes, with no two brackets adjacent.  An arrow
@@ -393,6 +413,8 @@ class _NodeTable:
     every child) is one traversal; for make_block this is
     a_0 = 6n+4, a_(k+1) = (4n+2)a_k + 6n+4.
 
+    Nodes are found on demand (`node`), read from the configuration's
+    word as it was before the walk, the arrow's cell read as blank.
     Nodes are numbered by shape, (width, ((child offset, child shape),
     ...)).  What a crossing of a shape does, relative to its open bracket,
     is built from its children's on first use: the arrow position after
@@ -401,34 +423,99 @@ class _NodeTable:
     reached).
     """
 
-    def __init__(self, n: int, brackets: dict):
+    def __init__(self, n: int, word: tuple, anchor: int):
         self.n = n
+        self.word = word  # cell x holds word[x - anchor]; blank beyond
+        self.anchor = anchor
         self.opens: dict = {}  # open cell -> (close cell, shape)
         self.closes: dict = {}  # close cell -> (open cell, shape)
+        self.refused: dict = {}  # outer cell -> a budget its node's S exceeds
+        self._resting = (open_bracket(n), close_bracket(n))
         self.steps: list = []  # shape -> S
         self._keys: list = []  # shape -> (width, children)
         self._shapes: dict = {}
         self._blocks: dict = {}
-        opn, cls = open_bracket(n), close_bracket(n)
-        stack = []  # [open cell, children, still a node]
-        prev = None
-        for x in sorted(brackets):
-            sym = brackets[x]
-            if stack and (x - 1 == prev or sym not in (opn, cls)):
-                stack[-1][2] = False
-            prev = x
-            if sym == opn:
-                stack.append([x, [], True])
-            elif sym == cls and stack:
-                a, children, ok = stack.pop()
-                if ok:
-                    shape = self._shape(x - a, tuple((c - a, s) for c, s in children))
-                    self.opens[a] = (x, shape)
-                    self.closes[x] = (a, shape)
-                    if stack:
-                        stack[-1][1].append((a, shape))
-                elif stack:
-                    stack[-1][2] = False
+
+    def original(self, x: int) -> str:
+        """The symbol of cell x before the walk, the arrow's read as blank."""
+        j = x - self.anchor
+        s = self.word[j] if 0 <= j < len(self.word) else BLANK
+        return BLANK if s in _ARROWS else s
+
+    def copy_brackets(self, brackets: dict, lo: int, hi: int) -> None:
+        """Put the brackets of cells lo..hi, as they were before the walk,
+        into `brackets`."""
+        a, b = max(lo - self.anchor, 0), max(hi - self.anchor + 1, 0)
+        brackets.update(
+            (x, s)
+            for x, s in enumerate(self.word[a:b], self.anchor + a)
+            if s != BLANK and s not in _ARROWS
+        )
+
+    def node(self, x: int, facing: int, budget: int):
+        """(far cell, shape) of the node whose outer bracket, for an arrow
+        facing `facing`, is cell x, if there is one and its S is at most
+        `budget`; else None.
+
+        Cost: the cells of the node read so far.  The word is read from x
+        on, each child matched in turn, until the far bracket or until the
+        S of what has been read already exceeds the budget; each child is
+        given what is left of it.  Every verdict is kept: a node, a cell
+        that is no node's outer bracket (budget infinite) or the budget
+        its node was seen to exceed, so a later call with no larger budget,
+        as in a walk whose steps left only shrink, reads nothing again.
+        """
+        found = (self.opens if facing > 0 else self.closes).get(x)
+        if found is not None:
+            return found if self.steps[found[1]] <= budget else None
+        if self.refused.get(x, -1) >= budget:
+            return None
+        word, size, anchor, n = self.word, len(self.word), self.anchor, self.n
+        near, far = self._resting if facing > 0 else self._resting[::-1]
+        j = x - anchor
+        if not 0 <= j < size or word[j] != near:
+            return None
+        limit = (budget - 2 * n - 2) // (2 * n + 1)  # the largest R whose S fits
+        # r: the steps of one traversal of what is read so far, from the
+        # first interior cell: one per blank and S per child, less one
+        r, children, after_bracket = -1, [], True
+        verdict = budget
+        while r <= limit:
+            j += facing
+            s = word[j] if 0 <= j < size else None
+            if s == BLANK or s in _ARROWS:
+                r += 1
+                after_bracket = False
+            elif after_bracket or (s != near and s != far):
+                verdict = math.inf  # adjacent, not resting or never closed
+                break
+            elif s == far:
+                return self._found(x, j + anchor, children)
+            else:
+                child = self.node(j + anchor, facing, limit - r)
+                if child is None:
+                    if self.refused.get(j + anchor) == math.inf:
+                        verdict = math.inf
+                    break
+                other, shape = child
+                children.append((min(j + anchor, other), shape))
+                r += self.steps[shape] - 1
+                j = other - anchor
+                after_bracket = True
+        self.refused[x] = verdict
+        return None
+
+    def _found(self, near: int, far: int, children: list):
+        """Record the node with outer cells `near` and `far`, whose
+        children, (open cell, shape), were read from near to far; return
+        (far, shape)."""
+        a, b = (near, far) if near < far else (far, near)
+        if near > far:
+            children.reverse()
+        shape = self._shape(b - a, tuple((c - a, s) for c, s in children))
+        self.opens[a] = (b, shape)
+        self.closes[b] = (a, shape)
+        return far, shape
 
     def _shape(self, width: int, children: tuple) -> int:
         key = (width, children)
@@ -512,35 +599,50 @@ def _macro_steps(walk: ArrowWalk, table: _NodeTable, t_max: int):
     shape) after each jump, in the direction the walk faces.  A node is
     jumped when the arrow faces its outer bracket, no bracket lies beyond
     the far one (the walker's stuck check reads that cell at every
-    bounce), none of its brackets differs from when the table was built,
-    and its S fits in the steps left; the walk then ends exactly as S
-    calls of `walk.step` would leave it.  Stops early if the arrow gets
-    stuck.
+    bounce), none of its brackets differs from the table's word, and its
+    S fits in the steps left; the walk then ends exactly as S calls of
+    `walk.step` would leave it.  Stops early if the arrow gets stuck.
+
+    The walk starts with no brackets: they are copied from the table's
+    word over a span of cells that grows, by at least its own width, when
+    the arrow comes within two cells of either end or jumps past it.  So
+    the cost is that of the cells the arrow reaches, not of the word.
     """
     brackets = walk.brackets
-    original = dict(brackets)
-    changed: set = set()  # cells whose bracket differs from `original`
+    changed: set = set()  # cells whose bracket differs from the table's word
     end = walk.steps + t_max
+    lo = hi = walk.pos  # `brackets` holds the brackets of cells lo..hi
+
+    def cover(x):
+        nonlocal lo, hi
+        grow = max(hi - lo, 16)
+        if x - 2 < lo:
+            lo, old = min(x - 2, lo - grow), lo
+            table.copy_brackets(brackets, lo, old - 1)
+        if x + 2 > hi:
+            hi, old = max(x + 2, hi + grow), hi
+            table.copy_brackets(brackets, old + 1, hi)
+
     while walk.steps < end:
+        if not lo + 2 <= walk.pos <= hi - 2:
+            cover(walk.pos)
         ahead = walk.pos + walk.facing
         if ahead in brackets:
-            node = (table.opens if walk.facing > 0 else table.closes).get(ahead)
+            node = table.node(ahead, walk.facing, end - walk.steps)
             if node is not None:
                 other, shape = node
-                a, b = sorted((ahead, other))
-                s = table.steps[shape]
-                if (
-                    s <= end - walk.steps
-                    and other + walk.facing not in brackets
-                    and not (changed and any(a <= c <= b for c in changed))
+                a, b = (ahead, other) if walk.facing > 0 else (other, ahead)
+                cover(other)
+                if other + walk.facing not in brackets and not (
+                    changed and any(a <= c <= b for c in changed)
                 ):
                     walk.pos = other + walk.facing
-                    walk.steps += s
+                    walk.steps += table.steps[shape]
                     yield a, shape
                     continue
             if not walk.step():
                 return
-            if brackets[ahead] == original[ahead]:
+            if brackets[ahead] == table.original(ahead):
                 changed.discard(ahead)
             else:
                 changed.add(ahead)
@@ -596,7 +698,7 @@ def make_block(k: int, n: int) -> BlockSpec:
     pre = make_preblock(k)
     spaced = "-".join(pre)
     lut = {"[": open_bracket(n), "]": close_bracket(n), "-": BLANK}
-    word = tuple(lut[c] for c in spaced)
+    word = tuple(map(lut.__getitem__, spaced))
     assert len(word) == 12 * 2**k - 7
     return BlockSpec(k, n, word)
 
@@ -622,17 +724,18 @@ def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport
     block·arrow with the block restored; the left crossing is the mirror.
     The block is one resting node, so that time is its node S (see
     `_NodeTable`), the same both ways.  Raises Timeout if S exceeds the
-    budget, and ValueError if the budget is negative.
+    budget, and ValueError if the budget is negative.  Cost: the cells
+    the node match reads, the whole block when S fits and a few cells
+    per level when the budget is small.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    block = make_block(k, n)
-    table = _NodeTable(n, {i: s for i, s in enumerate(block.word) if s != BLANK})
-    steps = table.steps[table.opens[0][1]]
     budget = default_step_budget(k, n) if max_steps is None else max_steps
-    if steps > budget:
+    table = _NodeTable(n, make_block(k, n).word, 0)
+    node = table.node(0, 1, budget)
+    if node is None:
         raise Timeout(budget)
-    return CrossingReport(k, n, steps, True)
+    return CrossingReport(k, n, table.steps[node[1]], True)
 
 
 @dataclass(frozen=True)
@@ -696,19 +799,20 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     Arrowless configurations are fixed points; they yield an empty trace with
     the no_arrow flag set.  If the arrow gets stuck the trace is truncated at
     that time and stuck_at records it (the configuration no longer changes).
-    Node crossings are replayed from their position blocks.
+    Node crossings are replayed from their position blocks.  Cost: O(1) per
+    position, plus the cells the arrow reaches (see `_macro_steps`); the
+    arrows are counted in C.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     if not isinstance(cfg, (Padded, Periodic)):
         raise TypeError("unsupported configuration type")
-    count = sum(map(is_arrow, cfg.word))
+    count = cfg.word.count(ARROW_RIGHT) + cfg.word.count(ARROW_LEFT)
     if count == 0:
         return ArrowTrace((), no_arrow=True)
     if count > 1 or not isinstance(cfg, Padded):
         raise ValueError("arrow_trace needs a padded configuration with one arrow")
-    walk = walk_from_configuration(cfg, system.n)
-    table = _NodeTable(walk.n, walk.brackets)
+    walk, table = _walk_and_table(cfg, system.n)
     path = [walk.pos]
     for cell, shape in _macro_steps(walk, table, t_max):
         if shape is None:
@@ -962,19 +1066,20 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
     Cost: a single tick moves the fronts in O(1), and a node crossing (see
     `_NodeTable`) moves only the front on its exit side, taken from the
     node's front moves by one bisection.  Each front holds one breakpoint
-    per move, O(Lambda) in all, not one entry per step.
+    per move, O(Lambda) in all, not one entry per step.  Past counting
+    its arrows in C, nothing is read of the configuration but the cells
+    the arrow reaches and the nodes it faces (see `_macro_steps`).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    walk = walk_from_configuration(cfg, n)
-    table = _NodeTable(n, walk.brackets)
-    brackets, base = walk.brackets, dict(walk.brackets)
+    walk, table = _walk_and_table(cfg, n)
+    brackets = walk.brackets
     hi = lo = walk.pos
     right, left = [(0, hi, 0)], [(0, lo, 0)]
     for cell, shape in _macro_steps(walk, table, t_max):
         if shape is None:
             top = bottom = walk.pos
-            if brackets.get(cell) != base.get(cell):
+            if cell in brackets and brackets[cell] != table.original(cell):
                 top, bottom = max(top, cell), min(bottom, cell)
             # a tick moves the arrow and its faced cell one way only
             if top > hi:

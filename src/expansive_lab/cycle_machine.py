@@ -33,6 +33,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .shift_core import (
+    _SYMBOL,
     Alphabet,
     LocalRule,
     Periodic,
@@ -705,7 +706,7 @@ def sim_params_from_json(text: str) -> SimParams:
     """
     doc = json_object(text, {
         "phi": {}, "phi_inv": {}, "B": int, "W": int, "D": int,
-        "Y": {"kind": str, "data": [list], "max_period": int},
+        "Y": {"kind": str, "data": [[_SYMBOL]], "max_period": int},
     })
     phi = rule_from_json(json.dumps(doc["phi"]))
     phi_inv = rule_from_json(json.dumps(doc["phi_inv"]))

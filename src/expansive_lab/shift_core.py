@@ -517,9 +517,10 @@ def _check_json(value, spec, key) -> None:
     a tuple of types, [spec] for an array of such items, [spec, spec, ...]
     for an array of exactly those items, or {key: spec} for an object whose
     keys, where present, hold those shapes (a missing key is reported when
-    it is read)."""
+    it is read).  No spec asks for a boolean, so true and false match none,
+    not even int, of which bool is a subclass."""
     kind = JsonObject if isinstance(spec, dict) else list if isinstance(spec, list) else spec
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         kinds = kind if isinstance(kind, tuple) else (kind,)
         want = " or ".join("an integer" if k is int else _JSON_KINDS[k] for k in kinds)
         raise ValueError(f"key {key!r}: expected {want}, got {_JSON_KINDS[type(value)]}")

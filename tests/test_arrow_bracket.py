@@ -48,6 +48,7 @@ from expansive_lab.arrow_bracket import (
     walk_from_configuration,
     walk_to_configuration,
 )
+from expansive_lab.arrow_bracket import _NodeTable, _macro_steps, _walk_and_table
 from expansive_lab.shift_core import Padded, Periodic, apply_rule, orbit
 
 # Measured crossing times, frozen.  Level 0 is 6n + 4 for every n tried;
@@ -782,6 +783,187 @@ def test_macro_walk_matches_step_walker_on_arrangements(depth, n, seed, facing,
     cfg = arr.configuration(start - 2000, start + 2000, arrow_at=start,
                             facing=facing)
     _assert_macro_matches_steps(cfg, n, t_max)
+
+
+# ---------------------------------------------------------------------------
+# nodes found on demand against a scan of every bracket
+
+
+def _eager_nodes(n, brackets):
+    """The node table of `brackets` (cell -> symbol) by one scan of them
+    all, in cell order: outer cell -> (other outer cell, S, width, child
+    offsets), for both ends of every node.  The reference of
+    `_NodeTable.node`."""
+    opn, cls = open_bracket(n), close_bracket(n)
+    nodes = {}
+    stack = []  # [open cell, children as (open, close, S), still a node]
+    prev = None
+    for x in sorted(brackets):
+        sym = brackets[x]
+        if stack and (x - 1 == prev or sym not in (opn, cls)):
+            stack[-1][2] = False
+        prev = x
+        if sym == opn:
+            stack.append([x, [], True])
+        elif sym == cls and stack:
+            a, children, ok = stack.pop()
+            if ok:
+                r = x - a - 2 + sum(s - (c - o) - 2 for o, c, s in children)
+                steps = (2 * n + 1) * r + 2 * n + 2
+                offsets = tuple(o - a for o, _, _ in children)
+                nodes[a], nodes[x] = (x, steps, x - a, offsets), (a, steps, x - a, offsets)
+                if stack:
+                    stack[-1][1].append((a, x, steps))
+            elif stack:
+                stack[-1][2] = False
+    return nodes
+
+
+def _brackets_of(cfg):
+    return {x: s for x, s in enumerate(cfg.word, cfg.anchor)
+            if s != BLANK and not is_arrow(s)}
+
+
+def _wanted(eager, x, facing, budget):
+    want = eager.get(x)
+    if want is None or (want[0] - x) * facing < 0 or want[1] > budget:
+        return None
+    return want
+
+
+def _reported(table, got):
+    if got is None:
+        return None
+    other, shape = got
+    width, children = table._keys[shape]
+    return other, table.steps[shape], width, tuple(off for off, _ in children)
+
+
+def _assert_nodes_match_eager(cfg, n, budgets):
+    """Asked at each budget in turn, one table reports for every bracket
+    and facing the node of the eager scan, when its S fits; and fresh
+    tables find each node at budget S and refuse it at S - 1."""
+    brackets = _brackets_of(cfg)
+    eager = _eager_nodes(n, brackets)
+    table = _NodeTable(n, cfg.word, cfg.anchor)
+    for budget in budgets:
+        for x in brackets:
+            for facing in (1, -1):
+                got = table.node(x, facing, budget)
+                assert _reported(table, got) == _wanted(eager, x, facing, budget)
+    for x, want in eager.items():
+        other, steps = want[:2]
+        facing = 1 if other > x else -1
+        assert _NodeTable(n, cfg.word, cfg.anchor).node(x, facing, steps - 1) is None
+        fresh = _NodeTable(n, cfg.word, cfg.anchor)
+        assert _reported(fresh, fresh.node(x, facing, steps)) == want
+
+
+def _assert_walk_table_matches_eager(cfg, n, t_max):
+    """After a macro walk, its walker holds the brackets of the step
+    walker over a span of cells, every node its table holds is an eager
+    node, every refusal is a cell with no node or a node whose S exceeds
+    the recorded budget, and the walk kept to t_max."""
+    eager = _eager_nodes(n, _brackets_of(cfg))
+    walk, table = _walk_and_table(cfg, n)
+    for _ in _macro_steps(walk, table, t_max):
+        pass
+    assert walk.steps <= t_max
+    stepped = walk_from_configuration(cfg, n)
+    while stepped.steps < walk.steps and stepped.step():
+        pass
+    held = walk.brackets
+    lo, hi = min(held, default=0), max(held, default=-1)
+    assert held == {x: s for x, s in stepped.brackets.items() if lo <= x <= hi}
+    for x, node in {**table.opens, **table.closes}.items():
+        assert eager[x] == _reported(table, node)
+    for x, budget in table.refused.items():
+        assert x not in eager or eager[x][1] > budget
+
+
+_BUDGETS = st.lists(st.integers(0, 3000) | st.just(10**30), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrow_words(), _BUDGETS)
+@example((1, (BLANK, "[1", BLANK, "[1", ARROW_LEFT, "]1") + (BLANK, "[1") * 2
+          + (BLANK, "]1") * 2 + (BLANK,) * 4 + ("]1", BLANK), 64),
+         [10**30])  # walks off the word's left end, past a changed bracket
+def test_lazy_nodes_match_eager_scan_on_random_words(case, budgets):
+    n, word, t_max = case
+    cfg = _padded_from_word(word, n, anchor=-3)
+    _assert_nodes_match_eager(cfg, n, budgets)
+    _assert_walk_table_matches_eager(cfg, n, t_max)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    depth=st.integers(1, 8),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+    facing=st.sampled_from((1, -1)),
+    t_max=st.integers(0, 20000),
+    budgets=_BUDGETS,
+)
+def test_lazy_nodes_match_eager_scan_on_arrangements(depth, n, seed, facing,
+                                                     t_max, budgets):
+    arr = hierarchical_arrangement(depth, n, seed)
+    start = 2 * arr.free_cell
+    cfg = arr.configuration(start - 600, start + 600, arrow_at=start,
+                            facing=facing)
+    _assert_nodes_match_eager(cfg, n, budgets)
+    _assert_walk_table_matches_eager(cfg, n, t_max)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lazy_nodes_match_eager_scan_on_blocks(n):
+    for k in range(5):
+        cfg = _padded_from_word(make_block(k, n).word, n)
+        _assert_nodes_match_eager(cfg, n, [10**40, 1000, 17, 0])
+
+
+@pytest.mark.parametrize("t_max", [3, 4, 5])
+def test_node_longer_than_the_steps_left_is_not_jumped(t_max):
+    # `[1 - ]1` takes S = 2n + 2 = 4 steps at n = 1
+    cfg = _padded_from_word((ARROW_RIGHT, "[1", BLANK, "]1"), 1)
+    walk, table = _walk_and_table(cfg, 1)
+    jumps = [s for _, s in _macro_steps(walk, table, t_max) if s is not None]
+    assert [table.steps[s] for s in jumps] == ([4] if t_max >= 4 else [])
+    assert walk.steps == t_max
+    _assert_macro_matches_steps(cfg, 1, t_max)
+
+
+def test_wide_node_with_a_bracket_beyond_is_stepped():
+    # the cell beyond the far bracket lies outside the cells the walker
+    # holds when the arrow first faces the node
+    word = (ARROW_RIGHT, "[1") + (BLANK,) * 40 + ("]1", "[1", BLANK, "]1", BLANK)
+    _assert_macro_matches_steps(_padded_from_word(word, 1), 1, 600)
+
+
+def test_walk_reads_only_the_cells_it_reaches():
+    """A 10^6-step walk into the level-16 block (786,427 cells) reaches
+    about 400 of them.  Its table then holds only nodes inside the reached
+    span, nodes it gave up on lie there too, and the walker holds the
+    brackets of about that span: the walk's work is counted in nodes and
+    cells, not timed."""
+    cfg = _padded_from_word((ARROW_RIGHT, BLANK) + make_block(16, 2).word, 2,
+                            anchor=-2)
+    walk, table = _walk_and_table(cfg, 2)
+    lo = hi = walk.pos
+    for cell, shape in _macro_steps(walk, table, 10**6):
+        if shape is None:
+            lo, hi = min(lo, walk.pos), max(hi, walk.pos)
+        else:  # a jump reaches the cells either side of the node
+            lo, hi = min(lo, cell - 1), max(hi, table.opens[cell][0] + 1)
+    assert walk.steps == 10**6 and hi - lo < 1000
+    inside = _eager_nodes(2, {x: s for x, s in _brackets_of(cfg).items()
+                              if lo <= x <= hi})
+    for x, node in {**table.opens, **table.closes}.items():
+        assert inside[x] == _reported(table, node)
+    assert all(lo <= x <= hi for x in table.refused)
+    assert len(table.refused) < 40  # 22: a few per level of nesting
+    assert all(lo - (hi - lo) - 18 <= x <= hi + (hi - lo) + 18
+               for x in walk.brackets)
 
 
 def test_block_size_budget_allocates_nothing():

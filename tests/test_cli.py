@@ -250,6 +250,16 @@ def test_realize_prints_bound_and_writes_program(capsys, tmp_path):
     assert len(prog.levels) == 20
 
 
+def test_program_file_rejects_a_boolean(capsys, tmp_path):
+    target = tmp_path / "prog.json"
+    assert run(capsys, "realize", "--theta", "1/3", "--depth", "3",
+               "--out", str(target))[0] == 0
+    doc = json.loads(target.read_text())
+    doc["levels"][0]["B"] = True
+    with pytest.raises(ValueError, match="^key 'B': expected an integer, got a boolean$"):
+        program_from_json(json.dumps(doc))
+
+
 @pytest.mark.filterwarnings("ignore::expansive_lab.slope_engine.BoundaryCase")
 def test_realize_zero_target(capsys):
     code, out, _ = run(capsys, "realize", "--theta", "0", "--depth", "5")
@@ -388,6 +398,13 @@ def _rule_doc(**edits):
     return doc
 
 
+def _params_doc(**edits):
+    doc = {"phi": _rule_doc(), "phi_inv": _rule_doc(), "B": 4, "W": 1, "D": 0,
+           "Y": {"kind": "periodic_points", "data": [["0"], ["1"]]}}
+    doc.update(edits)
+    return doc
+
+
 @pytest.mark.parametrize(
     "files, argv, message",
     [
@@ -487,6 +504,22 @@ def _rule_doc(**edits):
             ("tower", "--levels", "8,1,0", "--params", "params.json"),
             "key 'B': expected an integer, got a string",
         ),
+        (
+            {"rule.json": _rule_doc(radius=True)},
+            ("blocking", "--params", "rule.json", "--word", "1"),
+            "key 'radius': expected an integer, got a boolean",
+        ),
+        (
+            {"params.json": _params_doc(phi=_rule_doc(radius=True))},
+            ("tower", "--levels", "64,2,1", "--params", "params.json"),
+            "key 'radius': expected an integer, got a boolean",
+        ),
+        (
+            {"params.json": _params_doc(Y={"kind": "periodic_points",
+                                          "data": [[["0"]]]})},
+            ("tower", "--levels", "64,2,1", "--params", "params.json"),
+            "key 'data': expected a string or an integer, got an array",
+        ),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
          "realize-alphabet-0", "realize-alphabet-negative", "realize-entries-1",
@@ -494,7 +527,8 @@ def _rule_doc(**edits):
          "region-rule-array", "blocking-rule-array", "params-string",
          "entries-number", "entry-number", "window-number", "entry-short",
          "entry-long", "symbol-array", "params-y-array",
-         "params-b-string"],
+         "params-b-string", "rule-radius-boolean", "params-radius-boolean",
+         "params-data-array"],
 )
 def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
                                               files, argv, message):
@@ -505,15 +539,23 @@ def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _walk_starts(*_):
+    raise AssertionError("the walk started")
+
+
 @pytest.mark.parametrize("flag, name", [("--horizon", "horizon"), ("--tmax", "t_max")])
 def test_lyapunov_checks_its_bounds_before_the_walk(capsys, monkeypatch, flag, name):
-    def walk(*_):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr("expansive_lab.arrow_bracket.walk_from_configuration", walk)
+    monkeypatch.setattr("expansive_lab.arrow_bracket._walk_and_table", _walk_starts)
     code, out, err = run(capsys, "lyapunov", "--system", "ab", "--tmax", "3000000",
                          flag, "-1")
     assert (code, out, err) == (2, "", f"error: {name} must be >= 0\n")
+
+
+def test_lyapunov_walk_goes_through_the_patched_start(capsys, monkeypatch):
+    # the positive control of the test above: the patch trips on a valid run
+    monkeypatch.setattr("expansive_lab.arrow_bracket._walk_and_table", _walk_starts)
+    with pytest.raises(AssertionError, match="the walk started"):
+        run(capsys, "lyapunov", "--system", "ab", "--tmax", "10")
 
 
 @pytest.mark.parametrize(
