@@ -37,6 +37,7 @@ from .shift_core import (
     Padded,
     Periodic,
     apply_rule,
+    iterate,
     min_rotation,
 )
 
@@ -294,11 +295,10 @@ class ArrowWalk:
     facing: int
     stuck: bool = False
     steps: int = 0
-    _face: dict = field(default_factory=dict, repr=False)
+    _face: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._face:
-            self._face = _face_maps(self.n)
+        self._face = _face_maps(self.n)
 
     def step(self) -> bool:
         """Advance one tick.  Returns False (and flags stuck) on an
@@ -324,23 +324,14 @@ class ArrowWalk:
         self.steps += 1
         return True
 
-    def snapshot_word(self) -> tuple:
-        """Current content from leftmost to rightmost non-blank cell."""
-        cells = set(self.brackets)
-        cells.add(self.pos)
-        lo, hi = min(cells), max(cells)
-        arrow = ARROW_RIGHT if self.facing > 0 else ARROW_LEFT
-        return tuple(
-            arrow if i == self.pos else self.brackets.get(i, BLANK)
-            for i in range(lo, hi + 1)
-        )
 
-
+@functools.cache
 def _face_maps(n: int) -> dict[int, dict[str, tuple[str, str]]]:
     """Per-direction dispatch: faced bracket symbol -> (new symbol, action).
 
     Extracted from the same transition list the cell map is built from, so
-    the sparse walker cannot drift from the rule table.
+    the sparse walker cannot drift from the rule table.  Built once per
+    bound and shared by every walker at that bound, which only reads it.
     """
     maps: dict[int, dict] = {1: {}, -1: {}}
     for _name, lhs, rhs in transitions(n):
@@ -359,31 +350,27 @@ def _face_maps(n: int) -> dict[int, dict[str, tuple[str, str]]]:
 
 
 def walk_from_configuration(cfg: Padded, n: int) -> ArrowWalk:
-    """Sparse walker for a padded configuration with exactly one arrow."""
-    if cfg.pad != BLANK:
-        raise ValueError("walker expects blank padding")
-    brackets: dict[int, str] = {}
-    arrows = []
-    for i, s in enumerate(cfg.word, cfg.anchor):
-        if is_arrow(s):
-            arrows.append((i, s))
-        elif s != BLANK:
-            brackets[i] = s
-    if len(arrows) != 1:
-        raise ValueError(f"expected exactly one arrow, found {len(arrows)}")
-    (pos, a), = arrows
-    return ArrowWalk(n, brackets, pos, 1 if a == ARROW_RIGHT else -1)
+    """Sparse walker for a padded configuration with exactly one arrow,
+    holding every bracket of its word; raises as `_walk_and_table`."""
+    walk, table = _walk_and_table(cfg, n)
+    table.copy_brackets(walk.brackets, cfg.anchor, cfg.anchor + len(cfg.word) - 1)
+    return walk
 
 
 def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
-    lo = min(walk.pos, min(walk.brackets, default=walk.pos))
-    return Padded(alphabet, walk.snapshot_word(), BLANK, lo)
+    """The configuration `walk` stands for."""
+    cells = walk.brackets.keys() | {walk.pos}
+    lo, hi = min(cells), max(cells)
+    arrow = ARROW_RIGHT if walk.facing > 0 else ARROW_LEFT
+    word = (arrow if i == walk.pos else walk.brackets.get(i, BLANK)
+            for i in range(lo, hi + 1))
+    return Padded(alphabet, word, BLANK, lo)
 
 
 def _walk_and_table(cfg: Padded, n: int):
     """A walker at the one arrow of `cfg`, holding no brackets yet, and the
-    node table of its word, for `_macro_steps`.  Checks what
-    `walk_from_configuration` checks, with scans in C."""
+    node table of its word, for `_macro_steps`.  Raises ValueError unless
+    the padding is blank and the word has exactly one arrow, counted in C."""
     if cfg.pad != BLANK:
         raise ValueError("walker expects blank padding")
     word = cfg.word
@@ -534,20 +521,14 @@ class _NodeTable:
         crossing replayed."""
         width, children = self._keys[shape]
         out = array("q")
-        if facing > 0:
-            cur = 1
-            for off, s in children:
-                out.extend(range(cur + 1, off))
-                out.extend(map(off.__add__, self.positions(s, 1)))
-                cur = off + self._keys[s][0] + 1
-            out.extend(range(cur + 1, width))
-        else:
-            cur = width - 1
-            for off, s in reversed(children):
-                out.extend(range(cur - 1, off + self._keys[s][0], -1))
-                out.extend(map(off.__add__, self.positions(s, -1)))
-                cur = off - 1
-            out.extend(range(cur - 1, 0, -1))
+        # the arrow's cell as the traversal starts, and the far bracket's
+        cur, far = (1, width) if facing > 0 else (width - 1, 0)
+        for off, s in children if facing > 0 else reversed(children):
+            near = off if facing > 0 else off + self._keys[s][0]
+            out.extend(range(cur + facing, near, facing))
+            out.extend(map(off.__add__, self.positions(s, facing)))
+            cur = out[-1]
+        out.extend(range(cur + facing, far, facing))
         return out
 
     def positions(self, shape: int, facing: int) -> array:
@@ -752,26 +733,20 @@ class CrossingLanguage:
         return frozenset(self.right) | frozenset(self.left)
 
 
-def enumerate_L(k: int, n: int, max_steps: int | None = None) -> CrossingLanguage:
+def enumerate_L(k: int, n: int) -> CrossingLanguage:
     """Every configuration the crossing orbit passes through, in both
-    directions, trimmed to the non-blank extent."""
-    block = make_block(k, n)
-    width = block.width
-    budget = default_step_budget(k, n) if max_steps is None else max_steps
-    snapshots = []
-    for facing, start, goal in ((1, -1, width), (-1, width, -1)):
-        walk = ArrowWalk(n, {i: s for i, s in enumerate(block.word) if s != BLANK},
-                         start, facing)
-        original = dict(walk.brackets)
-        seen = [walk.snapshot_word()]
-        while True:
-            if walk.steps >= budget or not walk.step():
-                raise Timeout(budget)
-            seen.append(walk.snapshot_word())
-            if walk.pos == goal and walk.brackets == original:
-                break
-        snapshots.append(tuple(seen))
-    return CrossingLanguage(k, n, snapshots[0], snapshots[1])
+    directions, trimmed to the non-blank extent: the first S + 1 rows of
+    the cell map's orbits of arrow·block and block·arrow, S the block's
+    crossing time from `run_crossing`."""
+    word = make_block(k, n).word
+    system = build_rule(n)
+    rows = run_crossing(k, n).steps + 1
+    right, left = (
+        tuple(cfg.word for cfg in itertools.islice(iterate(system.rule, start), rows))
+        for start in (Padded(system.alphabet, (ARROW_RIGHT,) + word, BLANK),
+                      Padded(system.alphabet, word + (ARROW_LEFT,), BLANK))
+    )
+    return CrossingLanguage(k, n, right, left)
 
 
 # ---------------------------------------------------------------------------
@@ -780,17 +755,13 @@ def enumerate_L(k: int, n: int, max_steps: int | None = None) -> CrossingLanguag
 
 @dataclass(frozen=True)
 class ArrowTrace:
-    path: tuple = ()  # arrow position at t = 0, 1, ...
+    positions: list = field(default_factory=list)  # arrow position at t = 0, 1, ...
     no_arrow: bool = False
     stuck_at: int | None = None
 
     @property
     def pairs(self) -> tuple:
-        return tuple(enumerate(self.path))
-
-    @property
-    def positions(self) -> list[int]:
-        return list(self.path)
+        return tuple(enumerate(self.positions))
 
 
 def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
@@ -807,10 +778,9 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
         raise ValueError("t_max must be >= 0")
     if not isinstance(cfg, (Padded, Periodic)):
         raise TypeError("unsupported configuration type")
-    count = cfg.word.count(ARROW_RIGHT) + cfg.word.count(ARROW_LEFT)
-    if count == 0:
-        return ArrowTrace((), no_arrow=True)
-    if count > 1 or not isinstance(cfg, Padded):
+    if ARROW_RIGHT not in cfg.word and ARROW_LEFT not in cfg.word:
+        return ArrowTrace(no_arrow=True)
+    if not isinstance(cfg, Padded):
         raise ValueError("arrow_trace needs a padded configuration with one arrow")
     walk, table = _walk_and_table(cfg, system.n)
     path = [walk.pos]
@@ -819,7 +789,7 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
             path.append(walk.pos)
         else:
             path += map(cell.__add__, table.positions(shape, walk.facing))
-    return ArrowTrace(tuple(path), stuck_at=walk.steps if walk.stuck else None)
+    return ArrowTrace(path, stuck_at=walk.steps if walk.stuck else None)
 
 
 def admissible(cfg: Configuration, n: int) -> bool:
@@ -878,7 +848,7 @@ class HierarchicalArrangement:
     depth: int
     n: int
     choices: tuple
-    offsets: tuple = ()
+    offsets: tuple = field(init=False)  # c_1, ..., c_(depth+1), from the choices
 
     def __post_init__(self):
         if len(self.choices) != self.depth:
@@ -1073,14 +1043,15 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     walk, table = _walk_and_table(cfg, n)
-    brackets = walk.brackets
     hi = lo = walk.pos
     right, left = [(0, hi, 0)], [(0, lo, 0)]
     for cell, shape in _macro_steps(walk, table, t_max):
         if shape is None:
-            top = bottom = walk.pos
-            if cell in brackets and brackets[cell] != table.original(cell):
-                top, bottom = max(top, cell), min(bottom, cell)
+            # the arrow and the faced cell: every transition rewrites the
+            # faced bracket to another symbol, so it differs from the
+            # background now or did at an earlier tick
+            pos = walk.pos
+            top, bottom = (cell, pos) if cell > pos else (pos, cell)
             # a tick moves the arrow and its faced cell one way only
             if top > hi:
                 hi = top

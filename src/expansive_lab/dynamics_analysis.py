@@ -274,7 +274,9 @@ class Front(Sequence):
     def __eq__(self, other):
         if not isinstance(other, (Front, list, tuple)):
             return NotImplemented
-        return len(self) == len(other) and list(self) == list(other)
+        if len(self) != len(other):
+            return False
+        return list(self) == (other if isinstance(other, list) else list(other))
 
     def __repr__(self) -> str:
         return f"Front({self._n}, {self._b!r})"
@@ -583,13 +585,14 @@ class BlockingReport:
 
 
 def embedded_word_family(
-    alphabet: Alphabet, words: Sequence[tuple], pad, mark=None
+    alphabet: Alphabet, words: Sequence[tuple], pad
 ) -> tuple:
     """For each word: the word embedded at [1, len], plus variants carrying
-    one extra non-pad symbol two cells right of the word and two cells left
-    of it.  The variant pairs give every embedded word both one-sided
-    shielding tests something to shield against."""
-    mark = mark if mark is not None else next(s for s in alphabet if s != pad)
+    one extra symbol, the alphabet's first non-pad one, two cells right of
+    the word and two cells left of it.  The variant pairs give every
+    embedded word both one-sided shielding tests something to shield
+    against."""
+    mark = next(s for s in alphabet if s != pad)
     family = []
     for w in words:
         w = tuple(w)

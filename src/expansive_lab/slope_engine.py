@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .cycle_machine import (
     idealized_schedule,
@@ -210,14 +210,12 @@ def _bracket_level(t: Fraction, concrete: bool):
         n += 1
 
 
-def _policy(spec) -> Callable[[int, int], int]:
-    if spec == "minimal":
-        return lambda b_min, k: b_min
-    if spec == "pow2":
-        return lambda b_min, k: 1 << max(0, b_min - 1).bit_length()
-    if callable(spec):
-        return spec
-    raise ValueError(f"unknown block policy {spec!r}")
+# block-length policies by name: the least B, or the least power of two
+# at least b_min
+_POLICIES = {
+    "minimal": lambda b_min: b_min,
+    "pow2": lambda b_min: 1 << max(0, b_min - 1).bit_length(),
+}
 
 
 def realize_slope(
@@ -238,10 +236,10 @@ def realize_slope(
     [alpha, alpha + beta) for the exact cycle length, and recurses on
     (target - alpha)/beta.  The minimal B additionally keeps the rescaled
     target's gap to 1 from shrinking by more than half per level, so
-    block lengths stay finite at every depth.  b_policy ("minimal",
-    "pow2", or a callable (b_min, level) -> B >= b_min) may pick larger
-    blocks.  The result satisfies |lambda_eval(prog, depth)[0] - theta|
-    <= prod(beta_k).
+    block lengths stay finite at every depth.  b_policy "minimal" takes
+    that B and "pow2" the least power of two at least as large; any
+    other policy raises ValueError.  The result satisfies
+    |lambda_eval(prog, depth)[0] - theta| <= prod(beta_k).
     """
     t = _as_fraction(theta)
     if abs(t) >= 1:
@@ -251,7 +249,9 @@ def realize_slope(
         )
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    policy = _policy(b_policy)
+    policy = _POLICIES.get(b_policy)
+    if policy is None:
+        raise ValueError(f"unknown block policy {b_policy!r}")
     if idealized:
         overhead = 0
     else:
@@ -283,11 +283,7 @@ def realize_slope(
             elif cur < 0:
                 ratio = cur * n / d
                 b_min = max(b_min, _ceil(ratio * overhead / (1 - ratio)))
-        b = policy(b_min, k)
-        if not isinstance(b, int) or b < b_min:
-            raise ValueError(
-                f"block policy returned {b!r}; level {k + 1} needs B >= {b_min}"
-            )
+        b = policy(b_min)
         if idealized:
             sched = idealized_schedule(b, w, d)
         else:

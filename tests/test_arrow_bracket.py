@@ -270,6 +270,39 @@ def test_enumerate_L_members_have_one_arrow():
         assert word[0] != BLANK and word[-1] != BLANK
 
 
+def _snapshot(walk):
+    """The walker's cells from its leftmost to its rightmost non-blank one."""
+    cells = set(walk.brackets) | {walk.pos}
+    arrow = ARROW_RIGHT if walk.facing > 0 else ARROW_LEFT
+    return tuple(arrow if i == walk.pos else walk.brackets.get(i, BLANK)
+                 for i in range(min(cells), max(cells) + 1))
+
+
+def _stepped_language(k, n, facing):
+    """Every word of one crossing of block(k, n), by ArrowWalk.step alone,
+    until arrow and block first stand restored on the far side: the
+    reference of `enumerate_L`."""
+    word = make_block(k, n).word
+    start, goal = (-1, len(word)) if facing > 0 else (len(word), -1)
+    walk = ArrowWalk(n, {i: s for i, s in enumerate(word) if s != BLANK},
+                     start, facing)
+    original = dict(walk.brackets)
+    seen = [_snapshot(walk)]
+    while walk.step():
+        seen.append(_snapshot(walk))
+        if walk.pos == goal and walk.brackets == original:
+            return tuple(seen)
+    raise AssertionError(f"arrow stuck in block({k}, {n})")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_enumerate_L_matches_step_walker(k, n):
+    lang = enumerate_L(k, n)
+    assert lang.right == _stepped_language(k, n, 1)
+    assert lang.left == _stepped_language(k, n, -1)
+
+
 # ---------------------------------------------------------------------------
 # walker against the cell map
 
@@ -329,6 +362,45 @@ def test_walk_roundtrip():
     assert walk_to_configuration(walk, level_alphabet(n)) == cfg
 
 
+def _scanned_walk(cfg, n):
+    """The walker of `cfg` by one scan of its cells: the reference of
+    `walk_from_configuration`."""
+    if cfg.pad != BLANK:
+        raise ValueError("walker expects blank padding")
+    brackets, arrows = {}, []
+    for i, s in enumerate(cfg.word, cfg.anchor):
+        if is_arrow(s):
+            arrows.append((i, s))
+        elif s != BLANK:
+            brackets[i] = s
+    if len(arrows) != 1:
+        raise ValueError(f"expected exactly one arrow, found {len(arrows)}")
+    (pos, a), = arrows
+    return ArrowWalk(n, brackets, pos, 1 if a == ARROW_RIGHT else -1)
+
+
+@pytest.mark.parametrize("word,pad", [
+    (("[1", BLANK, "]1"), BLANK),
+    ((ARROW_RIGHT, "[1", BLANK, ARROW_LEFT), BLANK),
+    ((ARROW_RIGHT, BLANK), "]1"),
+])
+def test_walker_start_refuses_what_the_cell_scan_refuses(word, pad):
+    cfg = Padded(level_alphabet(1), word, pad)
+    with pytest.raises(ValueError) as want:
+        _scanned_walk(cfg, 1)
+    with pytest.raises(ValueError) as got:
+        walk_from_configuration(cfg, 1)
+    assert str(got.value) == str(want.value)
+
+
+def test_walkers_share_one_dispatch_table_per_bound():
+    walk = ArrowWalk(2, {}, 0, 1)
+    assert walk_from_configuration(_padded_from_word((ARROW_LEFT,), 2), 2)._face is walk._face
+    assert ArrowWalk(1, {}, 0, 1)._face is not walk._face
+    with pytest.raises(TypeError):
+        ArrowWalk(2, {}, 0, 1, _face={})
+
+
 # ---------------------------------------------------------------------------
 # traces, conservation, locality
 
@@ -339,6 +411,7 @@ def test_trace_of_free_arrow():
     cfg = _padded_from_word((ARROW_RIGHT,), n)
     trace = arrow_trace(cfg, system, 25)
     assert trace.positions == list(range(26))
+    assert trace.positions is trace.positions  # the trace holds one list
     assert trace.stuck_at is None and not trace.no_arrow
 
 
@@ -606,6 +679,13 @@ def test_bad_choices_length_rejected():
         HierarchicalArrangement(3, 1, ((0, 0),))
 
 
+def test_arrangement_offsets_are_derived_not_passed():
+    from expansive_lab.arrow_bracket import HierarchicalArrangement
+
+    with pytest.raises(TypeError):
+        HierarchicalArrangement(1, 1, ((0, 0),), offsets=(0, 5))
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -751,6 +831,14 @@ def _arrow_words(draw):
     at = draw(st.sampled_from([i for i, s in enumerate(word) if s == BLANK]))
     word[at] = draw(st.sampled_from((ARROW_RIGHT, ARROW_LEFT)))
     return n, tuple(word), draw(st.integers(0, 3000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrow_words(), st.integers(-5, 5))
+def test_walker_start_matches_cell_scan(case, anchor):
+    n, word, _ = case
+    cfg = _padded_from_word(word, n, anchor)
+    assert walk_from_configuration(cfg, n) == _scanned_walk(cfg, n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -442,7 +442,7 @@ def test_shift_refutes_every_short_word():
     for length in range(1, 5):
         for idx in range(2**length):
             word = tuple("01"[(idx >> j) & 1] for j in range(length))
-            fam = embedded_word_family(BIN, [word], "0", mark="1")
+            fam = embedded_word_family(BIN, [word], "0")
             (report,) = blocking_word_search(sigma, fam, length, 8, words=[word])
             assert isinstance(report.verdict, RefutedAt), word
             assert report.verdict.t <= 2
@@ -537,7 +537,7 @@ def test_blocking_rejects_mixed_pads():
 
 
 def test_embedded_word_family_shape():
-    fam = embedded_word_family(BIN, [("0", "1")], "0", mark="1")
+    fam = embedded_word_family(BIN, [("0", "1")], "0")
     assert len(fam) == 3
     base, right_mark, left_mark = fam
     assert right_mark[4] == "1"
