@@ -173,6 +173,10 @@ def cmd_render(args) -> int:
 # report commands
 
 
+MAX_REGION_CELLS = 2**22  # cells a region's family members may be read on
+MAX_BLOCKING_MAXLEN = 15  # 2^16 - 2 words to report
+
+
 def cmd_region(args) -> int:
     # the library reads n = -1 as an empty agreement window; the CLI's
     # agreement radius starts at 0
@@ -181,6 +185,13 @@ def cmd_region(args) -> int:
     rule, inverse = _binary_rule(args)
     t_range = _span(args.trange)
     i_range = _span(args.irange)
+    # each of padded_scale_family's members is read on [-n, n], then on the
+    # i-range at every time its orbit passes, from 0 out to both ends
+    times = max(t_range[-1] + 1, 0) + max(-t_range.start, 0)
+    cells = (2 * max(args.cmax, 0) + 2) * (2 * args.n + 1 + times * len(i_range))
+    if cells > MAX_REGION_CELLS:
+        raise ValueError(f"the region would read {cells} cells, above MAX_REGION_CELLS = "
+                         f"{MAX_REGION_CELLS}; narrow --n, --trange or --irange")
     family = padded_scale_family(BINARY, args.cmax, "0")
     region = determined_region(
         rule,
@@ -232,6 +243,9 @@ def cmd_blocking(args) -> int:
             raise ValueError("words must be over the symbols 0 and 1")
         if not all(words):
             raise ValueError("words must be nonempty")
+    elif args.maxlen > MAX_BLOCKING_MAXLEN:
+        raise ValueError(f"--maxlen {args.maxlen} is above the limit {MAX_BLOCKING_MAXLEN}: "
+                         "the report tests every binary word up to that length")
     else:
         words = [
             w
@@ -268,13 +282,14 @@ def cmd_realize(args) -> int:
         table_entries=args.table_entries,
     )
     lam, bound = lambda_eval(prog)
-    out = [f"lambda_{args.depth} = {lam}", f"bound = {bound}"]
     direction = direction_of(lam)
-    if direction.vertical:
-        out.append("direction: vertical")
-    else:
-        out.append(f"direction: slope {direction.slope}")
-    sys.stdout.write("\n".join(out) + "\n")
+    try:  # str() refuses an int of more than sys.get_int_max_str_digits()
+        text = (f"lambda_{args.depth} = {lam}\nbound = {bound}\ndirection: "
+                + ("vertical" if direction.vertical else f"slope {direction.slope}"))
+    except ValueError:
+        raise ValueError(f"lambda_{args.depth} or its bound has too many digits "
+                         "to print; lower --depth") from None
+    sys.stdout.write(text + "\n")
     if args.out:
         _write(program_to_json(prog), args.out)
     return 0

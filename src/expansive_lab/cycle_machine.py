@@ -602,15 +602,21 @@ def shape_transform(level) -> tuple:
     )
 
 
+def compose_levels(levels) -> tuple:
+    """The product of the levels' `shape_transform` matrices, in order, as
+    integers (x, y, p) with the product [[1, x/p], [0, y/p]]: every factor
+    [[1, D], [0, T/B]] keeps that shape, so a level costs a few integer
+    products and no gcd.  y is the product of the T and p of the B."""
+    x, y, p = 0, 1, 1
+    for lv in levels:
+        x, y, p = lv.D * lv.B * p + x * lv.T, y * lv.T, p * lv.B
+    return x, y, p
+
+
 def shape_product(levels) -> tuple:
     """The product of the levels' `shape_transform` matrices, in order."""
-    m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for a in map(shape_transform, levels):
-        m = tuple(
-            tuple(m[i][0] * a[0][j] + m[i][1] * a[1][j] for j in (0, 1))
-            for i in (0, 1)
-        )
-    return m
+    x, y, p = compose_levels(levels)
+    return (Fraction(1), Fraction(x, p)), (Fraction(0), Fraction(y, p))
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,16 @@ of `cycle_machine` or in an idealized mode with T = B*(1+W+|D|).
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .cycle_machine import (
-    idealized_schedule,
+    compose_levels,
     min_block_length,
     schedule_from_counts,
     shape_product,
-    shape_transform,  # noqa: F401  (part of this module's interface)
 )
 from .dynamics_analysis import Direction
 from .shift_core import json_object
@@ -61,10 +59,6 @@ def _as_fraction(value: Rational) -> Fraction:
         raise ValueError(f"target {value!r} has a zero denominator") from None
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
 # ---------------------------------------------------------------------------
 # level algebra
 
@@ -85,24 +79,6 @@ class LevelParams:
             raise ValueError("wait count W must be >= 1")
         if self.T < 1:
             raise ValueError("cycle length T must be >= 1")
-
-
-@dataclass(frozen=True)
-class AlphaBeta:
-    """The level's contribution alpha = D*B/T, scale beta = B/T, and the
-    measured deviation epsilon of T from the idealized B*(1+W+|D|)."""
-
-    alpha: Fraction
-    beta: Fraction
-    epsilon: Fraction
-
-
-def alpha_beta(p: LevelParams) -> AlphaBeta:
-    return AlphaBeta(
-        alpha=Fraction(p.D * p.B, p.T),
-        beta=Fraction(p.B, p.T),
-        epsilon=Fraction(p.T, p.B * (1 + p.W + abs(p.D))) - 1,
-    )
 
 
 @dataclass(frozen=True)
@@ -129,21 +105,20 @@ def lambda_eval(prog: SlopeProgram, depth: Optional[int] = None):
 
     Returns (lambda_m, prod(beta_k) for k <= m) where m = depth, both as
     exact rationals.  Raises InvalidLevel when some beta exceeds 1/2.
+    Both are read off the composed level transform [[1, x/p], [0, y/p]]:
+    lambda_m = x/y and the bound is p/y.
     """
-    levels = prog.levels if depth is None else prog.levels[:depth]
     if depth is not None and not 0 <= depth <= len(prog.levels):
         raise ValueError(f"depth {depth} outside 0..{len(prog.levels)}")
-    abs_ = [alpha_beta(p) for p in levels]
-    for p, ab in zip(levels, abs_):
-        if ab.beta > Fraction(1, 2):
+    levels = prog.levels[:depth]
+    for p in levels:
+        if 2 * p.B > p.T:
             raise InvalidLevel(
-                f"level {p} has beta = {ab.beta} > 1/2 (needs T/B >= 2)"
+                f"level {p} has beta = {Fraction(p.B, p.T)} > 1/2 "
+                "(needs T/B >= 2)"
             )
-    lam = Fraction(0)
-    for ab in reversed(abs_):
-        lam = ab.alpha + ab.beta * lam
-    bound = math.prod((ab.beta for ab in abs_), start=Fraction(1))
-    return lam, bound
+    x, y, p = compose_levels(levels)
+    return Fraction(x, y), Fraction(p, y)
 
 
 def direction_of(lam: Fraction) -> Direction:
@@ -177,8 +152,7 @@ def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:
     last.  depth=0 gives the unit ball itself."""
     if not 0 <= depth <= len(prog.levels):
         raise ValueError(f"depth {depth} outside 0..{len(prog.levels)}")
-    m = shape_product(prog.levels[:depth])
-    x, y = m[0][1], m[1][1]
+    (_, x), (_, y) = shape_product(prog.levels[:depth])
     one, zero = Fraction(1), Fraction(0)
     return ShapePolygon(((one, zero), (x, y), (-one, zero), (-x, -y)))
 
@@ -187,8 +161,9 @@ def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:
 # realizing a target
 
 
-def _bracket_level(t: Fraction, concrete: bool):
-    """Least-denominator bracket [D/n, (D+1)/n) containing t, n = 1+W+|D|.
+def _bracket_level(u: int, v: int, concrete: bool):
+    """Least-denominator bracket [D/n, (D+1)/n) containing t = u/v, v > 0,
+    n = 1+W+|D|.
 
     Returns (W, D, n, endpoint_hit).  W >= 2 always; the smallest feasible
     n is unique, and within it D = floor(t*n) is the only candidate, so
@@ -197,14 +172,16 @@ def _bracket_level(t: Fraction, concrete: bool):
     skipped: alpha = q*D/n > D/n for every finite block length, so no B
     reaches that endpoint.
     """
-    if t >= 0:
-        n = max(3, math.floor(2 / (1 - t)) + 1)
+    # the first n with |D| <= n-3 possible: floor(2/(1-t)) + 1 for t >= 0
+    # and ceil(3/(1+t)) below, both at least 3
+    if u >= 0:
+        n = 2 * v // (v - u) + 1
     else:
-        n = max(3, _ceil(3 / (1 + t)))
+        n = -(-3 * v // (v + u))
     while True:
-        d = math.floor(t * n)
+        d = u * n // v
         if abs(d) <= n - 3:
-            hit = t == Fraction(d, n)
+            hit = u * n == d * v
             if not (hit and d < 0 and concrete):
                 return n - 1 - abs(d), d, n, hit
         n += 1
@@ -252,51 +229,50 @@ def realize_slope(
     policy = _POLICIES.get(b_policy)
     if policy is None:
         raise ValueError(f"unknown block policy {b_policy!r}")
-    if idealized:
-        overhead = 0
-    else:
+    # every schedule's cycle length is T = (B + C)(1+W+|D|), with C its
+    # overhead `c5`, the same at every (B, W, D): 0 when idealized
+    overhead = 0
+    if not idealized:
         probe_b = min_block_length(alphabet_size, table_entries, 2, 0)
-        overhead = schedule_from_counts(
-            alphabet_size, table_entries, probe_b, 2, 0
-        ).c5
+        overhead = schedule_from_counts(alphabet_size, table_entries, probe_b, 2, 0).c5
     levels = []
     warned = False
-    cur = t
+    # the current target, u/v with v > 0, is never reduced: every test on
+    # it is an integer comparison
+    u, v = t.numerator, t.denominator
     for k in range(depth):
-        w, d, n, hit = _bracket_level(cur, overhead > 0)
+        w, d, n, hit = _bracket_level(u, v, overhead > 0)
         if hit and not warned:
             warnings.warn(
                 BoundaryCase(
-                    f"target {cur} is the closed lower endpoint of the "
+                    f"target {Fraction(u, v)} is the closed lower endpoint of the "
                     f"level-{k + 1} bracket [{Fraction(d, n)}, "
                     f"{Fraction(d + 1, n)})"
                 )
             )
             warned = True
-        if idealized:
-            b_min = 1
-        else:
+        b_min = 1
+        if not idealized:
             b_min = min_block_length(alphabet_size, table_entries, w, d)
-            if cur > 0:
-                gap = (d + 1) - cur * n
-                b_min = max(b_min, _ceil(2 * cur * n * overhead / gap))
-            elif cur < 0:
-                ratio = cur * n / d
-                b_min = max(b_min, _ceil(ratio * overhead / (1 - ratio)))
+            # the ceilings of 2*t*n*overhead / (d + 1 - t*n) for t > 0 and
+            # of r*overhead / (1 - r), r = t*n/d, for t < 0
+            un = u * n
+            if u > 0:
+                b_min = max(b_min, -(-2 * un * overhead // ((d + 1) * v - un)))
+            elif u < 0:
+                b_min = max(b_min, -(-un * overhead // (d * v - un)))
         b = policy(b_min)
-        if idealized:
-            sched = idealized_schedule(b, w, d)
-        else:
-            sched = schedule_from_counts(alphabet_size, table_entries, b, w, d)
-        alpha = Fraction(d * b, sched.T)
-        beta = Fraction(b, sched.T)
-        if not alpha <= cur < alpha + beta:
+        T = (b + overhead) * n
+        # alpha <= t < alpha + beta, with alpha = d*b/T and beta = b/T
+        if not d * b * v <= u * T < (d + 1) * b * v:
+            alpha, beta = Fraction(d * b, T), Fraction(b, T)
             raise ValueError(
-                f"block policy broke the level-{k + 1} bracket: {cur} "
+                f"block policy broke the level-{k + 1} bracket: {Fraction(u, v)} "
                 f"outside [{alpha}, {alpha + beta})"
             )
-        levels.append(LevelParams(b, w, d, sched.T))
-        cur = (cur - alpha) / beta
+        levels.append(LevelParams(b, w, d, T))
+        # the next target, (t - alpha) / beta
+        u, v = u * T - d * b * v, b * v
     return SlopeProgram(tuple(levels), t)
 
 

@@ -1,6 +1,11 @@
 """Command line behavior: formats, golden outputs, exit codes."""
 
 import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -375,6 +380,47 @@ def test_bad_arrow_and_tower_inputs_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _run_capped(*argv):
+    """The CLI in a child process whose address space is capped at 1 GiB,
+    so that an input it tries to materialize fails there, not here."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "expansive_lab.cli", *argv],
+        preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("blocking", "--rule", "identity", "--maxlen", "30", "--tmax", "10"),
+         "--maxlen"),
+        (("region", "--rule", "shift", "--d", "1", "--n", "100000000",
+          "--trange", "-4..4", "--irange", "-8..8"), "--n"),
+        (("region", "--rule", "shift", "--d", "1", "--n", "2",
+          "--trange", "-4..4", "--irange", "-100000000..100000000"), "--irange"),
+    ],
+    ids=["blocking-maxlen-budget", "region-n-budget", "region-irange-budget"],
+)
+def test_size_budgets_refuse_before_building(argv, option):
+    proc = _run_capped(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert option in proc.stderr
+
+
+def test_realize_with_too_many_digits_names_depth(capsys):
+    code, out, err = run(capsys, "realize", "--theta", "1/3", "--depth", "120")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: lambda_120 or its bound has too many digits to print; "
+        "lower --depth\n"
+    )
 
 
 def test_crossing_timeout_prints_the_budget(capsys):

@@ -1,28 +1,151 @@
 """Slope realization tests: the nested lambda formula, polygon shapes,
-and the greedy parameter search."""
+and the greedy parameter search, checked against the per-level Fraction
+references below."""
 
 import json
+import math
+import warnings
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from expansive_lab.cycle_machine import (
+    SimParams,
+    TowerLevel,
+    idealized_schedule,
+    min_block_length,
+    schedule_from_counts,
+    shape_product,
+    shape_transform,
+    tower,
+)
+from expansive_lab.dynamics_analysis import periodic_family
+from expansive_lab.shift_core import Alphabet, identity_rule
 from expansive_lab.slope_engine import (
     BoundaryCase,
     InvalidLevel,
     LevelParams,
     SlopeProgram,
     Unrealizable,
-    alpha_beta,
     delta_polygon,
     direction_of,
     lambda_eval,
     program_from_json,
     program_to_json,
     realize_slope,
-    shape_transform,
 )
 
 QUARTER = LevelParams(10, 2, 1, 40)  # alpha = beta = 1/4, idealized
+
+
+# ---------------------------------------------------------------------------
+# references: one Fraction per level, as the formulas read
+
+
+@dataclass(frozen=True)
+class AlphaBeta:
+    """The level's contribution alpha = D*B/T, scale beta = B/T, and the
+    measured deviation epsilon of T from the idealized B*(1+W+|D|)."""
+
+    alpha: F
+    beta: F
+    epsilon: F
+
+
+def alpha_beta(p) -> AlphaBeta:
+    return AlphaBeta(
+        alpha=F(p.D * p.B, p.T),
+        beta=F(p.B, p.T),
+        epsilon=F(p.T, p.B * (1 + p.W + abs(p.D))) - 1,
+    )
+
+
+def reference_lambda_eval(prog, depth=None):
+    """lambda_m = alpha_1 + beta_1*(alpha_2 + ...) folded from the inside,
+    and the product of the betas."""
+    levels = prog.levels if depth is None else prog.levels[:depth]
+    if depth is not None and not 0 <= depth <= len(prog.levels):
+        raise ValueError(f"depth {depth} outside 0..{len(prog.levels)}")
+    abs_ = [alpha_beta(p) for p in levels]
+    for p, ab in zip(levels, abs_):
+        if ab.beta > F(1, 2):
+            raise InvalidLevel(
+                f"level {p} has beta = {ab.beta} > 1/2 (needs T/B >= 2)"
+            )
+    lam = F(0)
+    for ab in reversed(abs_):
+        lam = ab.alpha + ab.beta * lam
+    return lam, math.prod((ab.beta for ab in abs_), start=F(1))
+
+
+def reference_shape_product(levels):
+    """The dense 2x2 product of the levels' `shape_transform` matrices."""
+    m = ((F(1), F(0)), (F(0), F(1)))
+    for a in map(shape_transform, levels):
+        m = tuple(
+            tuple(m[i][0] * a[0][j] + m[i][1] * a[1][j] for j in (0, 1))
+            for i in (0, 1)
+        )
+    return m
+
+
+def _ceil(x: F) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
+def _reference_bracket(t: F, concrete: bool):
+    n = max(3, math.floor(2 / (1 - t)) + 1) if t >= 0 else max(3, _ceil(3 / (1 + t)))
+    while True:
+        d = math.floor(t * n)
+        if abs(d) <= n - 3:
+            hit = t == F(d, n)
+            if not (hit and d < 0 and concrete):
+                return n - 1 - abs(d), d, n, hit
+        n += 1
+
+
+def reference_realize_slope(theta, depth, b_policy="minimal", *,
+                            idealized=False, alphabet_size=2, table_entries=0):
+    """The greedy nesting with a reduced Fraction target and each level's
+    schedule built; the argument checks are left to `realize_slope`."""
+    t = F(theta)
+    policy = {"minimal": lambda b: b,
+              "pow2": lambda b: 1 << max(0, b - 1).bit_length()}[b_policy]
+    overhead = 0
+    if not idealized:
+        probe_b = min_block_length(alphabet_size, table_entries, 2, 0)
+        overhead = schedule_from_counts(alphabet_size, table_entries, probe_b, 2, 0).c5
+    levels, warned, cur = [], False, t
+    for k in range(depth):
+        w, d, n, hit = _reference_bracket(cur, overhead > 0)
+        if hit and not warned:
+            warnings.warn(BoundaryCase(
+                f"target {cur} is the closed lower endpoint of the level-{k + 1} "
+                f"bracket [{F(d, n)}, {F(d + 1, n)})"))
+            warned = True
+        b_min = 1
+        if not idealized:
+            b_min = min_block_length(alphabet_size, table_entries, w, d)
+            if cur > 0:
+                b_min = max(b_min, _ceil(2 * cur * n * overhead / ((d + 1) - cur * n)))
+            elif cur < 0:
+                ratio = cur * n / d
+                b_min = max(b_min, _ceil(ratio * overhead / (1 - ratio)))
+        b = policy(b_min)
+        if idealized:
+            sched = idealized_schedule(b, w, d)
+        else:
+            sched = schedule_from_counts(alphabet_size, table_entries, b, w, d)
+        alpha, beta = F(d * b, sched.T), F(b, sched.T)
+        if not alpha <= cur < alpha + beta:
+            raise ValueError(
+                f"block policy broke the level-{k + 1} bracket: {cur} "
+                f"outside [{alpha}, {alpha + beta})")
+        levels.append(LevelParams(b, w, d, sched.T))
+        cur = (cur - alpha) / beta
+    return SlopeProgram(tuple(levels), t)
 
 
 def test_alpha_beta_examples():
@@ -70,8 +193,12 @@ def test_lambda_eval_bound_shrinks_geometrically():
 
 def test_lambda_eval_rejects_wide_beta():
     prog = SlopeProgram((LevelParams(10, 2, 0, 15),))  # beta = 2/3
-    with pytest.raises(InvalidLevel):
+    with pytest.raises(InvalidLevel) as exc:
         lambda_eval(prog)
+    assert str(exc.value) == (
+        "level LevelParams(B=10, W=2, D=0, T=15) has beta = 2/3 > 1/2 "
+        "(needs T/B >= 2)"
+    )
 
 
 def test_shape_transform_fixed_points():
@@ -260,3 +387,104 @@ def test_program_json_without_target():
     assert parsed.theta is None
     assert parsed.lam == F(5, 16)
     assert parsed.bound == F(1, 16)
+
+
+# ---------------------------------------------------------------------------
+# the integer level composition against the references
+
+
+def _outcome(call):
+    """What a call returns, or the type and message of what it raises,
+    with the warnings it gives on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("returns", call())
+        except ValueError as exc:
+            result = ("raises", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+targets = st.one_of(
+    st.just(F(0)),
+    # exact lower endpoints D/n of the brackets the first level can take
+    st.integers(3, 60).flatmap(
+        lambda n: st.integers(3 - n, n - 3).map(lambda d: F(d, n))),
+    st.integers(2, 10**6).flatmap(
+        lambda den: st.integers(1 - den, den - 1).map(lambda num: F(num, den))),
+)
+
+
+@st.composite
+def slope_programs(draw):
+    kw = {"b_policy": draw(st.sampled_from(("minimal", "pow2"))),
+          "idealized": draw(st.booleans())}
+    if not kw["idealized"]:
+        kw["alphabet_size"] = draw(st.sampled_from((2, 3, 5)))
+        kw["table_entries"] = draw(st.sampled_from((0, 4, 25)))
+    return draw(targets), draw(st.integers(1, 60)), kw
+
+
+@settings(max_examples=60, deadline=None)
+@given(slope_programs())
+@example((F(0), 60, {"b_policy": "minimal", "idealized": False}))
+@example((F(-2, 5), 12, {"b_policy": "pow2", "idealized": False}))
+@example((F(-2, 5), 12, {"b_policy": "minimal", "idealized": True}))
+@example((F(1, 3), 60, {"b_policy": "minimal", "idealized": False}))
+def test_integer_composition_equals_fraction_references(case):
+    theta, depth, kw = case
+    got = _outcome(lambda: realize_slope(theta, depth, **kw))
+    assert got == _outcome(lambda: reference_realize_slope(theta, depth, **kw))
+    prog = got[0][1]
+    for m in range(depth + 1):
+        assert lambda_eval(prog, m) == reference_lambda_eval(prog, m)
+        dense = reference_shape_product(prog.levels[:m])
+        assert shape_product(prog.levels[:m]) == dense
+        (x, y) = dense[0][1], dense[1][1]
+        assert delta_polygon(prog, m).vertices == ((1, 0), (x, y), (-1, 0), (-x, -y))
+
+
+@st.composite
+def level_stacks(draw):
+    """Any levels, a beta above 1/2 included."""
+    levels = []
+    for _ in range(draw(st.integers(0, 10))):
+        b = draw(st.integers(1, 500))
+        levels.append(LevelParams(b, draw(st.integers(1, 4)), draw(st.integers(-6, 6)),
+                                  draw(st.integers(max(1, b - 3), 5 * b))))
+    return SlopeProgram(tuple(levels))
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_stacks())
+def test_any_level_stack_evaluates_as_the_references(prog):
+    for m in (None, *range(-1, len(prog.levels) + 2)):
+        assert _outcome(lambda: lambda_eval(prog, m)) == _outcome(
+            lambda: reference_lambda_eval(prog, m))
+    assert shape_product(prog.levels) == reference_shape_product(prog.levels)
+
+
+BINARY = Alphabet(("0", "1"))
+BASE = SimParams(identity_rule(BINARY), identity_rule(BINARY),
+                 periodic_family(BINARY, 2), 4, 1, 0)
+
+
+@st.composite
+def tower_levels(draw):
+    """1-3 tower levels over BASE's binary alphabet, each block at most 40
+    cells longer than the least that holds its program layer."""
+    n, levels = 2, []
+    for _ in range(draw(st.integers(1, 3))):
+        w, d = draw(st.integers(1, 3)), draw(st.integers(-2, 2))
+        b = min_block_length(n, 0, w, d) + draw(st.integers(0, 40))
+        n *= b * schedule_from_counts(n, 0, b, w, d).T
+        levels.insert(0, TowerLevel(b, w, d))
+    return levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_levels())
+def test_tower_transform_equals_the_dense_product(levels):
+    rep = tower(levels, BASE)
+    assert rep.transform == reference_shape_product(rep.schedules)
+
