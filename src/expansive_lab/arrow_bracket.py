@@ -168,7 +168,7 @@ class ABSystem:
     rule: LocalRule
 
 
-def _build_table(n: int, rewrite_pairs, alphabet: Alphabet) -> dict:
+def _build_table(rewrite_pairs, alphabet: Alphabet) -> dict:
     """Range-2 window table from 2/3-cell patterns placed at every offset
     covering the window center.  Windows that an admissible configuration can
     never exhibit (adjacent brackets, second arrow) are left to the identity
@@ -225,7 +225,7 @@ def build_rule(n: int) -> ABSystem:
             f"(the window table grows like (4n+5)^4)"
         )
     alphabet = level_alphabet(n)
-    table = _build_table(n, transitions(n), alphabet)
+    table = _build_table(transitions(n), alphabet)
     return ABSystem(n, alphabet, LocalRule(alphabet, 2, table, "identity"))
 
 
@@ -397,8 +397,7 @@ class _NodeTable:
     enters, traverses the interior 2n+1 times with a bounce between
     traversals and leaves by the far bracket.  That takes
     S = (2n+1)R + 2n+2 steps, where R (blank cells walked plus the S of
-    every child) is one traversal; for make_block this is
-    a_0 = 6n+4, a_(k+1) = (4n+2)a_k + 6n+4.
+    every child) is one traversal; for make_block this is `crossing_steps`.
 
     Nodes are found on demand (`node`), read from the configuration's
     word as it was before the walk, the arrow's cell read as blank.
@@ -692,9 +691,10 @@ class CrossingReport:
     restored: bool
 
 
-def default_step_budget(k: int, n: int) -> int:
-    # measured crossings grow like (4n+4)^k * (6n+4); leave a 4x margin
-    return 4 * (6 * n + 4) * (4 * n + 4) ** k + 100
+def crossing_steps(k: int, n: int) -> int:
+    """The node S of block(k, n) (see `_NodeTable`), in closed form: the
+    solution of a_0 = 6n+4, a_(k+1) = (4n+2) a_k + 6n+4."""
+    return (6 * n + 4) * sum((4 * n + 2) ** j for j in range(k + 1))
 
 
 def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport:
@@ -704,14 +704,15 @@ def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport
     block, facing it) and ends the first time the configuration is exactly
     block·arrow with the block restored; the left crossing is the mirror.
     The block is one resting node, so that time is its node S (see
-    `_NodeTable`), the same both ways.  Raises Timeout if S exceeds the
-    budget, and ValueError if the budget is negative.  Cost: the cells
-    the node match reads, the whole block when S fits and a few cells
-    per level when the budget is small.
+    `_NodeTable`), the same both ways.  The default budget is
+    `crossing_steps(k, n)`, which S meets exactly.  Raises Timeout if S
+    exceeds the budget, and ValueError if the budget is negative.  Cost:
+    the cells the node match reads, the whole block when S fits and a few
+    cells per level when the budget is small.
     """
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    budget = default_step_budget(k, n) if max_steps is None else max_steps
+    budget = crossing_steps(k, n) if max_steps is None else max_steps
     table = _NodeTable(n, make_block(k, n).word, 0)
     node = table.node(0, 1, budget)
     if node is None:
@@ -737,10 +738,10 @@ def enumerate_L(k: int, n: int) -> CrossingLanguage:
     """Every configuration the crossing orbit passes through, in both
     directions, trimmed to the non-blank extent: the first S + 1 rows of
     the cell map's orbits of arrow·block and block·arrow, S the block's
-    crossing time from `run_crossing`."""
+    crossing time `crossing_steps(k, n)`."""
     word = make_block(k, n).word
     system = build_rule(n)
-    rows = run_crossing(k, n).steps + 1
+    rows = crossing_steps(k, n) + 1
     right, left = (
         tuple(cfg.word for cfg in itertools.islice(iterate(system.rule, start), rows))
         for start in (Padded(system.alphabet, (ARROW_RIGHT,) + word, BLANK),
@@ -849,29 +850,26 @@ class HierarchicalArrangement:
     n: int
     choices: tuple
     offsets: tuple = field(init=False)  # c_1, ..., c_(depth+1), from the choices
+    # (first lifted cell, period, symbol) of each stage's opens and closes,
+    # shallowest stage first; the stages claim disjoint cells
+    progressions: tuple = field(init=False)
 
     def __post_init__(self):
         if len(self.choices) != self.depth:
             raise ValueError("need one (phi, psi) choice pair per level")
-        c, cs = 0, [0]
+        opn, cls = open_bracket(self.n), close_bracket(self.n)
+        c, cs, progs = 0, [0], []
         for k, (phi, psi) in enumerate(self.choices):
-            c += 4**k * (phi + 1 + 2 * (1 - psi))
+            # stage k+1 puts brackets on plain cells c + 4^k (2j + phi),
+            # opening where j = psi mod 2: each kind repeats every 4^(k+1)
+            # plain cells, every 8*4^k lifted ones
+            m = 4**k
+            progs += ((2 * (c + m * (phi + 2 * j)) % (8 * m), 8 * m, sym)
+                      for j, sym in ((psi, opn), (1 - psi, cls)))
+            c += m * (phi + 1 + 2 * (1 - psi))
             cs.append(c)
         object.__setattr__(self, "offsets", tuple(cs))
-
-    def plain_symbol(self, x: int) -> str | None:
-        """'[' or ']' if some stage holds a bracket at integer x, else None."""
-        for k in range(self.depth):
-            m = 4**k
-            q, r = divmod(x - self.offsets[k], m)
-            if r:
-                continue
-            phi, psi = self.choices[k]
-            if q % 2 != phi:
-                continue
-            j = (q - phi) // 2
-            return "[" if j % 2 == psi else "]"
-        return None
+        object.__setattr__(self, "progressions", tuple(progs))
 
     @property
     def free_cell(self) -> int:
@@ -880,12 +878,10 @@ class HierarchicalArrangement:
         return self.offsets[self.depth]
 
     def lifted_symbol(self, i: int) -> str:
-        if i % 2:
-            return BLANK
-        plain = self.plain_symbol(i // 2)
-        if plain is None:
-            return BLANK
-        return open_bracket(self.n) if plain == "[" else close_bracket(self.n)
+        for first, period, sym in self.progressions:
+            if (i - first) % period == 0:
+                return sym
+        return BLANK
 
     def configuration(
         self,
@@ -895,8 +891,13 @@ class HierarchicalArrangement:
         facing: int = 1,
     ) -> Padded:
         """Materialize lifted cells lo..hi as a padded configuration,
-        optionally dropping an arrow onto a blank cell."""
-        word = [self.lifted_symbol(i) for i in range(lo, hi + 1)]
+        optionally dropping an arrow onto a blank cell.  Cost: one slice
+        assignment per progression."""
+        size = hi - lo + 1
+        word = [BLANK] * size
+        for first, period, sym in self.progressions:
+            a = (first - lo) % period
+            word[a::period] = [sym] * len(range(a, size, period))
         if arrow_at is not None:
             j = arrow_at - lo
             if not 0 <= j < len(word):
@@ -927,7 +928,7 @@ def build_inverse_rule(n: int) -> LocalRule:
     """
     alphabet = level_alphabet(n)
     rev = [(name + "-rev", rhs, lhs) for name, lhs, rhs in transitions(n)]
-    return LocalRule(alphabet, 2, _build_table(n, rev, alphabet), "identity")
+    return LocalRule(alphabet, 2, _build_table(rev, alphabet), "identity")
 
 
 def admissible_periodic_words(n: int, period: int):
@@ -1121,16 +1122,3 @@ def pgm_lines(rows, lo: int, hi: int, height: int, alphabet: Alphabet):
     that of `diagram_lines`."""
     yield f"P2\n{hi - lo + 1} {height}\n{max(1, len(alphabet) - 1)}\n"
     yield from diagram_lines(rows, lo, hi, {s: str(i) for i, s in enumerate(alphabet)}, " ")
-
-
-def render_text(rows, lo: int, hi: int, legend: dict) -> str:
-    """One line per configuration of the list `rows`, one legend
-    character per cell.  Cost: that of `diagram_lines`, and the text is
-    held whole."""
-    return "".join(diagram_lines(rows, lo, hi, legend, "")) or "\n"
-
-
-def render_pgm(rows, lo: int, hi: int, alphabet: Alphabet) -> str:
-    """`pgm_lines` of the list `rows`, joined.  Cost: that of
-    `diagram_lines`, and the text is held whole."""
-    return "".join(pgm_lines(rows, lo, hi, len(rows), alphabet))

@@ -14,7 +14,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import re
 import sys
 import warnings
@@ -117,19 +116,18 @@ def cmd_ab_run(args) -> int:
     cfg = _arrow_block_start(args.n, args.level)
     system = ab.build_rule(args.n)
     height = args.steps + 1
-    # the orbit runs twice, holding one row at a time: once for the span,
-    # checked against the budget at t = 0 and each time it widens, and once
-    # to render
-    lo, hi = math.inf, -math.inf
-    for y in itertools.islice(iterate(system.rule, cfg), height):
-        a, b = y.anchor, y.anchor + len(y.word) - 1
-        if a < lo or b > hi:
-            lo, hi = min(lo, a), max(hi, b)
-            if height * (hi - lo + 1) > MAX_RENDER_CELLS:
-                raise ValueError(
-                    f"a diagram of {height} rows {hi - lo + 1} cells wide exceeds "
-                    f"MAX_RENDER_CELLS = {MAX_RENDER_CELLS} cells"
-                )
+    # the arrow crosses the block in S steps from cell -1 and then runs
+    # free, one cell a step: the diagram spans the start's cells and one
+    # more cell for each step past S, so it first breaks the budget at the
+    # width below
+    start = len(cfg.word)
+    width = start + max(0, args.steps - ab.crossing_steps(args.level, args.n))
+    if height * width > MAX_RENDER_CELLS:
+        raise ValueError(
+            f"a diagram of {height} rows {max(start, MAX_RENDER_CELLS // height + 1)} "
+            f"cells wide exceeds MAX_RENDER_CELLS = {MAX_RENDER_CELLS} cells"
+        )
+    lo, hi = cfg.anchor, cfg.anchor + width - 1
     rows = itertools.islice(iterate(system.rule, cfg), height)
     if legend is not None:
         _write(ab.diagram_lines(rows, lo, hi, legend, ""), args.out)

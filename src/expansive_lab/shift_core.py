@@ -304,6 +304,14 @@ class LocalRule:
 _COMPOSE_LIMIT = 4_000_000
 
 
+def _windows(alphabet: Alphabet, r: int, what: str):
+    """Every window of 2r+1 symbols of `alphabet`, after checking there
+    are at most _COMPOSE_LIMIT of them; else ValueError, naming `what`."""
+    if len(alphabet) ** (2 * r + 1) > _COMPOSE_LIMIT:
+        raise ValueError(f"{what} over {len(alphabet)} symbols at range {r} is too large")
+    return itertools.product(alphabet.symbols, repeat=2 * r + 1)
+
+
 def identity_rule(alphabet: Alphabet) -> LocalRule:
     return LocalRule(alphabet, 0, {}, "identity")
 
@@ -319,14 +327,7 @@ def shift_rule(alphabet: Alphabet, d: int = 1) -> LocalRule:
     r = abs(d)
     if r == 0:
         return identity_rule(alphabet)
-    if len(alphabet) ** (2 * r + 1) > _COMPOSE_LIMIT:
-        raise ValueError(
-            f"shift table over {len(alphabet)} symbols at range {r} is too large"
-        )
-    table = {
-        w: w[r + d]
-        for w in itertools.product(alphabet.symbols, repeat=2 * r + 1)
-    }
+    table = {w: w[r + d] for w in _windows(alphabet, r, "shift table")}
     return LocalRule(alphabet, r, table, "total")
 
 
@@ -444,14 +445,9 @@ def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
         raise AlphabetMismatch("cannot compose rules over different alphabets")
     a = outer.alphabet
     r = outer.radius + inner.radius
-    width = 2 * r + 1
-    if len(a) ** width > _COMPOSE_LIMIT:
-        raise ValueError(
-            f"composite table over {len(a)} symbols at range {r} is too large"
-        )
     iw = 2 * inner.radius + 1
     table = {}
-    for w in itertools.product(a.symbols, repeat=width):
+    for w in _windows(a, r, "composite table"):
         mid = tuple(
             inner.evaluate(w[k : k + iw]) for k in range(2 * outer.radius + 1)
         )
@@ -464,10 +460,7 @@ def rules_equal(f: LocalRule, g: LocalRule) -> bool:
     if f.alphabet != g.alphabet:
         return False
     r = max(f.radius, g.radius)
-    a = f.alphabet
-    if len(a) ** (2 * r + 1) > _COMPOSE_LIMIT:
-        raise ValueError("alphabet too large for extensional comparison")
-    for w in itertools.product(a.symbols, repeat=2 * r + 1):
+    for w in _windows(f.alphabet, r, "extensional comparison"):
         fw = w[r - f.radius : r + f.radius + 1]
         gw = w[r - g.radius : r + g.radius + 1]
         try:

@@ -16,6 +16,8 @@ of `cycle_machine` or in an idealized mode with T = B*(1+W+|D|).
 from __future__ import annotations
 
 import json
+import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +59,13 @@ def _as_fraction(value: Rational) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"target {value!r} has a zero denominator") from None
+    except ValueError:
+        # int() refuses a numeral longer than the interpreter's digit limit
+        # (Python 3.11 on), and its message names a setting, not the target
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(map(len, re.findall(r"\d+", str(value))), default=0) > limit:
+            raise ValueError(f"target has a number of more than {limit} digits") from None
+        raise
 
 
 # ---------------------------------------------------------------------------

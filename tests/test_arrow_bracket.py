@@ -28,7 +28,8 @@ from expansive_lab.arrow_bracket import (
     canonical_point,
     close_bracket,
     conflict_report,
-    default_step_budget,
+    crossing_steps,
+    diagram_lines,
     enumerate_L,
     hierarchical_arrangement,
     hierarchical_choices,
@@ -40,8 +41,7 @@ from expansive_lab.arrow_bracket import (
     mirror_transition,
     open_bracket,
     perturbation_front,
-    render_pgm,
-    render_text,
+    pgm_lines,
     run_crossing,
     scan_periodic_injectivity,
     transitions,
@@ -238,8 +238,16 @@ def test_negative_step_budget_rejected():
 
 
 def test_default_budget_covers_measured_crossings():
-    for k, steps in N2_STEPS_BY_LEVEL.items():
-        assert default_step_budget(k, 2) > steps
+    # the default budget is the crossing law a_k = (6n+4) sum_(j<=k) (4n+2)^j,
+    # which is run_crossing's S: one step less is refused
+    assert [crossing_steps(k, 2) for k in N2_STEPS_BY_LEVEL] == list(N2_STEPS_BY_LEVEL.values())
+    for k in range(7):
+        for n in range(1, 6):
+            s = crossing_steps(k, n)
+            assert run_crossing(k, n).steps == s
+            with pytest.raises(Timeout) as err:
+                run_crossing(k, n, max_steps=s - 1)
+            assert err.value.limit == s - 1
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +636,53 @@ def test_choices_seed_zero_and_determinism():
         assert phi in (0, 1) and psi in (0, 1)
 
 
+def plain_symbol(arr, x):
+    """'[' or ']' if some stage of `arr` holds a bracket at plain cell x,
+    else None, by asking each stage in turn: the per-cell reference of the
+    arrangement's progressions."""
+    for k in range(arr.depth):
+        q, r = divmod(x - arr.offsets[k], 4**k)
+        if r:
+            continue
+        phi, psi = arr.choices[k]
+        if q % 2 != phi:
+            continue
+        j = (q - phi) // 2
+        return "[" if j % 2 == psi else "]"
+    return None
+
+
+def reference_lifted_symbol(arr, i):
+    plain = None if i % 2 else plain_symbol(arr, i // 2)
+    if plain is None:
+        return BLANK
+    return open_bracket(arr.n) if plain == "[" else close_bracket(arr.n)
+
+
 def test_arrangement_offsets_seed_zero():
     arr = hierarchical_arrangement(6, 2, 0)
     assert arr.offsets == (0, 3, 15, 63, 255, 1023, 4095)
     assert arr.free_cell == 4095
-    assert arr.plain_symbol(arr.free_cell) is None
+    assert plain_symbol(arr, arr.free_cell) is None
+
+
+def test_arrangement_progressions_match_the_stage_search():
+    # windows: wide with negative lo, narrower than a period, one cell,
+    # empty, and around each stage's offset, as is and one common period
+    # (of every stage) to the left
+    for depth in range(9):
+        for n in (1, 2, 3):
+            for seed in (0, 5, 2024):
+                arr = hierarchical_arrangement(depth, n, seed)
+                period = 8 * 4**depth
+                windows = [(-1501, 1503), (-11, -2), (5, 9), (40, 40), (7, 6), (3, -20)]
+                windows += [(2 * c + shift - 9, 2 * c + shift + 9)
+                            for c in arr.offsets for shift in (0, -period)]
+                for lo, hi in windows:
+                    want = [reference_lifted_symbol(arr, i) for i in range(lo, hi + 1)]
+                    assert [arr.lifted_symbol(i) for i in range(lo, hi + 1)] == want
+                    cfg = arr.configuration(lo, hi)
+                    assert cfg == Padded(level_alphabet(n), want, BLANK, lo)
 
 
 def test_stage2_pair_lifts_to_level1_block():
@@ -647,7 +697,7 @@ def test_arrangement_nesting_is_balanced():
     arr = hierarchical_arrangement(6, 2, 0)
     depth = 0
     for x in range(4096):
-        s = arr.plain_symbol(x)
+        s = plain_symbol(arr, x)
         if s == "[":
             depth += 1
         elif s == "]":
@@ -695,7 +745,7 @@ def test_render_text_crossing_start():
     system = build_rule(n)
     cfg = _padded_from_word((ARROW_RIGHT,) + make_block(0, n).word, n, anchor=-1)
     rows = orbit(system.rule, cfg, 1)
-    txt = render_text(rows, -1, 5, ascii_legend(n))
+    txt = "".join(diagram_lines(rows, -1, 5, ascii_legend(n), ""))
     assert txt == ">[---]-\n-C>--]-\n"
 
 
@@ -712,15 +762,14 @@ def test_render_pgm_golden():
     system = build_rule(n)
     cfg = _padded_from_word((ARROW_RIGHT,) + make_block(0, n).word, n, anchor=-1)
     rows = orbit(system.rule, cfg, 1)
-    pgm = render_pgm(rows, -1, 5, system.alphabet)
+    pgm = "".join(pgm_lines(rows, -1, 5, len(rows), system.alphabet))
     assert pgm == "P2\n7 2\n8\n1 4 0 0 0 6 0\n0 7 1 0 0 6 0\n"
 
 
 def test_render_of_no_rows():
-    # an empty text diagram is one empty line; a PGM one is its header
+    # a PGM diagram of no rows is its header
     system = build_rule(1)
-    assert render_text([], -1, 5, ascii_legend(1)) == "\n"
-    assert render_pgm([], -1, 5, system.alphabet) == "P2\n7 0\n8\n"
+    assert "".join(pgm_lines([], -1, 5, 0, system.alphabet)) == "P2\n7 0\n8\n"
 
 
 def test_render_pgm_shape():
@@ -728,7 +777,7 @@ def test_render_pgm_shape():
     system = build_rule(n)
     cfg = _padded_from_word((ARROW_RIGHT,) + make_block(0, n).word, n, anchor=-1)
     rows = orbit(system.rule, cfg, 16)
-    pgm = render_pgm(rows, -2, 6, system.alphabet)
+    pgm = "".join(pgm_lines(rows, -2, 6, len(rows), system.alphabet))
     lines = pgm.splitlines()
     assert lines[0] == "P2" and lines[1] == "9 17" and lines[2] == "12"
     assert len(lines) == 3 + 17

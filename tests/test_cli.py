@@ -1,6 +1,8 @@
 """Command line behavior: formats, golden outputs, exit codes."""
 
+import itertools
 import json
+import math
 import os
 import pathlib
 import resource
@@ -13,7 +15,7 @@ import pytest
 
 from expansive_lab import arrow_bracket, cli
 from expansive_lab.cli import main
-from expansive_lab.shift_core import Alphabet, Padded, orbit, rule_to_json, shift_rule
+from expansive_lab.shift_core import Alphabet, Padded, iterate, orbit, rule_to_json, shift_rule
 from expansive_lab.slope_engine import program_from_json
 
 
@@ -78,7 +80,7 @@ def test_ab_run_refuses_a_diagram_over_the_cell_budget(capsys, tmp_path):
 
 
 def test_ab_run_checks_the_budget_as_the_diagram_widens(capsys, tmp_path, monkeypatch):
-    # the level-0 start is 7 cells wide, and the span first widens at t = 12
+    # the level-0 start is 7 cells wide, and the span first widens at t = 11
     # once the arrow has crossed: 101 rows fit the budget at 7 cells, not at 8
     monkeypatch.setattr(cli, "MAX_RENDER_CELLS", 101 * 7)
     target = tmp_path / "d.pgm"
@@ -87,6 +89,98 @@ def test_ab_run_checks_the_budget_as_the_diagram_widens(capsys, tmp_path, monkey
     assert code == 2
     assert err == "error: a diagram of 101 rows 8 cells wide exceeds MAX_RENDER_CELLS = 707 cells\n"
     assert not target.exists()
+
+
+def _span_events(rows):
+    """(t, first cell, last cell) of row 0 of `rows`, each a (first cell,
+    last cell) pair, and of every later row that widens the span of the
+    rows before it: the only rows at which `_reference_span` acts."""
+    lo, hi = math.inf, -math.inf
+    for t, (a, b) in enumerate(rows):
+        if a < lo or b > hi:
+            lo, hi = min(lo, a), max(hi, b)
+            yield t, a, b
+
+
+def _reference_span(events, height, budget):
+    """The span loop `ab-run` ran over its orbit before drawing it, over the
+    `_span_events` of its rows: (lo, hi) of the first `height` rows, checked
+    against `budget` at t = 0 and each time the span widens; the refusal at
+    the first check that fails."""
+    lo, hi = math.inf, -math.inf
+    for t, a, b in events:
+        if t >= height:
+            break
+        lo, hi = min(lo, a), max(hi, b)
+        if height * (hi - lo + 1) > budget:
+            return (f"error: a diagram of {height} rows {hi - lo + 1} cells wide "
+                    f"exceeds MAX_RENDER_CELLS = {budget} cells\n")
+    return lo, hi
+
+
+def _dense_spans(n, level, height):
+    system = arrow_bracket.build_rule(n)
+    rows = iterate(system.rule, cli._arrow_block_start(n, level))
+    return [(y.anchor, y.anchor + len(y.word) - 1) for y in itertools.islice(rows, height)]
+
+
+def _walker_spans(n, level, height):
+    """The spans of `_dense_spans` from the sparse walker: a row holds the
+    block's end brackets, which stay brackets, and the arrow."""
+    last = len(arrow_bracket.make_block(level, n).word) - 1
+    start = cli._arrow_block_start(n, level)
+    positions = arrow_bracket.arrow_trace(start, arrow_bracket.build_rule(n), height - 1).positions
+    return itertools.chain([(-2, last)], ((min(p, 0), max(p, last)) for p in positions[1:]))
+
+
+def test_walker_spans_match_the_cell_map():
+    for n, level in ((1, 3), (2, 2), (3, 1), (4, 2)):
+        height = arrow_bracket.crossing_steps(level, n) + 38
+        assert list(_walker_spans(n, level, height)) == _dense_spans(n, level, height)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ab_run_sizes_its_diagram_as_the_span_loop(capsys, monkeypatch, n):
+    # around the crossing time S, where the diagram starts to widen: the
+    # real budget, budgets just under and just over the diagram, one that
+    # it breaks halfway through its widening and one its start breaks; the
+    # orbit comes from the cell map while that is cheap
+    monkeypatch.setattr(arrow_bracket, "pgm_lines",
+                        lambda rows, lo, hi, height, alphabet: [f"{lo} {hi} {height}"])
+    real = cli.MAX_RENDER_CELLS
+    for level in range(5):
+        s = arrow_bracket.crossing_steps(level, n)
+        spans = (_dense_spans if s < 20_000 else _walker_spans)(n, level, s + 38)
+        events = list(_span_events(spans))
+        first = events[0][2] - events[0][1] + 1
+        for steps in (0, 1, s - 1, s, s + 1, s + 37):
+            height = steps + 1
+            lo, hi = _reference_span(events, height, math.inf)
+            width = hi - lo + 1
+            for budget in (real, height * width - 1, height * width,
+                           height * (first + (width - first) // 2), height * first // 2):
+                monkeypatch.setattr(cli, "MAX_RENDER_CELLS", budget)
+                code, out, err = run(capsys, "ab-run", "--n", str(n), "--level", str(level),
+                                     "--steps", str(steps), "--format", "pgm")
+                want = _reference_span(events, height, budget)
+                if isinstance(want, str):
+                    assert (code, out, err) == (2, "", want)
+                else:
+                    assert (code, out, err) == (0, f"{want[0]} {want[1]} {height}", "")
+
+
+def _no_rows(*_):
+    raise AssertionError("a row of the orbit was computed")
+
+
+def test_ab_run_refuses_a_long_run_before_drawing(capsys, monkeypatch):
+    # the budget is checked on the closed-form extent, before any row
+    monkeypatch.setattr(cli, "iterate", _no_rows)
+    code, out, err = run(capsys, "ab-run", "--n", "2", "--level", "4",
+                         "--steps", "400000", "--format", "pgm")
+    assert (code, out) == (2, "")
+    assert err == ("error: a diagram of 400001 rows 2685 cells wide exceeds "
+                   f"MAX_RENDER_CELLS = {2**30} cells\n")
 
 
 def test_ab_run_memory_does_not_grow_with_steps(tmp_path):
@@ -113,7 +207,8 @@ def test_ab_run_memory_does_not_grow_with_steps(tmp_path):
     lo = min(r.anchor for r in rows)
     hi = max(r.anchor + len(r.word) - 1 for r in rows)
     assert hi - lo + 1 == 91
-    assert target.read_text() == arrow_bracket.render_pgm(rows, lo, hi, system.alphabet)
+    assert target.read_text() == "".join(
+        arrow_bracket.pgm_lines(rows, lo, hi, len(rows), system.alphabet))
 
 
 def test_ab_cross_csv_matches_crossing_laws(capsys):
@@ -438,6 +533,10 @@ def test_stdout_and_file_output_agree(capsys, tmp_path):
     assert target.read_text() == out
 
 
+# the longest numeral int() reads; Python 3.10 builds may have no limit
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _rule_doc(**edits):
     doc = json.loads(rule_to_json(shift_rule(Alphabet(("0", "1")), 1)))
     doc.update(edits)
@@ -475,6 +574,12 @@ def _params_doc(**edits):
             "total rule has no entry for window ('0', '0', '1')",
         ),
         ({}, ("realize", "--theta", "1/0"), "target '1/0' has a zero denominator"),
+        pytest.param(
+            {},
+            ("realize", "--theta", "1/" + "3" * (_DIGIT_LIMIT + 1)),
+            f"target has a number of more than {_DIGIT_LIMIT} digits",
+            marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit"),
+        ),
         (
             {},
             ("realize", "--theta", "1/3", "--depth", "3", "--alphabet-size", "0"),
@@ -568,6 +673,7 @@ def _params_doc(**edits):
         ),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
+         "theta-too-many-digits",
          "realize-alphabet-0", "realize-alphabet-negative", "realize-entries-1",
          "realize-entries-100",
          "region-rule-array", "blocking-rule-array", "params-string",
