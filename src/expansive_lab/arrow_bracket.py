@@ -878,6 +878,8 @@ class HierarchicalArrangement:
         return self.offsets[self.depth]
 
     def lifted_symbol(self, i: int) -> str:
+        if i % 2:  # every progression's first cell and period are even
+            return BLANK
         for first, period, sym in self.progressions:
             if (i - first) % period == 0:
                 return sym
@@ -963,6 +965,41 @@ def admissible_periodic_words(n: int, period: int):
     yield from extend(0, False)
 
 
+def periodic_points(n: int, period: int):
+    """Generate each admissible point of least period `period` once, as its
+    canonical word (`canonical_point`), in increasing order.
+
+    A canonical word of least period p is a Lyndon word of length p in
+    `min_rotation`'s order, which compares symbols as strings.  The
+    recursive Fredricksen-Kessler-Maiorana scheme (Ruskey, Savage & Wang,
+    "Generating necklaces", J. Algorithms 13 (1992)) extends prenecklaces,
+    tracking the length of their longest Lyndon prefix, and keeps the
+    words where that is the whole word.  Admissibility is rotation
+    invariant and, but for the wrap pair, prefix closed, so a prefix with
+    two adjacent brackets or a second arrow is pruned, and the wrap pair is
+    checked once on each full word."""
+    syms = sorted(s for s in level_alphabet(n) if period >= 5 or not is_arrow(s))
+    bracket = [is_bracket(s) for s in syms]
+    arrow = [is_arrow(s) for s in syms]
+    word = [0] * period
+
+    def extend(t: int, p: int, used_arrow: bool):
+        if t == period:
+            if p == period and not (bracket[word[-1]] and bracket[word[0]]):
+                yield tuple(map(syms.__getitem__, word))
+            return
+        after_bracket, a = bracket[word[t - 1]], word[t - p]
+        for j in range(a, len(syms)):
+            if after_bracket and bracket[j] or used_arrow and arrow[j]:
+                continue
+            word[t] = j
+            yield from extend(t + 1, p if j == a else t + 1, used_arrow or arrow[j])
+
+    for j in range(len(syms)):
+        word[0] = j
+        yield from extend(1, 1, arrow[j])
+
+
 def canonical_point(word: tuple) -> tuple:
     """Primitive root of the period word, minimal rotation: a canonical name
     for the shift-periodic point the word describes."""
@@ -999,20 +1036,25 @@ def scan_periodic_injectivity(n: int, periods) -> InjectivityReport:
     and repetitions are counted once.  Each preimage is recorded together
     with a stuck flag (arrow present but no transition fired); the known
     failure mode of injectivity on the full admissible set is a mobile
-    configuration mapping onto a stuck fixed point.
+    configuration mapping onto a stuck fixed point.  Arrowless points are
+    counted but not recorded: every window of the rule's table holds one
+    arrow, so they are fixed, and the rule conserves arrows, so nothing else
+    maps onto one.
+
+    Cost: one pass over the points (`periodic_points`), not over the
+    admissible words, and one rule application per point with an arrow.
     """
     system = build_rule(n)
     images: dict = {}
     points = 0
     stuck_points = 0
     for p in sorted(set(periods)):
-        for w in admissible_periodic_words(n, p):
-            if canonical_point(w) != w:
-                continue
+        for w in periodic_points(n, p):
             points += 1
-            x = Periodic(system.alphabet, w)
-            y = apply_rule(system.rule, x)
-            stuck = any(map(is_arrow, w)) and y.word == w
+            if ARROW_RIGHT not in w and ARROW_LEFT not in w:
+                continue
+            y = apply_rule(system.rule, Periodic(system.alphabet, w))
+            stuck = y.word == w
             stuck_points += stuck
             images.setdefault(canonical_point(y.word), []).append((w, stuck))
     collisions = tuple(

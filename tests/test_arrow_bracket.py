@@ -40,6 +40,7 @@ from expansive_lab.arrow_bracket import (
     make_preblock,
     mirror_transition,
     open_bracket,
+    periodic_points,
     perturbation_front,
     pgm_lines,
     run_crossing,
@@ -477,6 +478,10 @@ def test_arrowless_admissible_configs_are_fixed():
     for w in admissible_periodic_words(n, 4):
         cfg = Periodic(system.alphabet, w)
         assert apply_rule(system.rule, cfg) == cfg
+    # every window the table rewrites holds exactly one arrow, so at every
+    # period an arrowless configuration hits only the identity default
+    for n in range(1, 5):
+        assert all(sum(map(is_arrow, window)) == 1 for window in build_rule(n).rule.table)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +570,7 @@ def test_inverse_rule_undoes_mobile_points(n, max_p=5):
     inverse = build_inverse_rule(n)
     checked = 0
     for p in range(5, max_p + 1):
-        for w in admissible_periodic_words(n, p):
-            if canonical_point(w) != w:
-                continue
+        for w in periodic_points(n, p):
             x = Periodic(system.alphabet, w)
             y = apply_rule(system.rule, x)
             if y.word == w:
@@ -585,6 +588,49 @@ def test_inverse_rule_on_crossing_orbit():
     path = orbit(system.rule, cfg, 60)
     for before, after in zip(path, path[1:]):
         assert apply_rule(inverse, after) == before
+
+
+def _filtered_points(n, p):
+    """The points of least period p as the filtered word enumeration finds
+    them: the reference of `periodic_points`.  A canonical word starts with
+    its least symbol, which spares most words the `canonical_point` call."""
+    return sorted(w for w in admissible_periodic_words(n, p)
+                  if w[0] == min(w) and canonical_point(w) == w)
+
+
+def _reference_scan(n, points):
+    """`scan_periodic_injectivity` over the given points, with the rule
+    applied to every point, arrowless ones included."""
+    system = build_rule(n)
+    images = {}
+    stuck_points = 0
+    for w in points:
+        y = apply_rule(system.rule, Periodic(system.alphabet, w))
+        stuck = any(map(is_arrow, w)) and y.word == w
+        stuck_points += stuck
+        images.setdefault(canonical_point(y.word), []).append((w, stuck))
+    groups = {frozenset(g) for g in images.values() if len(g) > 1}
+    return len(points), stuck_points, groups
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_periodic_points_equal_the_filtered_words(n):
+    """The pruned Lyndon generator yields, in increasing order, exactly the
+    admissible words that are their own canonical point, up to period 7;
+    the scan over its points reports what a scan applying the rule to each
+    of them does, over gate 02's periods."""
+    found = {}
+    for p in range(1, 8):
+        got = list(periodic_points(n, p))
+        assert all(a < b for a, b in zip(got, got[1:])), (n, p)
+        assert got == _filtered_points(n, p), (n, p)
+        found[p] = got
+    scan_p = {1: 7, 2: 6}.get(n)
+    if scan_p:
+        report = scan_periodic_injectivity(n, range(1, scan_p + 1))
+        want = _reference_scan(n, [w for p in range(1, scan_p + 1) for w in found[p]])
+        assert (report.points, report.stuck_points,
+                {frozenset(g) for g in report.collisions}) == want
 
 
 def test_canonical_point_examples():
@@ -678,6 +724,9 @@ def test_arrangement_progressions_match_the_stage_search():
                 windows = [(-1501, 1503), (-11, -2), (5, 9), (40, 40), (7, 6), (3, -20)]
                 windows += [(2 * c + shift - 9, 2 * c + shift + 9)
                             for c in arr.offsets for shift in (0, -period)]
+                # first cells and steps are even, so every odd cell is blank:
+                # lifted_symbol answers odd cells before the progressions
+                assert all(first % 2 == 0 == step % 2 for first, step, _ in arr.progressions)
                 for lo, hi in windows:
                     want = [reference_lifted_symbol(arr, i) for i in range(lo, hi + 1)]
                     assert [arr.lifted_symbol(i) for i in range(lo, hi + 1)] == want
