@@ -4,8 +4,9 @@ A single arrow walks over a landscape of bracket pairs.  Brackets carry
 counters up to a bound n; an arrow entering a bracket pair is forced back and
 forth between the two brackets while the counters run down, so nested bracket
 blocks slow the arrow exponentially with nesting depth.  That is the engine
-behind the logarithmic information propagation measured elsewhere in this
-package.
+behind the sublinear information propagation measured elsewhere in this
+package: Λ⁺(t) ≍ t^α, with α = log 4 / log(4n+2) on hierarchical landscapes
+and α = log 2 / log(4n+2) on blocks.
 
 The cell map is a range-2 sliding block code assembled from six 3-cell (or
 2-cell) rewrite patterns and their left-right mirrors.  Every pattern contains

@@ -420,16 +420,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SPAN_VALUE = re.compile(r"-\d+\.\.-?\d+$")
-_SPAN_FLAGS = ("--trange", "--irange")
+# the flags whose values may begin with "-", each with the shape of such a
+# value: a span like "-3..3", a rational like "-1/3" or a decimal
+_SPAN = re.compile(r"-\d+\.\.-?\d+$")
+_NEGATIVE_VALUES = {
+    "--trange": _SPAN,
+    "--irange": _SPAN,
+    "--theta": re.compile(r"-\d*\.?\d+(/\d+)?$"),
+}
 
 
-def _absorb_negative_spans(argv):
-    """Glue values like "-3..3" onto their flag so argparse does not read
-    them as options."""
+def _absorb_negative_values(argv):
+    """Glue negative values onto their flag so argparse does not read them
+    as options."""
     out: list = []
     for tok in argv:
-        if out and out[-1] in _SPAN_FLAGS and _SPAN_VALUE.match(tok):
+        value = _NEGATIVE_VALUES.get(out[-1]) if out else None
+        if value and value.match(tok):
             out[-1] += f"={tok}"
         else:
             out.append(tok)
@@ -443,7 +450,7 @@ def _show_warning(message, *_):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_absorb_negative_spans(argv))
+    args = build_parser().parse_args(_absorb_negative_values(argv))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

@@ -5,8 +5,8 @@ invertible map phi.  The machinery here builds, for block length B, wait
 count W and displacement D:
 
 * an explicit cycle schedule whose total length satisfies
-  T = (B + C) * (1 + W + |D|) exactly, with the constant C published as
-  part of the schedule;
+  T = (B + C) * (1 + W + |D|) exactly, with the constant C the sum of the
+  five fixed-stage durations of `fixed_stages`;
 * the two commuting suspension generators sigma_B and phi_T acting on
   states (y, b, t);
 * a four-layer block encoding of suspension states as periodic
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -144,13 +144,34 @@ def _program_length(bits: int, entries: int, w: int, d: int) -> int:
 # the cycle schedule
 
 
+def fixed_stages(n: int, entries: int) -> tuple:
+    """The durations of the five stages whose length does not grow with B,
+    for an alphabet of n symbols and a table of `entries` stored windows:
+    transmit (beyond its B cells), copy, lookup, write-back and resync.
+    Their sum is the constant C in T = (B + C)(1 + W + |D|)."""
+    if n < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if entries < 0:
+        raise ValueError("table_entries must be >= 0")
+    bits = _word_bits(n)
+    return (
+        2 * bits + 2,  # launch and halt the transmission head
+        2 * bits + 2,  # copy the received word next to the stored one
+        entries * (6 * bits + 2) + 2,  # uniform-cost comparison per row
+        2 * bits + 2,  # write the looked-up words back
+        2,  # resynchronize
+    )
+
+
 @dataclass(frozen=True)
 class CycleSchedule:
     """Stage durations of one simulation cycle.
 
-    The constants c1..c6 are concrete functions of the simulated map's
-    alphabet size and table; c5 is defined as c1+c2+c3+c4+c6 so that the
-    total is exactly (B + C) * (1 + W + |D|) with C = c5.
+    A cycle transmits (B cells plus the first fixed stage), copies, looks
+    up and writes back, then runs |D| shift rounds and W wait rounds of
+    B + C cells each and resynchronizes.  `stages` holds the five fixed
+    durations, from `fixed_stages` (all zero for an idealized schedule);
+    C = `overhead` is their sum, so T = (B + C)(1 + W + |D|) exactly.
     """
 
     B: int
@@ -158,47 +179,18 @@ class CycleSchedule:
     D: int
     word_bits: int
     table_entries: int
-    c1: int
-    c2: int
-    c3: int
-    c4: int
-    c5: int
-    c6: int
-    T: int
+    stages: tuple
+    T: int = field(init=False)
 
-    @property
-    def transmit(self) -> int:
-        return self.B + self.c1
-
-    @property
-    def copy(self) -> int:
-        return self.c2
-
-    @property
-    def lookup(self) -> int:
-        return self.c3
-
-    @property
-    def writeback(self) -> int:
-        return self.c4
-
-    @property
-    def round_length(self) -> int:
-        """Duration of one shift round and of one wait round, B + C."""
-        return self.B + self.c5
-
-    @property
-    def resync(self) -> int:
-        return self.c6
+    def __post_init__(self):
+        object.__setattr__(
+            self, "T", (self.B + self.overhead) * (1 + self.W + abs(self.D))
+        )
 
     @property
     def overhead(self) -> int:
         """The constant C in T = (B + C)(1 + W + |D|)."""
-        return self.c5
-
-    @property
-    def synchronized_token(self) -> tuple:
-        return ("transmit", 0, 0)
+        return sum(self.stages)
 
     @cached_property
     def _tokens(self) -> tuple:
@@ -233,10 +225,7 @@ def schedule_from_counts(
 ) -> CycleSchedule:
     """Concrete schedule for an alphabet of n symbols and a table of
     `entries` stored windows, without materializing the map itself."""
-    if n < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if entries < 0:
-        raise ValueError("table_entries must be >= 0")
+    stages = fixed_stages(n, entries)
     bits = _word_bits(n)
     if b < _program_length(bits, entries, w, d):
         raise BlockTooSmall(
@@ -245,23 +234,7 @@ def schedule_from_counts(
         )
     if b < 2 * bits:
         raise BlockTooSmall(f"B={b} cannot hold two {bits}-bit data words")
-    c1 = 2 * bits + 2  # launch and halt the transmission head
-    c2 = 2 * bits + 2  # copy the received word next to the stored one
-    c3 = entries * (6 * bits + 2) + 2  # uniform-cost comparison per row
-    c4 = 2 * bits + 2  # write the looked-up words back
-    c6 = 2  # resynchronize
-    c5 = c1 + c2 + c3 + c4 + c6
-    t = (b + c5) * (1 + w + abs(d))
-    sched = CycleSchedule(b, w, d, bits, entries, c1, c2, c3, c4, c5, c6, t)
-    assert sched.T == (
-        sched.transmit
-        + sched.copy
-        + sched.lookup
-        + sched.writeback
-        + (abs(d) + w) * sched.round_length
-        + sched.resync
-    )
-    return sched
+    return CycleSchedule(b, w, d, bits, entries, stages)
 
 
 def build_schedule(p: SimParams) -> CycleSchedule:
@@ -278,24 +251,22 @@ def idealized_schedule(b: int, w: int, d: int) -> CycleSchedule:
     No encoding is possible through it (the word width is zero); it exists
     for closed-form slope computations.
     """
-    t = b * (1 + w + abs(d))
-    return CycleSchedule(b, w, d, 0, 0, 0, 0, 0, 0, 0, 0, t)
+    return CycleSchedule(b, w, d, 0, 0, (0,) * 5)
 
 
 def stage_segments(sched: CycleSchedule) -> tuple:
     """(name, repetition, duration) triples in cycle order."""
-    segs = [
-        ("transmit", 0, sched.transmit),
-        ("copy", 0, sched.copy),
-        ("lookup", 0, sched.lookup),
-        ("writeback", 0, sched.writeback),
-    ]
-    for r in range(abs(sched.D)):
-        segs.append(("shift", r, sched.round_length))
-    for r in range(sched.W):
-        segs.append(("wait", r, sched.round_length))
-    segs.append(("resync", 0, sched.resync))
-    return tuple(segs)
+    transmit, copy, lookup, writeback, resync = sched.stages
+    round_length = sched.B + sched.overhead
+    return (
+        ("transmit", 0, sched.B + transmit),
+        ("copy", 0, copy),
+        ("lookup", 0, lookup),
+        ("writeback", 0, writeback),
+        *(("shift", r, round_length) for r in range(abs(sched.D))),
+        *(("wait", r, round_length) for r in range(sched.W)),
+        ("resync", 0, resync),
+    )
 
 
 def token_for_t(sched: CycleSchedule, t: int) -> tuple:
@@ -326,8 +297,8 @@ class SuspensionState(NamedTuple):
 
 
 def _check_schedule_match(p: SimParams, sched: CycleSchedule):
-    if (sched.B, sched.W, sched.D) != (p.B, p.W, p.D) or (
-        sched.word_bits != p.word_bits
+    if (sched.B, sched.W, sched.D, sched.word_bits, sched.table_entries) != (
+        p.B, p.W, p.D, p.word_bits, p.table_entries
     ):
         raise ValueError(
             "schedule was built for different parameters (idealized "

@@ -22,6 +22,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from .shift_core import (
+    _COMPOSE_LIMIT,
     Alphabet,
     Configuration,
     LocalRule,
@@ -73,7 +74,15 @@ def padded_scale_family(
 
 def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
     """All periodic points of period up to max_period, one representative
-    per rotation class."""
+    per rotation class.  The sum over p <= max_period of |alphabet|^p words
+    it enumerates must be at most _COMPOSE_LIMIT; else ValueError."""
+    n = len(alphabet)
+    # periods past 64 need no summing: two symbols give 2^64 words there
+    words = max_period if n == 1 else sum(n**p for p in range(1, min(max_period, 64) + 1))
+    if words > _COMPOSE_LIMIT:
+        raise ValueError(
+            f"periodic family up to period {max_period} over {n} symbols is too large"
+        )
     reps: dict = {}
     for p in range(1, max_period + 1):
         # word[0] varies fastest; this order picks each class's representative

@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 from .cycle_machine import (
     compose_levels,
+    fixed_stages,
     min_block_length,
-    schedule_from_counts,
     shape_product,
 )
 from .dynamics_analysis import Direction
@@ -238,12 +238,9 @@ def realize_slope(
     policy = _POLICIES.get(b_policy)
     if policy is None:
         raise ValueError(f"unknown block policy {b_policy!r}")
-    # every schedule's cycle length is T = (B + C)(1+W+|D|), with C its
-    # overhead `c5`, the same at every (B, W, D): 0 when idealized
-    overhead = 0
-    if not idealized:
-        probe_b = min_block_length(alphabet_size, table_entries, 2, 0)
-        overhead = schedule_from_counts(alphabet_size, table_entries, probe_b, 2, 0).c5
+    # every schedule's cycle length is T = (B + C)(1+W+|D|), with C the sum
+    # of its fixed stages, the same at every (B, W, D): 0 when idealized
+    overhead = 0 if idealized else sum(fixed_stages(alphabet_size, table_entries))
     levels = []
     warned = False
     # the current target, u/v with v > 0, is never reduced: every test on

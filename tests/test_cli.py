@@ -8,6 +8,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -374,6 +375,14 @@ def test_realize_rejects_out_of_range_target(capsys):
     assert "reparametrize" in err
 
 
+@pytest.mark.parametrize("theta", ["-1/3", "-2/7", "-0.5", "-.5"])
+def test_realize_reads_a_negative_theta_after_its_flag(capsys, theta):
+    spaced = run(capsys, "realize", "--theta", theta, "--depth", "20")
+    glued = run(capsys, "realize", f"--theta={theta}", "--depth", "20")
+    assert spaced == glued
+    assert spaced[0] == 0 and spaced[1].startswith("lambda_20 = -")
+
+
 def test_tower_report_golden(capsys):
     code, out, _ = run(capsys, "tower", "--levels", "64,2,1;32,2,1;8,2,1")
     assert code == 0
@@ -507,6 +516,38 @@ def test_size_budgets_refuse_before_building(argv, option):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert option in proc.stderr
+
+
+def _shift_params_file(path, y):
+    """A parameter file simulating the binary shift over the points `y`."""
+    inverse = json.loads(rule_to_json(shift_rule(Alphabet(("0", "1")), -1)))
+    path.write_text(json.dumps(_params_doc(phi_inv=inverse, Y=y)))
+    return str(path)
+
+
+def test_tower_full_family_matches_its_points_written_out(capsys, tmp_path):
+    for m in range(1, 7):
+        # one word per rotation class of every length up to m, by brute force
+        words = {min(w[i:] + w[:i] for i in range(len(w)))
+                 for p in range(1, m + 1) for w in itertools.product("01", repeat=p)}
+        outs = [
+            run(capsys, "tower", "--levels", "64,2,1", "--params",
+                _shift_params_file(tmp_path / "p.json", y))
+            for y in ({"kind": "full", "max_period": m},
+                      {"kind": "periodic_points", "data": sorted(words)})
+        ]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+def test_tower_refuses_a_full_family_past_the_budget(tmp_path):
+    target = _shift_params_file(tmp_path / "p.json", {"kind": "full", "max_period": 30})
+    start = time.perf_counter()
+    proc = _run_capped("tower", "--levels", "64,2,1", "--params", target)
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: periodic family up to period 30 over 2 symbols is too large\n"
+    )
 
 
 def test_realize_with_too_many_digits_names_depth(capsys):

@@ -26,6 +26,7 @@ from expansive_lab.cycle_machine import (
     pi_inv_on_encoded,
     pi_on_encoded,
     program_word,
+    schedule_from_counts,
     shape_transform,
     sim_params_from_json,
     sim_params_to_json,
@@ -146,13 +147,13 @@ def test_tokens_are_bijective_with_cycle_times():
             assert t_for_token(sched, token) == t
             seen.add(token)
         assert len(seen) == sched.T
-        assert token_for_t(sched, 0) == sched.synchronized_token
+        assert token_for_t(sched, 0) == ("transmit", 0, 0)
 
 
 def test_token_lookup_rejects_junk():
     sched = build_schedule(ident_params(8, 1, 0))
     with pytest.raises(MalformedConfiguration):
-        t_for_token(sched, ("transmit", 0, sched.transmit))
+        t_for_token(sched, ("transmit", 0, stage_segments(sched)[0][2]))
     # a token matches only in full, not on its first three fields
     with pytest.raises(MalformedConfiguration, match="no cycle time shows"):
         t_for_token(sched, ("transmit", 0, 0, "x"))
@@ -183,6 +184,38 @@ def test_idealized_schedule_has_no_overhead():
     sched = idealized_schedule(10, 2, 1)
     assert sched.T == 10 * 4
     assert sched.overhead == 0
+
+
+def test_schedule_follows_the_closed_form_law():
+    # C = 3(2b+2) + e(6b+2) + 4 with b = max(1, bit_length(n-1)), written
+    # out here rather than read from the schedule code
+    for n in range(1, 65):
+        b = max(1, (n - 1).bit_length())
+        for e in range(6):
+            c = 3 * (2 * b + 2) + e * (6 * b + 2) + 4
+            stages = {"transmit": 2 * b + 2, "copy": 2 * b + 2,
+                      "lookup": e * (6 * b + 2) + 2, "writeback": 2 * b + 2,
+                      "resync": 2}
+            for w in (1, 2, 3):
+                for d in (-2, 0, 1, 3):
+                    bl = min_block_length(n, e, w, d)
+                    for B in (bl, bl + 1, 3 * bl):
+                        sched = schedule_from_counts(n, e, B, w, d)
+                        assert sched.overhead == c
+                        assert sched.T == (B + c) * (1 + w + abs(d))
+                        for name, _, dur in stage_segments(sched):
+                            if name in ("shift", "wait"):
+                                assert dur == B + c
+                            elif name == "transmit":
+                                assert dur == B + stages[name]
+                            else:
+                                assert dur == stages[name]
+    for B, w, d in ((1, 1, 0), (10, 2, 1), (7, 3, -2)):
+        sched = idealized_schedule(B, w, d)
+        assert (sched.overhead, sched.T) == (0, B * (1 + w + abs(d)))
+        assert [dur for _, _, dur in stage_segments(sched)] == (
+            [B, 0, 0, 0] + [B] * (abs(d) + w) + [0]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +344,7 @@ def test_encode_layer_structure():
     for i in range(enc.period):
         token = enc[i][3]
         if enc[i][0] == 1:
-            assert token == sched.synchronized_token
+            assert token == token_for_t(sched, 0)
         else:
             assert token == "."
 
@@ -360,7 +393,7 @@ def test_decode_rejects_malformed_layers():
         decode(mutate(2, 2, "1"), p, sched)  # data outside the words
     with pytest.raises(MalformedConfiguration):
         decode(
-            mutate(1, 3, sched.synchronized_token), p, sched
+            mutate(1, 3, token_for_t(sched, 0)), p, sched
         )  # stray token
     with pytest.raises(MalformedConfiguration):
         decode(
@@ -584,6 +617,19 @@ def test_encoding_alphabet_rejects_foreign_schedule():
     p = ident_params(4, 1, 0)
     with pytest.raises(ValueError):
         encoding_alphabet(p, idealized_schedule(4, 1, 0))
+
+
+def test_codec_rejects_schedule_of_another_table():
+    # the same B, W, D and word width, but no table entries against two
+    flip = SimParams(SWAP, SWAP, POINTS, 15, 1, 0)
+    own, other = build_schedule(flip), build_schedule(ident_params(15, 1, 0))
+    assert (own.T, other.T) == (94, 62)
+    s = SuspensionState(POINTS[2], 0, 0)
+    good = encode(s, flip, own)
+    for call in (lambda: encode(s, flip, other),
+                 lambda: decode(good, flip, other)):
+        with pytest.raises(ValueError, match="different parameters"):
+            call()
 
 
 # ---------------------------------------------------------------------------

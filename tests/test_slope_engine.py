@@ -116,7 +116,7 @@ def reference_realize_slope(theta, depth, b_policy="minimal", *,
     overhead = 0
     if not idealized:
         probe_b = min_block_length(alphabet_size, table_entries, 2, 0)
-        overhead = schedule_from_counts(alphabet_size, table_entries, probe_b, 2, 0).c5
+        overhead = schedule_from_counts(alphabet_size, table_entries, probe_b, 2, 0).overhead
     levels, warned, cur = [], False, t
     for k in range(depth):
         w, d, n, hit = _reference_bracket(cur, overhead > 0)
