@@ -421,13 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the flags whose values may begin with "-", each with the shape of such a
-# value: a span like "-3..3", a rational like "-1/3" or a decimal
+# value: a span like "-3..3", or a number like "-1/3" that Fraction reads
 _SPAN = re.compile(r"-\d+\.\.-?\d+$")
-_NEGATIVE_VALUES = {
-    "--trange": _SPAN,
-    "--irange": _SPAN,
-    "--theta": re.compile(r"-\d*\.?\d+(/\d+)?$"),
-}
+_NEGATIVE_VALUES = {"--trange": _SPAN, "--irange": _SPAN, "--theta": re.compile(r"-[\d.]")}
 
 
 def _absorb_negative_values(argv):

@@ -375,7 +375,7 @@ def test_realize_rejects_out_of_range_target(capsys):
     assert "reparametrize" in err
 
 
-@pytest.mark.parametrize("theta", ["-1/3", "-2/7", "-0.5", "-.5"])
+@pytest.mark.parametrize("theta", ["-1/3", "-2/7", "-0.5", "-.5", "-1e-3"])
 def test_realize_reads_a_negative_theta_after_its_flag(capsys, theta):
     spaced = run(capsys, "realize", "--theta", theta, "--depth", "20")
     glued = run(capsys, "realize", f"--theta={theta}", "--depth", "20")
