@@ -422,8 +422,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 # the flags whose values may begin with "-", each with the shape of such a
 # value: a span like "-3..3", or a number like "-1/3" that Fraction reads
-_SPAN = re.compile(r"-\d+\.\.-?\d+$")
-_NEGATIVE_VALUES = {"--trange": _SPAN, "--irange": _SPAN, "--theta": re.compile(r"-[\d.]")}
+_SPAN_VALUE = re.compile(r"-\d+\.\.-?\d+$")
+_NEGATIVE_VALUES = {
+    "--trange": _SPAN_VALUE,
+    "--irange": _SPAN_VALUE,
+    "--theta": re.compile(r"-[\d.]"),
+}
 
 
 def _absorb_negative_values(argv):
@@ -431,8 +435,8 @@ def _absorb_negative_values(argv):
     as options."""
     out: list = []
     for tok in argv:
-        value = _NEGATIVE_VALUES.get(out[-1]) if out else None
-        if value and value.match(tok):
+        shape = _NEGATIVE_VALUES.get(out[-1]) if out else None
+        if shape and shape.match(tok):
             out[-1] += f"={tok}"
         else:
             out.append(tok)
