@@ -284,10 +284,11 @@ class ArrowWalk:
     O(1) and is the oracle of the macro-stepping in `arrow_trace`,
     `perturbation_front` and `run_crossing`, which cross a whole resting
     bracket node in one jump (see `_NodeTable`) and so pay per tick only
-    outside the nodes they can jump, plus O(1) per step replayed.  Their
-    walker holds only the brackets of the cells the arrow has neared, and
-    they find nodes only where it faces one (see `_macro_steps`); what is
-    left of their set-up over the whole word is counting its arrows in C.
+    outside the nodes they can jump; `arrow_trace` adds one C-level sum
+    per step replayed from the node's move block.  Their walker holds
+    only the brackets of the cells the arrow has neared, and they find
+    nodes only where it faces one (see `_macro_steps`); what is left of
+    their set-up over the whole word is counting its arrows in C.
     """
 
     n: int
@@ -404,9 +405,10 @@ class _NodeTable:
     word as it was before the walk, the arrow's cell read as blank.
     Nodes are numbered by shape, (width, ((child offset, child shape),
     ...)).  What a crossing of a shape does, relative to its open bracket,
-    is built from its children's on first use: the arrow position after
-    each step, and the moves of the running front on the side the arrow
-    travels to (the farthest cell that the arrow or a changed bracket has
+    is built from its children's on first use: the arrow's move at each
+    step (`moves`, one byte a step, joined from the children's blocks in
+    C), and the moves of the running front on the side the arrow travels
+    to (the farthest cell that the arrow or a changed bracket has
     reached).
     """
 
@@ -516,33 +518,34 @@ class _NodeTable:
         return shape
 
     def _traversal(self, shape: int, facing: int) -> array:
-        """Arrow positions over one interior traversal, from the cell after
-        the entered bracket to the cell before the far one, each child's
-        crossing replayed."""
+        """Arrow moves over one interior traversal, from the cell after the
+        entered bracket to the cell before the far one: one tick per blank
+        stepped onto and each child's crossing moves, joined in C."""
         width, children = self._keys[shape]
-        out = array("q")
+        tick, out = array("b", (facing,)), array("b")
         # the arrow's cell as the traversal starts, and the far bracket's
         cur, far = (1, width) if facing > 0 else (width - 1, 0)
         for off, s in children if facing > 0 else reversed(children):
-            near = off if facing > 0 else off + self._keys[s][0]
-            out.extend(range(cur + facing, near, facing))
-            out.extend(map(off.__add__, self.positions(s, facing)))
-            cur = out[-1]
-        out.extend(range(cur + facing, far, facing))
-        return out
+            w = self._keys[s][0]
+            near = off if facing > 0 else off + w
+            out += tick * ((near - cur) * facing - 1)
+            out += self.moves(s, facing)
+            cur = near + (w + 1) * facing  # the cell after the child's far bracket
+        return out + tick * ((far - cur) * facing - 1)
 
-    def positions(self, shape: int, facing: int) -> array:
-        """Arrow position after each step of a crossing."""
-        key = ("positions", shape, facing)
+    def moves(self, shape: int, facing: int) -> array:
+        """The arrow's move at each step of a crossing, -2..2, from the
+        cell before the outer bracket: 2·facing to enter and to leave, 0 at
+        each bounce, ±1 per blank.  Moves do not depend on where the node
+        lies, so a parent block is its children's joined by array
+        concatenation, one byte a step."""
+        key = ("moves", shape, facing)
         blk = self._blocks.get(key)
         if blk is None:
-            w = self._keys[shape][0]
-            near, far = (1, w - 1) if facing > 0 else (w - 1, 1)
+            enter, turn = array("b", (2 * facing,)), array("b", (0,))
             there = self._traversal(shape, facing)
             back = self._traversal(shape, -facing)
-            round_trip = there + array("q", (far,)) + back + array("q", (near,))
-            exit_cell = w + 1 if facing > 0 else -1
-            blk = array("q", (near,)) + round_trip * self.n + there + array("q", (exit_cell,))
+            blk = enter + (there + turn + back + turn) * self.n + there + enter
             self._blocks[key] = blk
         return blk
 
@@ -663,12 +666,13 @@ class BlockSpec:
         return len(self.word)
 
 
-def make_block(k: int, n: int) -> BlockSpec:
-    """Blow a pre-block up into automaton symbols.
-
-    One blank goes between every adjacent pre-block symbol pair (brackets are
-    never allowed to touch) and all brackets start unmarked at counter n.
-    """
+def check_block(k: int, n: int, max_steps: int | None = None) -> None:
+    """Raise ValueError, before anything is built, as `run_crossing(k, n,
+    max_steps)` would: a negative budget, then n < 1, then a level above
+    `MAX_BLOCK_LEVEL` or below 0.  `make_block` checks the same, without
+    a budget."""
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     if n < 1:
         raise ValueError("counter bound n must be >= 1")
     if k > MAX_BLOCK_LEVEL:
@@ -676,6 +680,18 @@ def make_block(k: int, n: int) -> BlockSpec:
             f"block level {k} is above the limit {MAX_BLOCK_LEVEL} "
             f"(a level-k block has 12*2^k - 7 cells)"
         )
+    if k < 0:
+        raise ValueError("level must be >= 0")
+
+
+def make_block(k: int, n: int) -> BlockSpec:
+    """Blow a pre-block up into automaton symbols.
+
+    One blank goes between every adjacent pre-block symbol pair (brackets are
+    never allowed to touch) and all brackets start unmarked at counter n.
+    Raises ValueError as `check_block`.
+    """
+    check_block(k, n)
     pre = make_preblock(k)
     spaced = "-".join(pre)
     lut = {"[": open_bracket(n), "]": close_bracket(n), "-": BLANK}
@@ -707,12 +723,11 @@ def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport
     The block is one resting node, so that time is its node S (see
     `_NodeTable`), the same both ways.  The default budget is
     `crossing_steps(k, n)`, which S meets exactly.  Raises Timeout if S
-    exceeds the budget, and ValueError if the budget is negative.  Cost:
-    the cells the node match reads, the whole block when S fits and a few
-    cells per level when the budget is small.
+    exceeds the budget, and ValueError as `check_block`.  Cost: the cells
+    the node match reads, the whole block when S fits and a few cells per
+    level when the budget is small.
     """
-    if max_steps is not None and max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    check_block(k, n, max_steps)
     budget = crossing_steps(k, n) if max_steps is None else max_steps
     table = _NodeTable(n, make_block(k, n).word, 0)
     node = table.node(0, 1, budget)
@@ -772,9 +787,11 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     Arrowless configurations are fixed points; they yield an empty trace with
     the no_arrow flag set.  If the arrow gets stuck the trace is truncated at
     that time and stuck_at records it (the configuration no longer changes).
-    Node crossings are replayed from their position blocks.  Cost: O(1) per
-    position, plus the cells the arrow reaches (see `_macro_steps`); the
-    arrows are counted in C.
+    Node crossings are replayed from their move blocks (see
+    `_NodeTable.moves`), summed from the arrow's cell by
+    `itertools.accumulate`.  Cost: one C-level add per position, plus the
+    cells the arrow reaches (see `_macro_steps`); the arrows are counted
+    in C.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -790,7 +807,9 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
         if shape is None:
             path.append(walk.pos)
         else:
-            path += map(cell.__add__, table.positions(shape, walk.facing))
+            # the jump's moves summed from the arrow's cell, which is popped
+            # because accumulate yields its initial value first
+            path += itertools.accumulate(table.moves(shape, walk.facing), initial=path.pop())
     return ArrowTrace(path, stuck_at=walk.steps if walk.stuck else None)
 
 

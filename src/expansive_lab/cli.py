@@ -137,9 +137,13 @@ def cmd_ab_run(args) -> int:
 
 
 def cmd_ab_cross(args) -> int:
+    levels, ns = _span(args.level), _span(args.n)
+    for level in levels:  # refuse the first bad pair before crossing any
+        for n in ns:
+            ab.check_block(level, n, args.max_steps)
     rows = []
-    for level in _span(args.level):
-        for n in _span(args.n):
+    for level in levels:
+        for n in ns:
             try:
                 rep = ab.run_crossing(level, n, max_steps=args.max_steps)
                 rows.append((level, n, rep.steps, "true"))

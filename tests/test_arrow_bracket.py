@@ -897,6 +897,35 @@ def test_crossing_steps_match_step_walker(n, facing):
         assert run_crossing(k, n, max_steps=steps).steps == steps
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_node_moves_replay_the_step_walker(n):
+    """Every shape met in crossing block(k, n), k <= 4, both ways: its
+    moves, summed from the cell before the outer bracket, are the
+    positions of ArrowWalk.step on that node alone."""
+    for k in range(5):
+        table = _NodeTable(n, make_block(k, n).word, 0)
+        assert table.node(0, 1, crossing_steps(k, n)) is not None
+        cells = {shape: a for a, (_, shape) in table.opens.items()}
+        assert sorted(cells) == list(range(len(table.steps)))
+        for shape, a in cells.items():
+            width = table._keys[shape][0]
+            brackets = {}
+            table.copy_brackets(brackets, a, a + width)
+            for facing in (1, -1):
+                moves = table.moves(shape, facing)
+                assert len(moves) == table.steps[shape]
+                assert set(moves) <= {-2, -1, 0, 1, 2}
+                assert moves[0] == moves[-1] == 2 * facing
+                assert sum(moves) == (width + 2) * facing
+                start = a - 1 if facing > 0 else a + width + 1
+                walk = ArrowWalk(n, dict(brackets), start, facing)
+                stepped = []
+                while len(stepped) < len(moves) and walk.step():
+                    stepped.append(walk.pos)
+                assert list(itertools.accumulate(moves, initial=start))[1:] == stepped
+                assert walk.brackets == brackets
+
+
 def test_macro_walk_matches_step_walker_on_gate_landscape():
     """The gate-03/04 landscape to 10^6 steps: every position and both
     fronts at every time."""

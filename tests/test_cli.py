@@ -550,6 +550,25 @@ def test_tower_refuses_a_full_family_past_the_budget(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "1..3", "--level", "0..200"),
+         "block level 19 is above the limit 18 (a level-k block has 12*2^k - 7 cells)"),
+        (("--n", "0", "--level", "0..19"), "counter bound n must be >= 1"),
+        (("--n", "1", "--level", "19", "--max-steps", "-1"), "max_steps must be >= 0"),
+    ],
+    ids=["level", "n-before-level", "budget-before-level"],
+)
+def test_ab_cross_checks_its_grid_before_crossing(argv, message):
+    # levels 0..18 alone take several seconds to cross; the first bad pair
+    # of the grid, in its order, is named before any of them is built
+    start = time.perf_counter()
+    proc = _run_capped("ab-cross", *argv)
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_realize_with_too_many_digits_names_depth(capsys):
     code, out, err = run(capsys, "realize", "--theta", "1/3", "--depth", "120")
     assert code == 2 and out == ""
