@@ -187,8 +187,9 @@ def cmd_region(args) -> int:
     rule, inverse = _binary_rule(args)
     t_range = _span(args.trange)
     i_range = _span(args.irange)
-    # each of padded_scale_family's members is read on [-n, n], then on the
-    # i-range at every time its orbit passes, from 0 out to both ends
+    # a bound on the cells read: each of padded_scale_family's members on
+    # [-n, n], then on the i-range at each time until it translates; the
+    # bound also caps the region's box, every time by every column
     times = max(t_range[-1] + 1, 0) + max(-t_range.start, 0)
     cells = (2 * max(args.cmax, 0) + 2) * (2 * args.n + 1 + times * len(i_range))
     if cells > MAX_REGION_CELLS:
@@ -430,6 +431,8 @@ _SPAN_VALUE = re.compile(r"-\d+\.\.-?\d+$")
 _NEGATIVE_VALUES = {
     "--trange": _SPAN_VALUE,
     "--irange": _SPAN_VALUE,
+    "--n": _SPAN_VALUE,
+    "--level": _SPAN_VALUE,
     "--theta": re.compile(r"-[\d.]"),
 }
 

@@ -15,7 +15,7 @@ import itertools
 import math
 import warnings
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -91,18 +91,6 @@ def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
     return tuple(Periodic(alphabet, word) for word in reps.values())
 
 
-def crossing_family(k: int, n: int, shifts: Iterable[int] = (0,)) -> tuple:
-    """Every intermediate pattern of a block crossing, padded with blanks,
-    at each requested anchor shift."""
-    from .arrow_bracket import BLANK, enumerate_L, level_alphabet
-
-    alphabet = level_alphabet(n)
-    words = sorted(enumerate_L(k, n).words)
-    return tuple(
-        Padded(alphabet, w, BLANK, anchor=s) for s in shifts for w in words
-    )
-
-
 # ---------------------------------------------------------------------------
 # orbits of a family
 
@@ -140,6 +128,14 @@ def _lockstep(rule, family):
                     steps[k] = islice(iterate(rule, y, orbit[k]), 2, None)
             elif drift[k]:
                 orbit[k] = y.shifted(drift[k])
+
+
+def _common_drift(orbit, drift, a, b):
+    """The drift by which members a and b of a `_lockstep` orbit both
+    translate from now on, an all-pad member matching any; None while
+    either still changes."""
+    d = drift[a] if orbit[a].word else drift[b]
+    return d if not orbit[b].word or drift[b] == d else None
 
 
 def _family_rows(rule, inverse, family, t_range, lo, hi):
@@ -191,27 +187,69 @@ def determined_region(
 
     Cost: agreeing on [-n, n] is having equal windows there, so the pairs
     are those inside each class of equal windows, and a cell is determined
-    iff every member agrees there with the first member of its class; each
-    time step compares one row per member, not one cell per pair.  The
+    iff every member agrees there with the first member of its class.  The
     members advance by `_lockstep`, forward with the rule and backward with
-    the inverse: at most one rule application per member and direction
-    when every member translates from step 1, as under a shift.
+    the inverse, and a link is compared at the times asked for until both
+    its members translate by one drift d (`_common_drift`).  Its difference
+    set D then moves by -d a step: for d == 0 D's columns differ at every
+    later time, and for d != 0 D is finite if the members share a pad (else
+    the link stays compared), and each of its points crosses the i-range in
+    one run of times, found in O(1).  Stepping stops at the last time, or
+    after step 1 (which makes every check of `apply_rule`) once no link is
+    compared: under a shift, at step 1, whatever the times asked for.
     """
     if not family:
         raise ValueError("family must be nonempty")
-    i_lo, i_hi = i_range
+    (t_lo, t_hi), (i_lo, i_hi) = t_range, i_range
+    if t_lo < 0 and inverse is None:
+        raise InverseRequired("negative times need an inverse rule")
     classes: dict = {}
     for m, y in enumerate(family):
         classes.setdefault(y.window(-n, n), []).append(m)
     links = [(c[0], m) for c in classes.values() for m in c[1:]]
-    cells = set()
-    for t, rows in _family_rows(rule, inverse, family, t_range, i_lo, i_hi):
-        differ = {
-            k for a, b in links if rows[a] != rows[b]
-            for k, (p, q) in enumerate(zip(rows[a], rows[b])) if p != q
-        }
-        cells.update((i_lo + k, t) for k in range(i_hi - i_lo + 1) if k not in differ)
-    return DeterminedRegion(n, frozenset(cells), t_range, i_range)
+    differ: set = set()
+    for step, sign, times in ((rule, 1, range(max(t_lo, 0), t_hi + 1)),
+                              (inverse, -1, range(max(-t_hi, 1), -t_lo + 1))):
+        live = links
+        for u, (orbit, drift) in zip(range(times.stop), _lockstep(step, family)):
+            stepping = []
+            for a, b in live:
+                x, y, d = orbit[a], orbit[b], _common_drift(orbit, drift, a, b)
+                if d is None or d and x.pad != y.pad:
+                    stepping.append((a, b))
+                elif d == 0:
+                    later = range(sign * max(u, times.start), sign * times.stop, sign)
+                    differ.update(itertools.product(_difference(x, y, i_lo, i_hi), later))
+                else:  # p - d*k enters the i-range at one end and leaves at the other
+                    enter, leave = (i_hi, i_lo) if d > 0 else (i_lo, i_hi)
+                    for p in _difference(x, y, -math.inf, math.inf):
+                        first = max(0, times.start - u, -((enter - p) // d))
+                        last = min(times.stop - u, (p - leave) // d + 1)
+                        differ.update((p - d * k, sign * (u + k)) for k in range(first, last))
+            if u in times:
+                for a, b in stepping:
+                    cells = _difference(orbit[a], orbit[b], i_lo, i_hi)
+                    differ.update(zip(cells, repeat(sign * u)))
+            live = stepping
+            if not live and u:
+                break
+    box = itertools.product(range(i_lo, i_hi + 1), range(t_lo, t_hi + 1))
+    return DeterminedRegion(n, frozenset(box) - differ, t_range, i_range)
+
+
+def _difference(x: Configuration, y: Configuration, lo, hi) -> list:
+    """The cells of [lo, hi] at which x and y differ.  Padded x and y over
+    one pad differ only inside their words, which bounds an infinite lo or
+    hi, and where one is all-pad, only at the other's non-pad cells."""
+    if isinstance(x, Padded) and isinstance(y, Padded) and x.pad == y.pad:
+        if not (x.word and y.word):
+            z = x if x.word else y
+            cells = range(z.anchor, z.anchor + len(z.word))
+            return [i for i, v in zip(cells, z.word) if v != z.pad and lo <= i <= hi]
+        lo = max(lo, min(x.anchor, y.anchor))
+        hi = min(hi, max(x.anchor + len(x.word), y.anchor + len(y.word)) - 1)
+    rx, ry = x.window(lo, hi), y.window(lo, hi)
+    return [] if rx == ry else [i for i, v, w in zip(range(lo, hi + 1), rx, ry) if v != w]
 
 
 def region_to_lines(region: DeterminedRegion) -> str:
@@ -445,10 +483,7 @@ def _pair_fronts(rule, family, t_max, horizon):
                 right.append((t, r, 0))
             if not t or l != left[-1][1]:
                 left.append((t, l, 0))
-            # the pair's common drift; an all-pad member matches any
-            d = drift[a] if orbit[a].word else drift[b]
-            if orbit[b].word and drift[b] != d:
-                d = None
+            d = _common_drift(orbit, drift, a, b)
             # the closed form needs all of D_t; a fixed pair (d == 0) keeps
             # even a clipped D_t
             if d is None or not (whole or d == 0):

@@ -18,8 +18,8 @@ from expansive_lab.arrow_bracket import (
     BLANK,
     ArrowWalk,
     Timeout,
+    _adjacent_brackets,
     admissible,
-    admissible_periodic_words,
     arrow_trace,
     ascii_legend,
     bracket_info,
@@ -27,7 +27,6 @@ from expansive_lab.arrow_bracket import (
     build_rule,
     canonical_point,
     close_bracket,
-    conflict_report,
     crossing_steps,
     diagram_lines,
     enumerate_L,
@@ -103,6 +102,47 @@ def test_mirror_of_reset_close():
         (ARROW_LEFT, "[1", BLANK),
     )
     assert by_name["reset-close-mirror"] == mirror_transition(lhs, rhs)
+
+
+def conflict_report(n: int) -> list[str]:
+    """Exhaustive consistency check of overlapping transition instances.
+
+    Every instance contains the unique arrow of an admissible configuration,
+    so two instances that overlap anywhere both lie inside the 5-window
+    centered on the arrow; checking all admissible fillings of that window
+    (for both arrow directions) therefore covers every overlap that a larger
+    admissible window could exhibit.  Returns human-readable descriptions of
+    conflicts; an empty list certifies conflict-freeness.
+    """
+    alphabet = level_alphabet(n)
+    non_arrow = [s for s in alphabet if not is_arrow(s)]
+    brackets = frozenset(filter(is_bracket, alphabet))
+    pats = transitions(n)
+    problems = []
+    for arrow in (ARROW_RIGHT, ARROW_LEFT):
+        for fill in itertools.product(non_arrow, repeat=4):
+            window = fill[:2] + (arrow,) + fill[2:]
+            if _adjacent_brackets(window, brackets):
+                continue
+            wanted: dict[int, tuple[str, str]] = {}
+            for name, lhs, rhs in pats:
+                a = lhs.index(ARROW_RIGHT if ARROW_RIGHT in lhs else ARROW_LEFT)
+                o = 2 - a
+                if o < 0 or o + len(lhs) > 5:
+                    continue
+                if tuple(window[o : o + len(lhs)]) != lhs:
+                    continue
+                for i, out in enumerate(rhs):
+                    cell = o + i
+                    prev = wanted.get(cell)
+                    if prev is not None and prev[1] != out:
+                        problems.append(
+                            f"window {window}: cell {cell} wants {prev[1]!r} "
+                            f"({prev[0]}) and {out!r} ({name})"
+                        )
+                    else:
+                        wanted[cell] = (name, out)
+    return problems
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -470,6 +510,38 @@ def test_arrow_conservation_and_locality():
             changed = [i for i in range(lo, hi + 1) if cur[i] != nxt[i]]
             assert all(abs(i - pos) <= 2 for i in changed)
             cur = nxt
+
+
+def admissible_periodic_words(n: int, period: int):
+    """Generate every admissible period word of the given length: cyclic
+    adjacency respected, at most one arrow per period, and no arrow at all
+    below period 5 (shorter periods put repeated arrows in one rule window,
+    which admissibility rules out)."""
+    alphabet = level_alphabet(n)
+    non_arrow = [s for s in alphabet if not is_arrow(s)]
+    brackets = frozenset(filter(is_bracket, alphabet))
+    arrow_ok = period >= 5
+    word: list = [None] * period
+
+    def extend(i: int, used_arrow: bool):
+        if i == period:
+            # wrap-around adjacency; at period 1 a bracket neighbors itself
+            if word[-1] in brackets and word[0] in brackets:
+                return
+            yield tuple(word)
+            return
+        if used_arrow or not arrow_ok:
+            choices = non_arrow
+        else:
+            choices = non_arrow + [ARROW_RIGHT, ARROW_LEFT]
+        for s in choices:
+            if i > 0 and s in brackets and word[i - 1] in brackets:
+                continue
+            word[i] = s
+            yield from extend(i + 1, used_arrow or is_arrow(s))
+        word[i] = None
+
+    yield from extend(0, False)
 
 
 def test_arrowless_admissible_configs_are_fixed():

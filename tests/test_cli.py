@@ -383,6 +383,14 @@ def test_realize_reads_a_negative_theta_after_its_flag(capsys, theta):
     assert spaced[0] == 0 and spaced[1].startswith("lambda_20 = -")
 
 
+@pytest.mark.parametrize(("flag", "span"), [("--n", "-1..2"), ("--level", "-1..3")])
+def test_ab_cross_reads_a_negative_span_after_its_flag(capsys, flag, span):
+    spaced = run(capsys, "ab-cross", flag, span)
+    glued = run(capsys, "ab-cross", f"{flag}={span}")
+    assert spaced == glued
+    assert spaced[0] == 2 and spaced[2].startswith("error: ")
+
+
 def test_tower_report_golden(capsys):
     code, out, _ = run(capsys, "tower", "--levels", "64,2,1;32,2,1;8,2,1")
     assert code == 0

@@ -22,7 +22,9 @@ from expansive_lab.arrow_bracket import (
     ARROW_LEFT,
     ARROW_RIGHT,
     BLANK,
+    build_inverse_rule,
     build_rule,
+    enumerate_L,
     level_alphabet,
     make_block,
     perturbation_front,
@@ -37,7 +39,6 @@ from expansive_lab.dynamics_analysis import (
     TruncationWarning,
     _pair_fronts,
     blocking_word_search,
-    crossing_family,
     determined_region,
     direction_probe,
     embedded_word_family,
@@ -103,6 +104,14 @@ def test_periodic_family_rotation_classes():
         ("0", "1", "1"),
         ("1", "1", "1"),
     }
+
+
+def crossing_family(k, n, shifts=(0,)):
+    """Every intermediate pattern of a block crossing, padded with blanks,
+    at each requested anchor shift."""
+    alphabet = level_alphabet(n)
+    words = sorted(enumerate_L(k, n).words)
+    return tuple(Padded(alphabet, w, BLANK, anchor=s) for s in shifts for w in words)
 
 
 def test_crossing_family_counts_and_anchors():
@@ -1244,3 +1253,123 @@ def test_family_scans_keep_members_over_other_pads_apart():
     mixed = (Padded(BIN, ("1",), "0"), Padded(abc, ("1",), "0", anchor=1))
     with pytest.raises(AlphabetMismatch):
         determined_region(shift_rule(BIN), mixed, 0, (0, 1), (-2, 2))
+
+
+# ---------------------------------------------------------------------------
+# determined regions against the per-time reference
+
+
+def reference_region(rule, family, n, t_range, i_range, inverse=None):
+    """The determined region read off per-time rows: every member's window
+    on the i-range at every time, each link compared cell by cell.  The
+    closed form for translating links must give exactly these cells."""
+    if not family:
+        raise ValueError("family must be nonempty")
+    i_lo, i_hi = i_range
+    classes: dict = {}
+    for m, y in enumerate(family):
+        classes.setdefault(y.window(-n, n), []).append(m)
+    links = [(c[0], m) for c in classes.values() for m in c[1:]]
+    cells = set()
+    for t, rows in dynamics_analysis._family_rows(rule, inverse, family, t_range, i_lo, i_hi):
+        differ = {
+            k for a, b in links if rows[a] != rows[b]
+            for k, (p, q) in enumerate(zip(rows[a], rows[b])) if p != q
+        }
+        cells.update((i_lo + k, t) for k in range(i_hi - i_lo + 1) if k not in differ)
+    return frozenset(cells)
+
+
+def _same_region(rule, family, n, t_range, i_range, inverse=None):
+    region = determined_region(rule, family, n, t_range, i_range, inverse)
+    assert region.cells == reference_region(rule, family, n, t_range, i_range, inverse)
+    return region
+
+
+@pytest.mark.parametrize("d", range(-2, 3))
+@pytest.mark.parametrize(
+    "t_range", [(-6, -1), (2, 7), (-3, 4), (-5, -3), (0, 0), (4, 2)],
+    ids=["negative", "positive", "straddling", "missing-0", "only-0", "empty"],
+)
+def test_shift_regions_match_the_per_time_reference(d, t_range):
+    """The d-shift translates every member from step 1 (d = 0 is the
+    identity); the i-ranges cover the supports, or miss every support at
+    every time asked for."""
+    family = padded_scale_family(BIN, 6, "0", [("1", "0", "1"), ("1", "1")])
+    for n in (-1, 0, 2):
+        for i_range in ((-12, 12), (30, 40), (-40, -30), (3, 1)):
+            _same_region(shift_rule(BIN, d), family, n, t_range, i_range, shift_rule(BIN, -d))
+
+
+def test_arrow_crossing_regions_match_the_per_time_reference():
+    """Crossing patterns of the arrow rule at two anchor shifts: links
+    whose members do not translate stay on the step loop."""
+    rule, inverse = build_rule(1).rule, build_inverse_rule(1)
+    family = crossing_family(0, 1, shifts=(0, 4))
+    for n, t_range in ((0, (-4, 6)), (1, (0, 8)), (3, (-5, -1))):
+        _same_region(rule, family, n, t_range, (-6, 14), inverse)
+
+
+def test_periodic_member_regions_match_the_per_time_reference():
+    """Periodic members: under a shift most rotate and stay on the step
+    loop, while the constant ones and the identity's members are fixed."""
+    family = bin_family(4) + periodic_family(BIN, 3)
+    for d in range(-2, 3):
+        for n, t_range in ((0, (-3, 4)), (2, (1, 5))):
+            _same_region(shift_rule(BIN, d), family, n, t_range, (-8, 8), shift_rule(BIN, -d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=st.sampled_from(RULE_CASES),
+    c_max=st.integers(0, 5),
+    extra=st.lists(st.text("01", max_size=5).map(tuple), max_size=3),
+    n=st.integers(-1, 3),
+    t_range=st.tuples(st.integers(-6, 3), st.integers(-3, 6)),
+    i_lo=st.integers(-12, 4),
+    width=st.integers(0, 16),
+)
+def test_padded_regions_match_the_per_time_reference(case, c_max, extra, n, t_range,
+                                                     i_lo, width):
+    rule, inverse = case
+    if inverse is None:  # forward-only ranges
+        t_range = (max(t_range[0], 0), t_range[1])
+    family = padded_scale_family(BIN, c_max, "0", extra)
+    _same_region(rule, family, n, t_range, (i_lo, i_lo + width - 1), inverse)
+
+
+def test_region_errors_match_the_per_time_reference():
+    """No inverse for negative times, an empty family and a member over
+    another alphabet raise as the reference does: the last at step 1, with
+    or without links, and even when no time is asked for."""
+    abc = Alphabet("012")
+    mixed = (Padded(BIN, ("1",), "0"), Padded(abc, ("1",), "0", anchor=1))
+    cases = [
+        (InverseRequired, (shift_rule(BIN), bin_family(4), 1, (-1, 1), (-3, 3))),
+        (ValueError, (shift_rule(BIN), (), 1, (0, 1), (-2, 2))),
+        (AlphabetMismatch, (shift_rule(BIN), mixed, 0, (0, 1), (-2, 2))),
+        (AlphabetMismatch, (shift_rule(BIN), mixed, -1, (0, 1), (-2, 2))),
+        (AlphabetMismatch, (shift_rule(BIN), mixed, -1, (3, 1), (-2, 2))),
+    ]
+    for error, args in cases:
+        messages = []
+        for region in (determined_region, reference_region):
+            with pytest.raises(error) as info:
+                region(*args)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("d", [-1, 1, 2])
+def test_far_time_regions_take_no_step_past_the_translation(d):
+    """Times near 10^9 under the d-shift: every link translates from step 1,
+    so the band |i + d*t| <= n comes out without stepping to those times."""
+    n, t0 = 2, 10**9
+    t_range, i_range = (t0, t0 + 2), (-d * t0 - 3, -d * t0 + 3)
+    region = determined_region(shift_rule(BIN, d), bin_family(8), n, t_range, i_range)
+    assert region.cells == {
+        (i, t)
+        for t in range(t_range[0], t_range[1] + 1)
+        for i in range(i_range[0], i_range[1] + 1)
+        if abs(i + d * t) <= n
+    }

@@ -20,11 +20,8 @@ PACKAGE = ROOT / "src" / "expansive_lab"
 
 ALLOWED = {
     "arrow_bracket.admissible": "the admissibility oracle the configuration tests check against",
-    "arrow_bracket.admissible_periodic_words": "the word enumeration that the transfer-matrix count and the point generator are checked against",
-    "arrow_bracket.conflict_report": "the exhaustive check that the transition table has no conflict",
     "cycle_machine.sim_params_to_json": "writes the parameter files the reader tests parse",
     "cycle_machine.token_for_t": "inverse of t_for_token; the clock and tampered-decode tests build tokens with it",
-    "dynamics_analysis.crossing_family": "arrow-crossing family of the pair-front oracle tests",
     "dynamics_analysis.direction_probe": "the paper's expansiveness probe along a direction",
     "shift_core.rules_equal": "the behavioural rule equality the composition and serialization tests check with",
 }
