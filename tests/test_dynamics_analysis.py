@@ -1283,7 +1283,6 @@ def reference_region(rule, family, n, t_range, i_range, inverse=None):
 def _same_region(rule, family, n, t_range, i_range, inverse=None):
     region = determined_region(rule, family, n, t_range, i_range, inverse)
     assert region.cells == reference_region(rule, family, n, t_range, i_range, inverse)
-    return region
 
 
 @pytest.mark.parametrize("d", range(-2, 3))
