@@ -253,8 +253,14 @@ def _difference(x: Configuration, y: Configuration, lo, hi) -> list:
 
 
 def region_to_lines(region: DeterminedRegion) -> str:
-    """Sorted "(i,t)" pairs, one per line."""
-    return "\n".join(f"({i},{t})" for i, t in sorted(region.cells)) + "\n"
+    """Sorted "(i,t)" pairs, one per line.  The i-range by t-range box is
+    walked in that order, with no sort, when it holds every cell."""
+    (t_lo, t_hi), (i_lo, i_hi) = region.t_range, region.i_range
+    box = itertools.product(range(i_lo, i_hi + 1), range(t_lo, t_hi + 1))
+    cells = [*filter(region.cells.__contains__, box)]
+    if len(cells) != len(region.cells):  # a cell outside the box
+        cells = sorted(region.cells)
+    return "\n".join(f"({i},{t})" for i, t in cells) + "\n"
 
 
 # ---------------------------------------------------------------------------

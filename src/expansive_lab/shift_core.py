@@ -278,11 +278,19 @@ class LocalRule:
         if self.default not in ("identity", "total"):
             raise ValueError(f"unknown default policy {self.default!r}")
         width = 2 * self.radius + 1
-        for window, out in self.table.items():
-            if len(window) != width:
-                raise ValueError(f"window {window!r} has wrong width")
-            self.alphabet.check(window)
-            self.alphabet.check((out,), "output")
+        known = self.alphabet._index.keys()
+        try:  # one C-level pass; the loop below only names the first bad entry
+            clean = (set(map(len, self.table)) <= {width}
+                     and known >= set(itertools.chain.from_iterable(self.table))
+                     and known >= set(self.table.values()))
+        except TypeError:  # an unsized window or an unhashable symbol
+            clean = False
+        if not clean:
+            for window, out in self.table.items():
+                if len(window) != width:
+                    raise ValueError(f"window {window!r} has wrong width")
+                self.alphabet.check(window)
+                self.alphabet.check((out,), "output")
 
     def __hash__(self) -> int:
         # the generated hash would hash the table dict; this one agrees

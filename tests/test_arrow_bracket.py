@@ -17,8 +17,10 @@ from expansive_lab.arrow_bracket import (
     ARROW_RIGHT,
     BLANK,
     ArrowWalk,
+    ConflictingTransitions,
     Timeout,
     _adjacent_brackets,
+    _build_table,
     admissible,
     arrow_trace,
     ascii_legend,
@@ -48,6 +50,7 @@ from expansive_lab.arrow_bracket import (
     walk_from_configuration,
     walk_to_configuration,
 )
+from expansive_lab import arrow_bracket
 from expansive_lab.arrow_bracket import _NodeTable, _macro_steps, _walk_and_table
 from expansive_lab.shift_core import Padded, Periodic, apply_rule, orbit
 
@@ -154,10 +157,12 @@ def test_no_conflicting_transitions(n):
 def _string_parsed_table(n, rewrite_pairs):
     """The window table built with every symbol of every candidate window
     parsed through `is_bracket`: the reference of `build_rule` and
-    `build_inverse_rule`, which test adjacency against a bracket set."""
+    `build_inverse_rule`, which test adjacency against a bracket set.
+    Returns the table and its first conflict, (window, output, pattern,
+    clashing output, clashing pattern), or None."""
     non_arrow = [s for s in level_alphabet(n) if not is_arrow(s)]
-    table = {}
-    for _, lhs, rhs in rewrite_pairs:
+    table, origin, conflict = {}, {}, None
+    for name, lhs, rhs in rewrite_pairs:
         length = len(lhs)
         for o in range(max(0, 3 - length), min(2, 5 - length) + 1):
             fill_at = [i for i in range(5) if not o <= i < o + length]
@@ -168,17 +173,41 @@ def _string_parsed_table(n, rewrite_pairs):
                     w[i] = sym
                 if any(is_bracket(w[i]) and is_bracket(w[i + 1]) for i in range(4)):
                     continue
-                table.setdefault(tuple(w), rhs[2 - o])
-    return table
+                w, out = tuple(w), rhs[2 - o]
+                origin.setdefault(w, name)
+                if table.setdefault(w, out) != out and conflict is None:
+                    conflict = (w, table[w], origin[w], out, name)
+    return table, conflict
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_rule_tables_match_string_parsing_reference(n):
-    forward = _string_parsed_table(n, transitions(n))
+    forward, conflict = _string_parsed_table(n, transitions(n))
+    assert conflict is None
     assert list(build_rule(n).rule.table.items()) == list(forward.items())
     reverse = [(name, rhs, lhs) for name, lhs, rhs in transitions(n)]
-    inverse = _string_parsed_table(n, reverse)
+    inverse, conflict = _string_parsed_table(n, reverse)
+    assert conflict is None
     assert list(build_inverse_rule(n).table.items()) == list(inverse.items())
+
+
+@pytest.mark.parametrize(
+    "clash, first",
+    [
+        (("clash", (ARROW_RIGHT, BLANK), (BLANK, ARROW_LEFT)), "advance"),
+        (("clash", (BLANK, ARROW_LEFT), (ARROW_RIGHT, BLANK)), "advance-mirror"),
+    ],
+)
+def test_conflicting_patterns_raise_the_reference_conflict(clash, first):
+    pairs = transitions(2) + [clash]
+    _, conflict = _string_parsed_table(2, pairs)
+    window, prev, origin, out, name = conflict
+    assert (origin, name) == (first, "clash")
+    with pytest.raises(ConflictingTransitions) as exc:
+        _build_table(pairs, level_alphabet(2))
+    assert exc.value.args == (
+        f"window {window} gets {prev!r} from {origin} but {out!r} from {name}",
+    )
 
 
 def test_build_rule_shares_one_system_per_bound():
@@ -187,6 +216,20 @@ def test_build_rule_shares_one_system_per_bound():
     for _ in range(2):  # a refusal is not cached: every call raises
         with pytest.raises(ValueError, match="counter bound 16 is above the limit 15"):
             build_rule(16)
+
+
+def test_both_builders_refuse_past_the_bound_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("built part of a rule past the bound")
+
+    for name in ("level_alphabet", "transitions", "_build_table"):
+        monkeypatch.setattr(arrow_bracket, name, build)
+    for builder in (build_rule, build_inverse_rule):
+        with pytest.raises(ValueError) as exc:
+            builder(16)
+        assert exc.value.args == (
+            "counter bound 16 is above the limit 15 (the window table grows like (4n+5)^4)",
+        )
 
 
 def test_blank_quiescence():

@@ -1,5 +1,6 @@
 """Command line behavior: formats, golden outputs, exit codes."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -53,6 +54,15 @@ def test_ab_run_pgm_header_and_file_output(capsys, tmp_path):
     assert lines[1] == "343 501"  # width grows with the orbit, height = steps+1
     assert lines[2] == "12"  # 13 symbols at n=2, grays run 0..12
     assert len(lines) == 3 + 501
+
+
+def test_ab_run_at_the_top_counter_bound_keeps_its_output():
+    # a fresh process builds the n = 15 rule, the largest one allowed
+    proc = _run_capped("ab-run", "--n", "15", "--level", "0", "--steps", "5")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "b33acb67c0fd2314427afc6f2b965e5dd72db3906d3fd451a2669ecab79f8e6d"
+    )
 
 
 def test_ab_run_rejects_bad_params(capsys):

@@ -31,6 +31,7 @@ from expansive_lab.arrow_bracket import (
 )
 from expansive_lab.dynamics_analysis import (
     BlockingUpTo,
+    DeterminedRegion,
     Direction,
     ExpansiveAtScale,
     InverseRequired,
@@ -232,6 +233,11 @@ def test_region_to_lines_golden():
     )
     assert region_to_lines(region) == (
         "(-1,0)\n(-1,1)\n(0,0)\n(0,1)\n(1,0)\n(1,1)\n"
+    )
+    # a hand-built region with a cell outside its box prints sorted too
+    outside = DeterminedRegion(1, region.cells | {(-5, 3), (9, -1)}, (0, 1), (-2, 2))
+    assert region_to_lines(outside) == (
+        "(-5,3)\n(-1,0)\n(-1,1)\n(0,0)\n(0,1)\n(1,0)\n(1,1)\n(9,-1)\n"
     )
 
 

@@ -428,6 +428,29 @@ class TestValidation:
             build()
         assert exc.value.args == (message,)
 
+    @pytest.mark.parametrize(
+        "first, later, error, message",
+        [
+            ((("a", "b"), "a"), (("b",), "a"), ValueError,
+             "window ('a', 'b') has wrong width"),
+            ((("a", "z", "b"), "a"), (("y", "a", "a"), "a"), KeyError,
+             "symbol 'z' not in alphabet"),
+            ((("b", "b", "b"), "z"), (("b", "b", "a"), "y"), KeyError,
+             "output 'z' not in alphabet"),
+        ],
+        ids=["width", "window-symbol", "output"],
+    )
+    def test_first_bad_entry_named_in_a_large_table(self, first, later, error, message):
+        # two entries are bad in one way, the first mid-table; the good
+        # entries are every other window
+        items = [(w, "a") for w in itertools.product("ab", repeat=3)]
+        items = [item for item in items if item[0] not in (first[0], later[0])]
+        items.insert(len(items) // 2, first)
+        table = {**dict(items), later[0]: later[1]}
+        with pytest.raises(error) as exc:
+            LocalRule(_AB, 1, table)
+        assert exc.value.args == (message,)
+
 
 def _fields(x):
     return type(x), tuple(getattr(x, name) for name in type(x).__slots__)
