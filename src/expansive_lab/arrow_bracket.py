@@ -40,6 +40,7 @@ from .shift_core import (
     apply_rule,
     iterate,
     min_rotation,
+    necklaces,
 )
 
 BLANK = "-"
@@ -211,17 +212,16 @@ def _build_table(rewrite_pairs, alphabet: Alphabet) -> dict:
     return table
 
 
-# size budget of build_rule and build_inverse_rule: their window tables hold
-# 964, 2,880, 6,268, 58,728 and 301,516 entries at n = 1, 2, 3, 8 and 15;
-# 15 is also the largest bound `ascii_legend` has glyphs for
+# size budget of build_rule and build_inverse_rule, whose table sizes the
+# refusal states; 15 is also the largest bound `ascii_legend` has glyphs for
 MAX_COUNTER_BOUND = 15
 
 
 def _check_bound(n: int) -> None:
     if n > MAX_COUNTER_BOUND:
         raise ValueError(
-            f"counter bound {n} is above the limit {MAX_COUNTER_BOUND} "
-            f"(the window table grows like (4n+5)^4)"
+            f"counter bound {n} is above the limit {MAX_COUNTER_BOUND} (the window table holds "
+            f"964, 2,880, 6,268, 58,728 and 301,516 entries at n = 1, 2, 3, 8 and 15)"
         )
 
 
@@ -931,49 +931,30 @@ def build_inverse_rule(n: int) -> LocalRule:
     return LocalRule(alphabet, 2, _build_table(rev, alphabet), "identity")
 
 
-def periodic_points(n: int, period: int):
-    """Generate each admissible point of least period `period` once, as its
-    canonical word (`canonical_point`), in increasing order.
-
-    A canonical word of least period p is a Lyndon word of length p in
-    `min_rotation`'s order, which compares symbols as strings.  The
-    recursive Fredricksen-Kessler-Maiorana scheme (Ruskey, Savage & Wang,
-    "Generating necklaces", J. Algorithms 13 (1992)) extends prenecklaces,
-    tracking the length of their longest Lyndon prefix, and keeps the
-    words where that is the whole word.  Admissibility is rotation
-    invariant and, but for the wrap pair, prefix closed, so a prefix with
-    two adjacent brackets or a second arrow is pruned, and the wrap pair is
-    checked once on each full word."""
-    syms = sorted(s for s in level_alphabet(n) if period >= 5 or not is_arrow(s))
+@functools.lru_cache(maxsize=8)
+def _point_symbols(n: int, arrows: bool) -> tuple:
+    """`periodic_points`' symbols, arrows or not, and `necklaces` filters."""
+    syms = tuple(sorted(s for s in level_alphabet(n) if arrows or not is_arrow(s)))
     bracket = [is_bracket(s) for s in syms]
-    arrow = [is_arrow(s) for s in syms]
-    word = [0] * period
+    follow = tuple(tuple(j for j, b in enumerate(bracket) if not (a and b)) for a in bracket)
+    return syms, follow, frozenset(j for j, s in enumerate(syms) if is_arrow(s))
 
-    def extend(t: int, p: int, used_arrow: bool):
-        if t == period:
-            if p == period and not (bracket[word[-1]] and bracket[word[0]]):
-                yield tuple(map(syms.__getitem__, word))
-            return
-        after_bracket, a = bracket[word[t - 1]], word[t - p]
-        for j in range(a, len(syms)):
-            if after_bracket and bracket[j] or used_arrow and arrow[j]:
-                continue
-            word[t] = j
-            yield from extend(t + 1, p if j == a else t + 1, used_arrow or arrow[j])
 
-    for j in range(len(syms)):
-        word[0] = j
-        yield from extend(1, 1, arrow[j])
+def periodic_points(n: int, period: int) -> list:
+    """The admissible points of least period `period`, each once as its
+    canonical word (`canonical_point`), in increasing order: the Lyndon
+    words in `min_rotation`'s (string) order with no two adjacent brackets
+    and at most one arrow, none below period 5 (`admissible`)."""
+    syms, follow, once = _point_symbols(n, period >= 5)
+    return necklaces(syms, period, True, follow, once)
 
 
 def canonical_point(word: tuple) -> tuple:
     """Primitive root of the period word, minimal rotation: a canonical name
     for the shift-periodic point the word describes."""
     p = len(word)
-    for d in range(1, p + 1):
-        if p % d == 0 and word == word[:d] * (p // d):
-            return min_rotation(word[:d])
-    return min_rotation(word)
+    d = next(d for d in range(1, p + 1) if p % d == 0 and word == word[:d] * (p // d))
+    return min_rotation(word[:d])
 
 
 @dataclass(frozen=True)
@@ -984,10 +965,6 @@ class InjectivityReport:
     collisions: tuple
     stuck_points: int
 
-    @property
-    def injective(self) -> bool:
-        return not self.collisions
-
     def collisions_with_only_mobile_members(self) -> list:
         """Collision groups not explained by a stuck member; empty means the
         map is injective away from stuck configurations."""
@@ -995,37 +972,31 @@ class InjectivityReport:
 
 
 def scan_periodic_injectivity(n: int, periods) -> InjectivityReport:
-    """Image-collision scan of the cell map over all admissible periodic
-    points with period in `periods`.
+    """Image-collision scan of the cell map over the admissible periodic
+    points of least period in `periods`, each once (`periodic_points`).
 
-    Points are canonicalized (primitive root, minimal rotation) so rotations
-    and repetitions are counted once.  Each preimage is recorded together
-    with a stuck flag (arrow present but no transition fired); the known
-    failure mode of injectivity on the full admissible set is a mobile
-    configuration mapping onto a stuck fixed point.  Arrowless points are
-    counted but not recorded: every window of the rule's table holds one
-    arrow, so they are fixed, and the rule conserves arrows, so nothing else
-    maps onto one.
-
-    Cost: one pass over the points (`periodic_points`), not over the
-    admissible words, and one rule application per point with an arrow.
+    Each preimage is recorded together with a stuck flag (arrow present but
+    no transition fired); the known failure mode of injectivity on the full
+    admissible set is a mobile configuration mapping onto a stuck fixed
+    point.  Arrowless points are counted but not recorded: every window of
+    the rule's table holds one arrow, so they are fixed, and the rule
+    conserves arrows, so nothing else maps onto one.  Cost: one rule
+    application per point with an arrow.
     """
     system = build_rule(n)
     images: dict = {}
-    points = 0
-    stuck_points = 0
+    points = stuck_points = 0
     for p in sorted(set(periods)):
-        for w in periodic_points(n, p):
-            points += 1
+        found = periodic_points(n, p)
+        points += len(found)
+        for w in found:
             if ARROW_RIGHT not in w and ARROW_LEFT not in w:
                 continue
-            y = apply_rule(system.rule, Periodic(system.alphabet, w))
+            y = apply_rule(system.rule, Periodic._of(system.alphabet, w))
             stuck = y.word == w
             stuck_points += stuck
             images.setdefault(canonical_point(y.word), []).append((w, stuck))
-    collisions = tuple(
-        tuple(group) for group in images.values() if len(group) > 1
-    )
+    collisions = tuple(tuple(group) for group in images.values() if len(group) > 1)
     return InjectivityReport(n, tuple(sorted(periods)), points, collisions, stuck_points)
 
 

@@ -30,7 +30,7 @@ from .shift_core import (
     Periodic,
     apply_rule,
     iterate,
-    min_rotation,
+    necklaces,
 )
 
 
@@ -73,22 +73,20 @@ def padded_scale_family(
 
 
 def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
-    """All periodic points of period up to max_period, one representative
-    per rotation class.  The sum over p <= max_period of |alphabet|^p words
-    it enumerates must be at most _COMPOSE_LIMIT; else ValueError."""
+    """One periodic point per rotation class of the words of each length
+    p <= max_period, so a point recurs at each multiple of its least period
+    (all "0"s as both ("0",) and ("0", "0")): the reversal of the class's
+    least word in the alphabet's index order (`necklaces`), by p and then
+    by that word.  The sum over p of the |alphabet|^p words, not the
+    classes, must be at most _COMPOSE_LIMIT; else ValueError."""
     n = len(alphabet)
     # periods past 64 need no summing: two symbols give 2^64 words there
     words = max_period if n == 1 else sum(n**p for p in range(1, min(max_period, 64) + 1))
     if words > _COMPOSE_LIMIT:
-        raise ValueError(
-            f"periodic family up to period {max_period} over {n} symbols is too large"
-        )
-    reps: dict = {}
-    for p in range(1, max_period + 1):
-        # word[0] varies fastest; this order picks each class's representative
-        for rev in itertools.product(alphabet.symbols, repeat=p):
-            reps.setdefault(min_rotation(rev[::-1]), rev[::-1])
-    return tuple(Periodic(alphabet, word) for word in reps.values())
+        raise ValueError(f"periodic family up to period {max_period} over {n} symbols "
+                         "is too large")
+    return tuple(Periodic._of(alphabet, word[::-1]) for p in range(1, max_period + 1)
+                 for word in necklaces(alphabet.symbols, p))
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,36 @@ def min_rotation(word: tuple) -> tuple:
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
+def necklaces(symbols: Sequence, length: int, lyndon: bool = False,
+              may_follow: Sequence | None = None, once: frozenset = frozenset()) -> list:
+    """The necklaces of `length` over `symbols` (only the Lyndon words if
+    `lyndon`), each as its least rotation in index order, in increasing
+    order, by the recursive Fredricksen-Kessler-Maiorana scheme (Ruskey,
+    Savage & Wang, "Generating necklaces", J. Algorithms 13 (1992)).  It
+    prunes a prenecklace once symbols[j] follows symbols[i] for a j not in
+    the ascending `may_follow[i]`, or a second cell holds a symbol indexed
+    in `once`, and checks the wrap pair (last, first) on each full word."""
+    if length < 1:
+        raise ValueError(f"period must be >= 1, not {length}")
+    word, found = [0] * length, []
+    follow = may_follow or [range(len(symbols))] * len(symbols)
+
+    def extend(t: int, p: int, used: bool) -> None:
+        # p is the length of the longest Lyndon prefix of word[:t]
+        if t == length:
+            if (p == length if lyndon else length % p == 0) and word[0] in follow[word[-1]]:
+                found.append(tuple(map(symbols.__getitem__, word)))
+            return
+        a = word[t - p]  # at t = 0, word[-1] is still 0
+        for j in follow[word[t - 1]] if t else range(len(symbols)):
+            if j >= a and not (used and j in once):
+                word[t] = j
+                extend(t + 1, p if j == a else t + 1, used or j in once)
+
+    extend(0, 1, False)
+    return found
+
+
 def compose_rules(outer: LocalRule, inner: LocalRule) -> LocalRule:
     """The rule computing outer-after-inner, with range equal to the sum.
 

@@ -228,7 +228,8 @@ def test_both_builders_refuse_past_the_bound_before_building(monkeypatch):
         with pytest.raises(ValueError) as exc:
             builder(16)
         assert exc.value.args == (
-            "counter bound 16 is above the limit 15 (the window table grows like (4n+5)^4)",
+            "counter bound 16 is above the limit 15 (the window table holds 964, "
+            "2,880, 6,268, 58,728 and 301,516 entries at n = 1, 2, 3, 8 and 15)",
         )
 
 
@@ -746,6 +747,14 @@ def test_periodic_points_equal_the_filtered_words(n):
         want = _reference_scan(n, [w for p in range(1, scan_p + 1) for w in found[p]])
         assert (report.points, report.stuck_points,
                 {frozenset(g) for g in report.collisions}) == want
+
+
+def test_periodic_points_refuse_a_period_below_one():
+    for period in (0, -3):
+        with pytest.raises(ValueError, match=f"period must be >= 1, not {period}"):
+            periodic_points(1, period)
+    with pytest.raises(ValueError, match="period must be >= 1, not 0"):
+        scan_periodic_injectivity(1, [0, 2])
 
 
 def test_canonical_point_examples():

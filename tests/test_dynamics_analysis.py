@@ -59,6 +59,7 @@ from expansive_lab.shift_core import (
     apply_rule,
     compose_rules,
     identity_rule,
+    min_rotation,
     orbit,
     shift_rule,
 )
@@ -88,6 +89,17 @@ def test_padded_scale_family_extra_words():
     assert fam[-1].word == ("1", "1") and fam[-1].anchor == 0
 
 
+def _reference_periodic_family(alphabet, max_period):
+    """`periodic_family` by brute force: every word of each period, keyed
+    by its least rotation, keeping the first in an order where word[0]
+    varies fastest; the reference of the necklace enumeration."""
+    reps = {}
+    for p in range(1, max_period + 1):
+        for rev in itertools.product(alphabet.symbols, repeat=p):
+            reps.setdefault(min_rotation(rev[::-1]), rev[::-1])
+    return tuple(Periodic(alphabet, word) for word in reps.values())
+
+
 def test_periodic_family_rotation_classes():
     fam = periodic_family(BIN, 3)
     canon = {
@@ -105,6 +117,14 @@ def test_periodic_family_rotation_classes():
         ("0", "1", "1"),
         ("1", "1", "1"),
     }
+    # the brute-force reference, order included, over sizes 1-4 and an
+    # alphabet whose index order is not its string order
+    for symbols, max_period in (("x", 6), ("01", 12), ("abc", 7), ("za", 10), ("abcd", 6)):
+        alphabet = Alphabet(tuple(symbols))
+        assert periodic_family(alphabet, max_period) == _reference_periodic_family(
+            alphabet, max_period
+        ), symbols
+    assert periodic_family(BIN, 0) == periodic_family(BIN, -2) == ()
 
 
 def crossing_family(k, n, shifts=(0,)):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from expansive_lab.shift_core import (
     apply_rule,
     compose_rules,
     identity_rule,
+    necklaces,
     orbit,
     rule_from_json,
     rule_to_json,
@@ -358,6 +360,44 @@ class TestOrbitAndAgreement:
         y = Padded(ab, "b", pad="a", anchor=0)
         assert agree_on(x, y, -5, 0)
         assert not agree_on(x, y, 0, 1)
+
+
+def _moebius(d):
+    """The Moebius function, by trial division."""
+    sign, q = 1, 2
+    while d > 1:
+        if d % q == 0:
+            d //= q
+            if d % q == 0:
+                return 0
+            sign = -sign
+        q += 1
+    return sign
+
+
+def _totient(d):
+    return sum(math.gcd(i, d) == 1 for i in range(1, d + 1))
+
+
+def _divisor_count(weight, k, p):
+    """(1/p) * sum over d | p of weight(d) * k^(p/d)."""
+    total = sum(weight(d) * k ** (p // d) for d in range(1, p + 1) if p % d == 0)
+    assert total % p == 0
+    return total // p
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_necklace_counts_match_the_closed_forms(k):
+    """Moreau's count of necklaces and the count of Lyndon words, an oracle
+    that enumerates nothing, up to length 10; the necklaces of one length
+    come in increasing index order, each its own least rotation."""
+    symbols = tuple(range(k))
+    for p in range(1, 11):
+        words = necklaces(symbols, p)
+        assert len(words) == _divisor_count(_totient, k, p), (k, p)
+        assert len(necklaces(symbols, p, lyndon=True)) == _divisor_count(_moebius, k, p)
+        assert all(a < b for a, b in zip(words, words[1:]))
+        assert all(w == min(w[i:] + w[:i] for i in range(p)) for w in words[::97])
 
 
 class TestSerialization:
