@@ -166,8 +166,11 @@ class ABSystem:
     """A counter bound together with its derived range-2 cell map."""
 
     n: int
-    alphabet: Alphabet
     rule: LocalRule
+
+    @property
+    def alphabet(self) -> Alphabet:
+        return self.rule.alphabet
 
 
 def _build_table(rewrite_pairs, alphabet: Alphabet) -> dict:
@@ -243,7 +246,7 @@ def build_rule(n: int) -> ABSystem:
     _check_bound(n)
     alphabet = level_alphabet(n)
     table = _build_table(transitions(n), alphabet)
-    return ABSystem(n, alphabet, LocalRule(alphabet, 2, table, "identity"))
+    return ABSystem(n, LocalRule(alphabet, 2, table, "identity"))
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +751,11 @@ def enumerate_L(k: int, n: int) -> CrossingLanguage:
 @dataclass(frozen=True)
 class ArrowTrace:
     positions: list = field(default_factory=list)  # arrow position at t = 0, 1, ...
-    no_arrow: bool = False
     stuck_at: int | None = None
+
+    @property
+    def no_arrow(self) -> bool:
+        return not self.positions
 
     @property
     def pairs(self) -> tuple:
@@ -759,8 +765,8 @@ class ArrowTrace:
 def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     """(t, arrow position) for 0 <= t <= t_max.
 
-    Arrowless configurations are fixed points; they yield an empty trace with
-    the no_arrow flag set.  If the arrow gets stuck the trace is truncated at
+    Arrowless configurations are fixed points; they yield an empty trace,
+    which reads as no_arrow.  If the arrow gets stuck the trace is truncated at
     that time and stuck_at records it (the configuration no longer changes).
     Node crossings are replayed from their move blocks (see
     `_NodeTable.moves`), summed from the arrow's cell by
@@ -773,7 +779,7 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     if not isinstance(cfg, (Padded, Periodic)):
         raise TypeError("unsupported configuration type")
     if ARROW_RIGHT not in cfg.word and ARROW_LEFT not in cfg.word:
-        return ArrowTrace(no_arrow=True)
+        return ArrowTrace()
     if not isinstance(cfg, Padded):
         raise ValueError("arrow_trace needs a padded configuration with one arrow")
     walk, table = _walk_and_table(cfg, system.n)
@@ -841,17 +847,14 @@ class HierarchicalArrangement:
     of all lower stages, which only deepens the nesting the arrow must cross.
     """
 
-    depth: int
     n: int
-    choices: tuple
+    choices: tuple  # one (phi, psi) pair per stage: the depth is its length
     offsets: tuple = field(init=False)  # c_1, ..., c_(depth+1), from the choices
     # (first lifted cell, period, symbol) of each stage's opens and closes,
     # shallowest stage first; the stages claim disjoint cells
     progressions: tuple = field(init=False)
 
     def __post_init__(self):
-        if len(self.choices) != self.depth:
-            raise ValueError("need one (phi, psi) choice pair per level")
         opn, cls = open_bracket(self.n), close_bracket(self.n)
         c, cs, progs = 0, [0], []
         for k, (phi, psi) in enumerate(self.choices):
@@ -867,10 +870,14 @@ class HierarchicalArrangement:
         object.__setattr__(self, "progressions", tuple(progs))
 
     @property
+    def depth(self) -> int:
+        return len(self.choices)
+
+    @property
     def free_cell(self) -> int:
         """A plain coordinate no stage will ever claim (the next stage's
         progression representative)."""
-        return self.offsets[self.depth]
+        return self.offsets[-1]
 
     def lifted_symbol(self, i: int) -> str:
         if i % 2:  # every progression's first cell and period are even
@@ -906,7 +913,7 @@ class HierarchicalArrangement:
 
 
 def hierarchical_arrangement(depth: int, n: int, seed: int = 0) -> HierarchicalArrangement:
-    return HierarchicalArrangement(depth, n, hierarchical_choices(depth, seed))
+    return HierarchicalArrangement(n, hierarchical_choices(depth, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def cmd_lyapunov(args) -> int:
     if args.system == "ab":
         cfg = _arrow_block_start(args.n, args.level)
         right, left = ab.perturbation_front(cfg, args.n, args.tmax)
-        est = profile_from_fronts(right, left, right[0], args.horizon)
+        est = profile_from_fronts(right, left, args.horizon)
     else:
         if args.system == "identity":
             rule = identity_rule(BINARY)

@@ -123,6 +123,11 @@ class SimParams:
         default costs no program rows."""
         return len(set(self.phi.table) | set(self.phi_inv.table))
 
+    @cached_property
+    def stages(self) -> tuple:
+        """The fixed stages of every schedule built for these parameters."""
+        return fixed_stages(self.N, self.table_entries)
+
     def program_length(self) -> int:
         return _program_length(
             self.word_bits, self.table_entries, self.W, self.D
@@ -177,8 +182,6 @@ class CycleSchedule:
     B: int
     W: int
     D: int
-    word_bits: int
-    table_entries: int
     stages: tuple
     T: int = field(init=False)
 
@@ -234,7 +237,7 @@ def schedule_from_counts(
         )
     if b < 2 * bits:
         raise BlockTooSmall(f"B={b} cannot hold two {bits}-bit data words")
-    return CycleSchedule(b, w, d, bits, entries, stages)
+    return CycleSchedule(b, w, d, stages)
 
 
 def build_schedule(p: SimParams) -> CycleSchedule:
@@ -251,7 +254,7 @@ def idealized_schedule(b: int, w: int, d: int) -> CycleSchedule:
     No encoding is possible through it (the word width is zero); it exists
     for closed-form slope computations.
     """
-    return CycleSchedule(b, w, d, 0, 0, (0,) * 5)
+    return CycleSchedule(b, w, d, (0,) * 5)
 
 
 def stage_segments(sched: CycleSchedule) -> tuple:
@@ -297,9 +300,8 @@ class SuspensionState(NamedTuple):
 
 
 def _check_schedule_match(p: SimParams, sched: CycleSchedule):
-    if (sched.B, sched.W, sched.D, sched.word_bits, sched.table_entries) != (
-        p.B, p.W, p.D, p.word_bits, p.table_entries
-    ):
+    # the stages fix the word width and the table size
+    if (sched.B, sched.W, sched.D, sched.stages) != (p.B, p.W, p.D, p.stages):
         raise ValueError(
             "schedule was built for different parameters (idealized "
             "schedules cannot drive the encoding)"

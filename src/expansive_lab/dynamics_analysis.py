@@ -28,7 +28,6 @@ from .shift_core import (
     LocalRule,
     Padded,
     Periodic,
-    apply_rule,
     iterate,
     necklaces,
 )
@@ -100,32 +99,31 @@ def _lockstep(rule, family):
     and as the rule commutes with the shift so does every later one: the
     member is shifted from then on, not stepped.  A padded member that is
     a shift of an earlier one, its lead, follows its lead's orbit, shifted.
-    Both lists change in place between yields.  Cost: one `apply_rule` per
-    lead, for step 1; a lead that does not translate then draws its later
-    steps from `iterate`, which re-evaluates only the cells next to the
-    last step's changes, until it translates."""
+    Both lists change in place between yields.  Cost: once step 1 is asked
+    for, each lead draws its steps from `iterate` until it translates: one
+    `apply_rule` for step 1, then only the cells next to the last step's
+    changes."""
     orbit, drift = list(family), [None] * len(family)
     leads: dict = {}  # padded members with one alphabet object, pad and word
     lead = [
         leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)
         for k, y in enumerate(family)
     ]
-    steps: dict = {}  # lead -> its later steps, once step 1 did not translate it
+    yield orbit, drift
+    steps = {k: islice(iterate(rule, family[k]), 1, None) for k in leads.values()}
     while True:
-        yield orbit, drift
         for k, (y, j) in enumerate(zip(orbit, lead)):
             if drift[k] is None and j < k:
                 orbit[k] = orbit[j].shifted(family[j].anchor - family[k].anchor)
                 drift[k] = drift[j]
             elif drift[k] is None:
-                orbit[k] = next(steps[k]) if k in steps else apply_rule(rule, y)
+                orbit[k] = next(steps[k])
                 if orbit[k].word == y.word:
                     drift[k] = y.anchor - orbit[k].anchor if isinstance(y, Padded) else 0
-                    steps.pop(k, None)
-                elif k not in steps:
-                    steps[k] = islice(iterate(rule, y, orbit[k]), 2, None)
+                    del steps[k]
             elif drift[k]:
                 orbit[k] = y.shifted(drift[k])
+        yield orbit, drift
 
 
 def _common_drift(orbit, drift, a, b):
@@ -284,7 +282,8 @@ def _push(breaks, t, v, s):
 class Front(Sequence):
     """A monotone front f(0), ..., f(n-1), held as breakpoints (t, v, s):
     from time t to the next breakpoint, f is v + s*(t' - t).  A value of
-    None (slope 0) stands for no front yet.
+    None (slope 0) stands for no front yet.  `t_max` is n - 1, the last
+    time, which `len` cannot return from n = 2**63 on.
 
     It reads as the tuple of its values: len, indexing, slicing, iteration
     and equality with a list or tuple (and, like a list, it is unhashable).
@@ -329,7 +328,7 @@ class Front(Sequence):
     def __eq__(self, other):
         if not isinstance(other, (Front, list, tuple)):
             return NotImplemented
-        if len(self) != len(other):
+        if self.t_max != (other.t_max if isinstance(other, Front) else len(other) - 1):
             return False
         return list(self) == (other if isinstance(other, list) else list(other))
 
@@ -340,6 +339,10 @@ class Front(Sequence):
     def start(self):
         """f(0)."""
         return self._b[0][1]
+
+    @property
+    def t_max(self) -> int:
+        return self._n - 1
 
     def advance(self) -> Front:
         """|f(t) - f(0)|: how far the front has come from its start."""
@@ -354,7 +357,7 @@ class Front(Sequence):
 
     def reach(self, x) -> int:
         """The first t >= 1 at which the front has come as far as x from
-        f(0), going the way x lies; len(self) if it never does."""
+        f(0), going the way x lies; t_max + 1 if it never does."""
         b, v0 = self._b, self._b[0][1]
         if x == v0:
             return 1
@@ -529,14 +532,17 @@ class LyapunovEstimate:
     (the paper-style I^+ maximized over the family and over shifts);
     lambda_minus is the mirror.  Values are exact for padded families;
     `truncated` marks runs where the horizon clipped a front, making the
-    estimate a lower bound only.
+    estimate a lower bound only.  Both fronts run from time 0 to `t_max`.
     """
 
-    t_max: int
     horizon: int
     lambda_plus: Front
     lambda_minus: Front
     truncated: bool = False
+
+    @property
+    def t_max(self) -> int:
+        return self.lambda_plus.t_max
 
     def ratio_plus(self, t: int) -> float:
         return self.lambda_plus[t] / t if t else 0.0
@@ -560,7 +566,7 @@ def _estimate(fronts, t_max, horizon, truncated) -> LyapunovEstimate:
             TruncationWarning,
             stacklevel=3,
         )
-    return LyapunovEstimate(t_max, horizon, plus, minus, truncated)
+    return LyapunovEstimate(horizon, plus, minus, truncated)
 
 
 def lyapunov_profile(
@@ -588,13 +594,13 @@ def lyapunov_profile(
     return _estimate(fronts.values(), t_max, horizon, truncated)
 
 
-def profile_from_fronts(right, left, start: int, horizon: int) -> LyapunovEstimate:
+def profile_from_fronts(right, left, horizon: int) -> LyapunovEstimate:
     """Wrap precomputed cumulative fronts of a single perturbation (a
     configuration versus itself without the perturbing symbol) as an
-    estimate; `start` is the perturbation site, the initial difference
-    right[0] == left[0].  As in `lyapunov_profile`, the fronts are clipped
-    to [-horizon, horizon], and one that passed it makes the estimate a
-    lower bound and warns.
+    estimate up to their `t_max`; the perturbation site is their start,
+    the initial difference right[0] == left[0].  As in
+    `lyapunov_profile`, the fronts are clipped to [-horizon, horizon], and
+    one that passed it makes the estimate a lower bound and warns.
 
     Cost: O(breakpoints) of the two `Front`s, one per move of the walker's
     front, whatever the number of steps.
@@ -602,8 +608,8 @@ def profile_from_fronts(right, left, start: int, horizon: int) -> LyapunovEstima
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     return _estimate(
-        [(right.clip(horizon), left.clip(horizon))] if abs(start) <= horizon else [],
-        len(right) - 1, horizon, right[-1] > horizon or left[-1] < -horizon,
+        [(right.clip(horizon), left.clip(horizon))] if abs(right.start) <= horizon else [],
+        right.t_max, horizon, right[-1] > horizon or left[-1] < -horizon,
     )
 
 
@@ -674,7 +680,8 @@ def blocking_word_search(
     occurrence's half-line; mirrored on the left.  The verdict takes the
     earliest refutation over pairs, occurrences, and sides.  By default
     every word of length <= max_len occurring in the family is reported;
-    pass `words` to restrict the report.
+    pass `words` to report those instead, each at its own length, which
+    max_len does not bound.
 
     Cost: that of `_pair_fronts` (no step at all for a pair once it only
     translates), one `Front.reach` (a bisection over breakpoints) per pair,
@@ -682,12 +689,14 @@ def blocking_word_search(
     reported.
     """
     fronts, _ = _pair_fronts(rule, family, t_max, math.inf)
-    lo = min((y.support[0] if len(y.support) else 0) for y in family)
-    hi = max((y.support[-1] if len(y.support) else 0) for y in family)
-    lo, hi = lo - max_len - 2, hi + max_len + 2
     lengths = range(1, max_len + 1)
     if words is not None:
-        lengths = {len(w) for w in words}.intersection(lengths)
+        words = [tuple(w) for w in words]
+        lengths = {len(w) for w in words}
+    # the span holds every support with the longest word and 2 cells to spare
+    spare = max(lengths, default=0) + 2
+    lo = min((y.support[0] if len(y.support) else 0) for y in family) - spare
+    hi = max((y.support[-1] if len(y.support) else 0) for y in family) + spare
     occurrences: list[dict] = []
     for y in family:
         row = y.window(lo, hi)
@@ -697,11 +706,9 @@ def blocking_word_search(
                 index.setdefault(row[c - lo : c - lo + length], []).append(c)
         occurrences.append(index)
     if words is None:
-        # the span holds every support with max_len pads to spare
         words = sorted(set().union(*occurrences))
     reports = []
     for word in words:
-        word = tuple(word)
         hits = []
         for (a, _), (right, left) in fronts.items():
             spots = occurrences[a].get(word, ())
@@ -733,27 +740,28 @@ def blocking_word_search(
 class Direction:
     """A line through the spacetime origin with a thickness.
 
-    Either the time axis (`vertical=True`) or the graph t = slope * i with
-    slope given as time over space.  Thickness is measured as the horizontal
-    band |i| <= r in the vertical case and |t - slope*i| <= r * (1 + |slope|)
-    otherwise, which is exact in rational arithmetic and within a constant
-    factor of Euclidean distance.
+    Either the time axis (no slope: `vertical`) or the graph t = slope * i
+    with slope given as time over space.  Thickness is measured as the
+    horizontal band |i| <= r in the vertical case and
+    |t - slope*i| <= r * (1 + |slope|) otherwise, which is exact in
+    rational arithmetic and within a constant factor of Euclidean distance.
     """
 
     thickness: Fraction
-    vertical: bool = False
     slope: Fraction | None = None
 
     def __post_init__(self):
         if self.thickness <= 0:
             raise ValueError("thickness must be positive")
-        if self.vertical == (self.slope is not None):
-            raise ValueError("give exactly one of vertical or slope")
+
+    @property
+    def vertical(self) -> bool:
+        return self.slope is None
 
     def contains(self, i: int, t: int) -> bool:
-        if self.vertical:
-            return abs(i) <= self.thickness
         s = self.slope
+        if s is None:
+            return abs(i) <= self.thickness
         return abs(t - s * i) <= self.thickness * (1 + abs(s))
 
 

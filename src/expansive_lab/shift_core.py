@@ -370,11 +370,10 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
     return Padded._of(cfg.alphabet, new, cfg.pad, lo)
 
 
-def iterate(rule: LocalRule, cfg: Configuration, first: Configuration | None = None):
+def iterate(rule: LocalRule, cfg: Configuration):
     """Yield cfg, rule(cfg), rule^2(cfg), ... lazily, equal to stepping
     `apply_rule` and raising its exceptions when the step that meets them
-    is asked for.  `first`, when given, is ``apply_rule(rule, cfg)``
-    already computed, and stands for step 1.
+    is asked for.
 
     Step 1 is a full `apply_rule`, which makes every check.  After it a
     cell whose window did not change keeps its output, so each later step
@@ -387,7 +386,7 @@ def iterate(rule: LocalRule, cfg: Configuration, first: Configuration | None = N
     copy of the word.  It holds cfg and the current configuration.
     """
     yield cfg
-    y = apply_rule(rule, cfg) if first is None else first
+    y = apply_rule(rule, cfg)
     yield y
     r, evaluate = rule.radius, rule.evaluate
     width = 2 * r + 1

@@ -137,7 +137,7 @@ def direction_of(lam: Fraction) -> Direction:
     if abs(lam) >= 1:
         raise ValueError("realized slopes satisfy |lambda| < 1")
     if lam == 0:
-        return Direction(1, vertical=True)
+        return Direction(1)
     return Direction(1, slope=Fraction(1) / lam)
 
 

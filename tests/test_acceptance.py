@@ -217,7 +217,7 @@ def test_criterion_04_propagation_exponents_vanish():
     cfg = arr.configuration(lo, hi, arrow_at=start, facing=1)
     t_max = 10**5
     right, left = perturbation_front(cfg, 2, t_max)
-    est = profile_from_fronts(right, left, start, horizon=10**6)
+    est = profile_from_fronts(right, left, horizon=10**6)
     if any(a > b for a, b in zip(est.lambda_plus, est.lambda_plus[1:])):
         problems.append("Lambda_plus not nondecreasing")
     if any(a > b for a, b in zip(est.lambda_minus, est.lambda_minus[1:])):

@@ -6,6 +6,7 @@ are frozen here as regression oracles.
 """
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -50,7 +51,7 @@ from expansive_lab.arrow_bracket import (
     walk_from_configuration,
     walk_to_configuration,
 )
-from expansive_lab import arrow_bracket
+from expansive_lab import arrow_bracket, cli
 from expansive_lab.arrow_bracket import _NodeTable, _macro_steps, _walk_and_table
 from expansive_lab.shift_core import Padded, Periodic, apply_rule, orbit
 
@@ -333,6 +334,34 @@ def test_default_budget_covers_measured_crossings():
             with pytest.raises(Timeout) as err:
                 run_crossing(k, n, max_steps=s - 1)
             assert err.value.limit == s - 1
+
+
+# bounds on Lambda^+ / t^alpha at the block crossings of n <= 3, k <= 40,
+# frozen: the ratio climbs with k from 2.46 (n = 1, k = 0) to 5.23 (n = 3,
+# k = 40)
+BLOCK_POWER_LAW = (2.4, 5.3)
+
+
+def test_block_crossings_follow_a_power_law():
+    """From `cli._arrow_block_start(n, k)`, the right front has moved
+    exactly 12*2^k - 6 cells, the block's width plus one, and the left
+    front not at all, at t = crossing_steps(k, n).  A level doubles
+    Lambda^+ and multiplies t by about 4n+2, so Lambda^+ grows like t^alpha
+    with alpha = log 2 / log(4n+2) and Lambda^+/t -> 0: checked on the
+    walker up to level 14, and from the closed forms, in exact integers,
+    up to level 40, past 10^20 steps."""
+    c_lo, c_hi = BLOCK_POWER_LAW
+    for n in (1, 2, 3):
+        for k in range(15):
+            t = crossing_steps(k, n)
+            right, left = perturbation_front(cli._arrow_block_start(n, k), n, t)
+            assert (right[t] - right[0], left[t]) == (12 * 2**k - 6, left[0])
+        alpha = math.log(2) / math.log(4 * n + 2)
+        for k in range(41):
+            t = crossing_steps(k, n)
+            ratio = math.exp(math.log(12 * 2**k - 6) - alpha * math.log(t))
+            assert c_lo <= ratio <= c_hi, (n, k, ratio)
+        assert t > 10**20
 
 
 # ---------------------------------------------------------------------------
@@ -895,18 +924,11 @@ def test_arrangement_configuration_arrow_placement():
         arr.configuration(6, 23, arrow_at=6)  # bracket cell of the stage-2 block
 
 
-def test_bad_choices_length_rejected():
-    from expansive_lab.arrow_bracket import HierarchicalArrangement
-
-    with pytest.raises(ValueError):
-        HierarchicalArrangement(3, 1, ((0, 0),))
-
-
 def test_arrangement_offsets_are_derived_not_passed():
     from expansive_lab.arrow_bracket import HierarchicalArrangement
 
     with pytest.raises(TypeError):
-        HierarchicalArrangement(1, 1, ((0, 0),), offsets=(0, 5))
+        HierarchicalArrangement(1, ((0, 0),), offsets=(0, 5))
 
 
 # ---------------------------------------------------------------------------

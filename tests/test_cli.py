@@ -611,6 +611,21 @@ def test_stdout_and_file_output_agree(capsys, tmp_path):
     assert target.read_text() == out
 
 
+def test_cli_keeps_the_recorded_digests(capsys):
+    """Every CLI query the benchmark draws keeps the exit code and stdout
+    sha256 recorded in perfbench/digests.json, whose keys are the argv
+    joined by spaces."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    assert len(recorded) == 99
+    changed = []
+    for key, want in recorded.items():
+        code, out, _ = run(capsys, *key.split(" "))
+        if [code, hashlib.sha256(out.encode()).hexdigest()] != want:
+            changed.append(key)
+    assert changed == []
+
+
 # the longest numeral int() reads; Python 3.10 builds may have no limit
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from expansive_lab import dynamics_analysis
+from expansive_lab import dynamics_analysis, shift_core
 from expansive_lab.arrow_bracket import (
     ARROW_LEFT,
     ARROW_RIGHT,
@@ -376,10 +376,22 @@ def test_profile_from_walker_fronts_matches_pair_profile():
     bg = Padded(alpha, block, BLANK, anchor=2)
     direct = lyapunov_profile(build_rule(1).rule, (bg, cfg), 30)
     right, left = perturbation_front(cfg, 1, 30)
-    fast = profile_from_fronts(right, left, 0, horizon=10**6)
+    fast = profile_from_fronts(right, left, horizon=10**6)
     assert fast.lambda_plus == direct.lambda_plus
     assert fast.lambda_minus == direct.lambda_minus
     assert fast.t_max == 30
+
+
+def test_profile_reads_t_max_past_the_index_range():
+    """An arrow facing a marked bracket is stuck, so its fronts hold one
+    breakpoint at any t_max; from 2**63 on, `len` cannot give their length
+    but `t_max` can."""
+    cfg = Padded(level_alphabet(1), (ARROW_RIGHT, "[*0"), BLANK)
+    right, left = perturbation_front(cfg, 1, 2**63)
+    est = profile_from_fronts(right, left, 10**6)
+    assert est.t_max == right.t_max == left.t_max == 2**63
+    assert (est.lambda_plus[2**63], est.lambda_minus[-1], est.truncated) == (0, 0, False)
+    assert right != dynamics_analysis.Front(2**64, [(0, 0, 0)])
 
 
 def test_profile_truncation_clamps_and_warns():
@@ -418,7 +430,7 @@ def test_walker_profile_clips_like_the_pair_profile(n, level, site, t_max,
     assert right[0] == left[0] == site
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = profile_from_fronts(right, left, right[0], horizon)
+        est = profile_from_fronts(right, left, horizon)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = lyapunov_profile(_arrow_rule(n), (cfg, bare), t_max, horizon)
@@ -492,6 +504,15 @@ def test_blocking_words_filter():
         identity_rule(BIN), fam, 2, 10, words=[("0", "1")]
     )
     assert len(reports) == 1 and reports[0].word == ("0", "1")
+
+
+def test_blocking_checks_a_word_longer_than_max_len():
+    # max_len bounds only the default word list: a word asked for is
+    # indexed at its own length and refuted as at a max_len that holds it
+    fam = embedded_word_family(BIN, [("1", "0", "1")], "0")
+    for max_len in (1, 2, 3):
+        (report,) = blocking_word_search(shift_rule(BIN), fam, max_len, 8, [("1", "0", "1")])
+        assert report.verdict == RefutedAt(2)
 
 
 def test_blocking_vacuous_for_absent_word():
@@ -651,18 +672,20 @@ def _oracle_profile(rule, family, t_max, horizon):
     return tuple(plus), tuple(minus), truncated
 
 
-def _oracle_blocking(rule, family, max_len, t_max):
+def _oracle_blocking(rule, family, max_len, t_max, words=None):
     spans = [_span(y) for y in family]
-    words = sorted(
-        {
-            tuple(y[c + j] for j in range(n))
-            for y, (lo, hi) in zip(family, spans)
-            for n in range(1, max_len + 1)
-            for c in range(lo - max_len, hi + max_len - n + 2)
-        }
-    )
-    lo = min(s[0] for s in spans) - max_len - 2
-    hi = max(s[1] for s in spans) + max_len + 2
+    if words is None:
+        words = sorted(
+            {
+                tuple(y[c + j] for j in range(n))
+                for y, (lo, hi) in zip(family, spans)
+                for n in range(1, max_len + 1)
+                for c in range(lo - max_len, hi + max_len - n + 2)
+            }
+        )
+    longest = max(map(len, words), default=0)
+    lo = min(s[0] for s in spans) - longest - 2
+    hi = max(s[1] for s in spans) + longest + 2
     # unclipped, with the margin of one rule radius plus one cell
     pairs = [
         (a, _oracle_extremes(
@@ -747,13 +770,12 @@ def test_pair_scans_match_per_pair_oracle(number, members, t_max, horizon,
     reports = blocking_word_search(rule, family, max_len, t_max)
     expected = _oracle_blocking(rule, family, max_len, t_max)
     assert [(r.word, r.verdict) for r in reports] == expected
-    # a restricted report indexes only the lengths asked for; a word longer
-    # than max_len is never indexed, so nothing can refute it
+    # a restricted report checks each word at its own length, max_len or not
     asked = [w for w, _ in expected[::2]] + [("1",) * (max_len + 1)]
     reports = blocking_word_search(rule, family, max_len, t_max, asked)
-    assert [(r.word, r.verdict) for r in reports] == expected[::2] + [
-        (asked[-1], BlockingUpTo(t_max))
-    ]
+    assert [(r.word, r.verdict) for r in reports] == _oracle_blocking(
+        rule, family, max_len, t_max, asked
+    )
 
 
 def _oracle_fronts(rule, family, t_max, horizon):
@@ -875,7 +897,7 @@ def test_profile_costs_little_beside_the_walk():
     right, left = perturbation_front(cfg, 2, 10**6)
     walk = time.perf_counter() - start
     start = time.perf_counter()
-    profile_from_fronts(right, left, right[0], 10**6)
+    profile_from_fronts(right, left, 10**6)
     assert time.perf_counter() - start < walk / 4
 
 
@@ -943,18 +965,15 @@ def test_front_slice_costs_what_it_holds():
 
 def test_direction_validation():
     with pytest.raises(ValueError):
-        Direction(Fraction(0), vertical=True)
-    with pytest.raises(ValueError):
-        Direction(Fraction(1))
-    with pytest.raises(ValueError):
-        Direction(Fraction(1), vertical=True, slope=Fraction(1))
+        Direction(Fraction(0))
 
 
 def test_direction_membership():
-    vertical = Direction(Fraction(2), vertical=True)
+    vertical = Direction(Fraction(2))
     assert vertical.contains(2, 99)
     assert not vertical.contains(3, 0)
     sloped = Direction(Fraction(1), slope=Fraction(1, 2))
+    assert vertical.vertical and not sloped.vertical
     assert sloped.contains(2, 1)
     assert not sloped.contains(0, 2)
 
@@ -995,7 +1014,7 @@ def test_identity_is_blind_along_the_time_axis():
         ident,
         ident,
         bin_family(6),
-        Direction(Fraction(2), vertical=True),
+        Direction(Fraction(2)),
         (8, 2),
     )
     assert isinstance(probe, NotDeterminedAtScale)
@@ -1100,7 +1119,7 @@ _members = st.one_of(
 )
 _directions = st.one_of(
     st.builds(
-        lambda r: Direction(r, vertical=True),
+        lambda r: Direction(r),
         st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(2))),
     ),
     st.builds(
@@ -1137,7 +1156,7 @@ _directions = st.one_of(
     case=RULE_CASES[6],
     family=(Padded(BIN, ("1",), "0"), Padded(BIN, ("1", "1"), "0", 1), Padded(BIN, (), "0")),
     n=0, t_range=(0, 4), i_lo=-6, width=12,
-    direction=Direction(Fraction(1), vertical=True), extent=(5, 0),
+    direction=Direction(Fraction(1)), extent=(5, 0),
 )
 # the 2-shift both ways over single-site deviations and two longer words
 @example(
@@ -1214,16 +1233,15 @@ def test_lockstep_matches_stepped_orbits_on_active_rules(rule, family, t_max):
 
 
 def test_lockstep_applies_the_rule_once_per_lead(monkeypatch):
-    """An arrow configuration never translates: `_lockstep` applies the
-    rule to each lead once, for step 1, and draws its later steps from the
-    dense orbit; a translate of a lead follows it and is never stepped."""
+    """An arrow configuration never translates: `_lockstep` draws each
+    lead's steps from `iterate`, which applies the rule once, for step 1;
+    a translate of a lead follows it and is never stepped."""
     calls = []
 
     def counted(rule, cfg):
         calls.append(cfg)
         return apply_rule(rule, cfg)
 
-    monkeypatch.setattr(dynamics_analysis, "apply_rule", counted)
     system = build_rule(1)
     rule = system.rule
     family = tuple(
@@ -1232,6 +1250,7 @@ def test_lockstep_applies_the_rule_once_per_lead(monkeypatch):
     )
     t_max = 300
     want = [orbit(rule, y, t_max) for y in family]
+    monkeypatch.setattr(shift_core, "apply_rule", counted)
     for t, (got, drift) in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
         assert got == [w[t] for w in want]
     assert drift == [None] * 4
@@ -1247,7 +1266,7 @@ def test_region_steps_each_member_at_most_once_per_direction(monkeypatch):
         calls.append(cfg)
         return apply_rule(rule, cfg)
 
-    monkeypatch.setattr(dynamics_analysis, "apply_rule", counted)
+    monkeypatch.setattr(shift_core, "apply_rule", counted)
     family = padded_scale_family(BIN, 12, "0", [("1", "1", "0", "1")])
     region = determined_region(
         shift_rule(BIN, 2), family, 2, (-3, 3), (-6, 6), shift_rule(BIN, -2)
