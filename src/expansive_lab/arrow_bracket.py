@@ -28,7 +28,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .dynamics_analysis import Front
 from .shift_core import (
@@ -495,21 +494,29 @@ class _NodeTable:
             self.steps.append((2 * self.n + 1) * r + 2 * self.n + 2)
         return shape
 
+    def _walk(self, shape: int, facing: int):
+        """One interior traversal in travel order: for each child, the blank
+        cells the arrow steps onto before it, its open cell and its shape;
+        then the blanks before the far bracket, with None for both."""
+        width, children = self._keys[shape]
+        cur = 1 if facing > 0 else width - 1  # the arrow's cell
+        for off, s in children if facing > 0 else reversed(children):
+            w = self._keys[s][0]
+            near = off if facing > 0 else off + w
+            yield range(cur + facing, near, facing), off, s
+            cur = near + (w + 1) * facing  # the cell after the child's far bracket
+        yield range(cur + facing, width if facing > 0 else 0, facing), None, None
+
     def _traversal(self, shape: int, facing: int) -> array:
         """Arrow moves over one interior traversal, from the cell after the
         entered bracket to the cell before the far one: one tick per blank
         stepped onto and each child's crossing moves, joined in C."""
-        width, children = self._keys[shape]
         tick, out = array("b", (facing,)), array("b")
-        # the arrow's cell as the traversal starts, and the far bracket's
-        cur, far = (1, width) if facing > 0 else (width - 1, 0)
-        for off, s in children if facing > 0 else reversed(children):
-            w = self._keys[s][0]
-            near = off if facing > 0 else off + w
-            out += tick * ((near - cur) * facing - 1)
-            out += self.moves(s, facing)
-            cur = near + (w + 1) * facing  # the cell after the child's far bracket
-        return out + tick * ((far - cur) * facing - 1)
+        for blanks, _, s in self._walk(shape, facing):
+            out += tick * len(blanks)
+            if s is not None:
+                out += self.moves(s, facing)
+        return out
 
     def moves(self, shape: int, facing: int) -> array:
         """The arrow's move at each step of a crossing, -2..2, from the
@@ -536,20 +543,16 @@ class _NodeTable:
         key = ("front", shape, facing)
         moves = self._blocks.get(key)
         if moves is None:
-            w, children = self._keys[shape]
+            w = self._keys[shape][0]
             far = w if facing > 0 else 0
-            cur = 1 if facing > 0 else w - 1  # the arrow after step 1
-            t, moves = 1, [(1, cur)]
-            for off, s in children if facing > 0 else reversed(children):
-                blanks = range(cur + facing, off if facing > 0 else off + self._keys[s][0], facing)
+            t, moves = 1, [(1, 1 if facing > 0 else w - 1)]  # the arrow after step 1
+            for blanks, off, s in self._walk(shape, facing):
                 moves += zip(range(t + 1, t + 1 + len(blanks)), blanks)
                 t += len(blanks)
-                moves += ((t + k, off + x) for k, x in self.front(s, facing))
-                t += self.steps[s]
-                cur = moves[-1][1]
-            blanks = range(cur + facing, far, facing)
-            moves += zip(range(t + 1, t + 1 + len(blanks)), blanks)
-            moves += [(t + len(blanks) + 1, far), (self.steps[shape], far + facing)]
+                if s is not None:
+                    moves += ((t + k, off + x) for k, x in self.front(s, facing))
+                    t += self.steps[s]
+            moves += [(t + 1, far), (self.steps[shape], far + facing)]
             self._blocks[key] = moves
         return moves
 
@@ -1047,19 +1050,16 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
                 lo = bottom
                 left.append((walk.steps, lo, 0))
             continue
-        # a jump over the node opening at `cell`: its front moves take over
-        # from hi (or lo) at the first one beyond it, and the front on the
-        # other side stays put
+        # a jump over the node opening at `cell`: its front moves, along
+        # which f·x grows for facing f, take over from that side's front at
+        # the first one beyond it, and the other side's front stays put
+        f = walk.facing
+        side = right if f > 0 else left
+        moves = table.front(shape, f)
+        k = bisect_right(moves, f * (side[-1][1] - cell), key=lambda m: f * m[1])
         t = walk.steps - table.steps[shape]
-        moves = table.front(shape, walk.facing)
-        if walk.facing > 0:
-            k = bisect_right(moves, hi - cell, key=itemgetter(1))
-            right += [(t + s, cell + x, 0) for s, x in moves[k:]]
-            hi = max(hi, cell + moves[-1][1])
-        else:
-            k = bisect_right(moves, cell - lo, key=lambda m: -m[1])
-            left += [(t + s, cell + x, 0) for s, x in moves[k:]]
-            lo = min(lo, cell + moves[-1][1])
+        side += [(t + s, cell + x, 0) for s, x in moves[k:]]
+        hi, lo = right[-1][1], left[-1][1]
     return Front(t_max + 1, right), Front(t_max + 1, left)
 
 

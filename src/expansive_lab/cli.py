@@ -279,7 +279,6 @@ def cmd_realize(args) -> int:
     prog = realize_slope(
         args.theta,
         args.depth,
-        b_policy=args.policy,
         idealized=args.idealized,
         alphabet_size=args.alphabet_size,
         table_entries=args.table_entries,
@@ -406,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="realize a slope target")
     p.add_argument("--theta", required=True, help="rational or decimal string")
     p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--policy", choices=("minimal", "pow2"), default="minimal")
     p.add_argument("--idealized", action="store_true")
     p.add_argument("--alphabet-size", type=int, default=2)
     p.add_argument("--table-entries", type=int, default=0)

@@ -73,6 +73,14 @@ def _word_bits(n: int) -> int:
 # parameters
 
 
+def _check_level(b: int, w: int) -> None:
+    """The checks every level's block length and wait count share."""
+    if b < 1:
+        raise ValueError("block length B must be >= 1")
+    if w < 1:
+        raise ValueError("wait count W must be >= 1")
+
+
 @dataclass(frozen=True)
 class SimParams:
     """A simulated map with its represented points and block parameters.
@@ -95,10 +103,7 @@ class SimParams:
             raise ValueError("simulated maps must have range 1")
         if self.phi.alphabet != self.phi_inv.alphabet:
             raise ValueError("phi and phi_inv use different alphabets")
-        if self.B < 1:
-            raise ValueError("block length B must be >= 1")
-        if self.W < 1:
-            raise ValueError("wait count W must be >= 1")
+        _check_level(self.B, self.W)
         for y in self.points:
             if not isinstance(y, Periodic):
                 raise TypeError("represented points must be periodic")
@@ -214,7 +219,7 @@ class CycleSchedule:
     def _alphabet(self) -> Alphabet:
         """The product alphabet of the four layers."""
         layers = (0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (_BLANK,) + self._tokens
-        return Alphabet(sorted(itertools.product(*layers), key=repr))
+        return Alphabet(itertools.product(*layers))
 
 
 def min_block_length(n: int, entries: int, w: int, d: int) -> int:
@@ -603,10 +608,7 @@ class TowerLevel:
     table_entries: int = 0
 
     def __post_init__(self):
-        if self.B < 1:
-            raise ValueError("block length B must be >= 1")
-        if self.W < 1:
-            raise ValueError("wait count W must be >= 1")
+        _check_level(self.B, self.W)
         if self.table_entries < 0:
             raise ValueError("table_entries must be >= 0")
 

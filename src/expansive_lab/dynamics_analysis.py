@@ -267,7 +267,7 @@ def region_to_lines(region: DeterminedRegion) -> str:
 # pair difference fronts
 
 
-_TIME, _VALUE = itemgetter(0), itemgetter(1)  # of a breakpoint
+_TIME = itemgetter(0)  # of a breakpoint
 
 
 def _push(breaks, t, v, s):
@@ -287,9 +287,10 @@ class Front(Sequence):
 
     It reads as the tuple of its values: len, indexing, slicing, iteration
     and equality with a list or tuple (and, like a list, it is unhashable).
-    The methods work on the breakpoints, so a front with k of them costs
-    O(k) to clip or merge and O(log k) to search, whatever its length; a
-    slice costs O(log k) plus the span it covers.
+    The methods and equality of two fronts work on the breakpoints, so a
+    front with k of them costs O(k) to clip or merge, O(k log k) to compare
+    and O(log k) to search, whatever its length; a slice costs O(log k)
+    plus the span it covers.
     """
 
     __slots__ = ("_n", "_b")
@@ -330,7 +331,13 @@ class Front(Sequence):
             return NotImplemented
         if self.t_max != (other.t_max if isinstance(other, Front) else len(other) - 1):
             return False
-        return list(self) == (other if isinstance(other, list) else list(other))
+        if not isinstance(other, Front):
+            return list(self) == (other if isinstance(other, list) else list(other))
+        # between the union of their breakpoint times both are lines, each
+        # fixed by its first two values
+        times = sorted({b[0] for b in self._b + other._b})
+        return all(self[t] == other[t] and (e - t < 2 or self[t + 1] == other[t + 1])
+                   for t, e in zip(times, [*times[1:], self._n]))
 
     def __repr__(self) -> str:
         return f"Front({self._n}, {self._b!r})"
@@ -361,10 +368,8 @@ class Front(Sequence):
         b, v0 = self._b, self._b[0][1]
         if x == v0:
             return 1
-        if x > v0:
-            c, k = 1, bisect_left(b, x, key=_VALUE)
-        else:
-            c, k = -1, bisect_left(b, -x, key=lambda p: -p[1])
+        c = 1 if x > v0 else -1
+        k = bisect_left(b, c * x, key=lambda p: c * p[1])
         first = b[k][0] if k < len(b) else self._n
         if k:  # the piece before may climb to x on its way
             t, v, s = b[k - 1]

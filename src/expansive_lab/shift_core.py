@@ -55,11 +55,11 @@ class Alphabet:
 
     def __init__(self, symbols: Iterable[Symbol]):
         self.symbols = tuple(symbols)
-        if len(set(self.symbols)) != len(self.symbols):
+        self._index = {s: i for i, s in enumerate(self.symbols)}
+        if len(self._index) != len(self.symbols):
             raise ValueError("duplicate symbols in alphabet")
         if not self.symbols:
             raise ValueError("alphabet must be non-empty")
-        self._index = {s: i for i, s in enumerate(self.symbols)}
 
     def index(self, symbol: Symbol) -> int:
         try:

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .cycle_machine import (
+    _check_level,
     compose_levels,
     fixed_stages,
     min_block_length,
@@ -82,10 +83,7 @@ class LevelParams:
     T: int
 
     def __post_init__(self):
-        if self.B < 1:
-            raise ValueError("block length B must be >= 1")
-        if self.W < 1:
-            raise ValueError("wait count W must be >= 1")
+        _check_level(self.B, self.W)
         if self.T < 1:
             raise ValueError("cycle length T must be >= 1")
 
@@ -99,14 +97,6 @@ class SlopeProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
-
-    @property
-    def lam(self) -> Fraction:
-        return lambda_eval(self)[0]
-
-    @property
-    def bound(self) -> Fraction:
-        return lambda_eval(self)[1]
 
 
 def lambda_eval(prog: SlopeProgram, depth: Optional[int] = None):
@@ -196,18 +186,9 @@ def _bracket_level(u: int, v: int, concrete: bool):
         n += 1
 
 
-# block-length policies by name: the least B, or the least power of two
-# at least b_min
-_POLICIES = {
-    "minimal": lambda b_min: b_min,
-    "pow2": lambda b_min: 1 << max(0, b_min - 1).bit_length(),
-}
-
-
 def realize_slope(
     theta: Rational,
     depth: int,
-    b_policy="minimal",
     *,
     idealized: bool = False,
     alphabet_size: int = 2,
@@ -220,12 +201,10 @@ def realize_slope(
     closed lower endpoint, so zero and exact endpoints recurse cleanly),
     then a block length B large enough that the target sits in
     [alpha, alpha + beta) for the exact cycle length, and recurses on
-    (target - alpha)/beta.  The minimal B additionally keeps the rescaled
-    target's gap to 1 from shrinking by more than half per level, so
-    block lengths stay finite at every depth.  b_policy "minimal" takes
-    that B and "pow2" the least power of two at least as large; any
-    other policy raises ValueError.  The result satisfies
-    |lambda_eval(prog, depth)[0] - theta| <= prod(beta_k).
+    (target - alpha)/beta.  It takes the least such B, which also keeps
+    the rescaled target's gap to 1 from shrinking by more than half per
+    level, so block lengths stay finite at every depth.  The result
+    satisfies |lambda_eval(prog, depth)[0] - theta| <= prod(beta_k).
     """
     t = _as_fraction(theta)
     if abs(t) >= 1:
@@ -235,9 +214,6 @@ def realize_slope(
         )
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    policy = _POLICIES.get(b_policy)
-    if policy is None:
-        raise ValueError(f"unknown block policy {b_policy!r}")
     # every schedule's cycle length is T = (B + C)(1+W+|D|), with C the sum
     # of its fixed stages, the same at every (B, W, D): 0 when idealized
     overhead = 0 if idealized else sum(fixed_stages(alphabet_size, table_entries))
@@ -257,23 +233,22 @@ def realize_slope(
                 )
             )
             warned = True
-        b_min = 1
+        b = 1
         if not idealized:
-            b_min = min_block_length(alphabet_size, table_entries, w, d)
+            b = min_block_length(alphabet_size, table_entries, w, d)
             # the ceilings of 2*t*n*overhead / (d + 1 - t*n) for t > 0 and
             # of r*overhead / (1 - r), r = t*n/d, for t < 0
             un = u * n
             if u > 0:
-                b_min = max(b_min, -(-2 * un * overhead // ((d + 1) * v - un)))
+                b = max(b, -(-2 * un * overhead // ((d + 1) * v - un)))
             elif u < 0:
-                b_min = max(b_min, -(-un * overhead // (d * v - un)))
-        b = policy(b_min)
+                b = max(b, -(-un * overhead // (d * v - un)))
         T = (b + overhead) * n
         # alpha <= t < alpha + beta, with alpha = d*b/T and beta = b/T
         if not d * b * v <= u * T < (d + 1) * b * v:
             alpha, beta = Fraction(d * b, T), Fraction(b, T)
             raise ValueError(
-                f"block policy broke the level-{k + 1} bracket: {Fraction(u, v)} "
+                f"block length {b} broke the level-{k + 1} bracket: {Fraction(u, v)} "
                 f"outside [{alpha}, {alpha + beta})"
             )
         levels.append(LevelParams(b, w, d, T))

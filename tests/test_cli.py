@@ -1,5 +1,6 @@
 """Command line behavior: formats, golden outputs, exit codes."""
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import pytest
 from expansive_lab import arrow_bracket, cli
 from expansive_lab.cli import main
 from expansive_lab.shift_core import Alphabet, Padded, iterate, orbit, rule_to_json, shift_rule
-from expansive_lab.slope_engine import program_from_json
+from expansive_lab.slope_engine import lambda_eval, program_from_json, realize_slope
 
 
 def run(capsys, *argv):
@@ -379,6 +380,13 @@ def test_realize_zero_target(capsys):
     assert out.splitlines()[2] == "direction: vertical"
 
 
+def test_realize_idealized_prints_the_idealized_lambda(capsys):
+    code, out, _ = run(capsys, "realize", "--theta", "1/3", "--depth", "6", "--idealized")
+    lam, _ = lambda_eval(realize_slope(Fraction(1, 3), 6, idealized=True))
+    assert code == 0
+    assert out.splitlines()[0] == f"lambda_6 = {lam}"
+
+
 def test_realize_rejects_out_of_range_target(capsys):
     code, _, err = run(capsys, "realize", "--theta", "1.5")
     assert code == 2
@@ -624,6 +632,27 @@ def test_cli_keeps_the_recorded_digests(capsys):
         if [code, hashlib.sha256(out.encode()).hexdigest()] != want:
             changed.append(key)
     assert changed == []
+
+
+def test_every_cli_option_is_exercised():
+    """Each option of each subcommand is passed by a test in this file or
+    by a recorded query of perfbench/digests.json for that subcommand, so
+    no option goes dead unnoticed."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    source = pathlib.Path(__file__).read_text(encoding="utf-8")
+    recorded = json.loads((root / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+    queries = [key.split(" ") for key in recorded]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    unused = [
+        f"{name} {opt}"
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help" and f'"{opt}' not in source
+        and not any(q[0] == name and opt in (a.split("=")[0] for a in q) for q in queries)
+    ]
+    assert unused == []
 
 
 # the longest numeral int() reads; Python 3.10 builds may have no limit

@@ -44,6 +44,7 @@ from expansive_lab.shift_core import (
     identity_rule,
     shift_rule,
 )
+from expansive_lab.slope_engine import LevelParams
 
 AB = Alphabet(("a", "b"))
 IDENT = identity_rule(AB)
@@ -756,6 +757,24 @@ def test_tower_rejects_degenerate_input():
 def test_tower_level_validates_fields(fields):
     with pytest.raises(ValueError):
         TowerLevel(*fields)
+
+
+@pytest.mark.parametrize("make", [
+    lambda b, w: SimParams(IDENT, IDENT, POINTS, b, w, 0),
+    lambda b, w: TowerLevel(b, w, 0),
+    lambda b, w: LevelParams(b, w, 0, 4),
+], ids=["SimParams", "TowerLevel", "LevelParams"])
+@pytest.mark.parametrize("b, w, message", [
+    (0, 1, "block length B must be >= 1"),
+    (4, 0, "wait count W must be >= 1"),
+    (0, 0, "block length B must be >= 1"),
+])
+def test_level_checks_share_their_messages(make, b, w, message):
+    """Every level's block length and wait count are checked alike, B
+    first."""
+    with pytest.raises(ValueError) as exc:
+        make(b, w)
+    assert exc.value.args == (message,)
 
 
 # ---------------------------------------------------------------------------

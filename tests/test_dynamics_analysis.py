@@ -394,6 +394,62 @@ def test_profile_reads_t_max_past_the_index_range():
     assert right != dynamics_analysis.Front(2**64, [(0, 0, 0)])
 
 
+class _UnlistedFront(dynamics_analysis.Front):
+    """A front whose values cannot be listed."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        raise AssertionError("the front's values were listed")
+
+
+@pytest.mark.parametrize("t_max", [2**62, 2**63])
+def test_fronts_compare_without_listing_their_values(t_max):
+    """Two fronts compare piece by piece, so the stuck arrow's fronts,
+    one breakpoint each, compare at any t_max."""
+    n = t_max + 1
+    front = functools.partial(_UnlistedFront, n)
+    assert front([(0, 0, 0)]) == front([(0, 0, 0), (t_max, 0, 0)])
+    assert front([(0, 0, 1)]) == front([(0, 0, 1), (2**40, 2**40, 1)])
+    assert front([(0, 0, 1)]) != front([(0, 0, 1), (t_max, n, 0)])
+    assert front([(0, 0, 1)]) != front([(0, 0, 2)])
+    cfg = Padded(level_alphabet(1), (ARROW_RIGHT, "[*0"), BLANK)
+    right, left = perturbation_front(cfg, 1, t_max)
+    assert right == left
+
+
+def _rebroken(breaks, cuts):
+    """The same front's breakpoints with one at each time in `cuts` too."""
+    out = []
+    for t in sorted({b[0] for b in breaks} | cuts):
+        bt, v, s = max(b for b in breaks if b[0] <= t)
+        out.append((t, v + s * (t - bt), s))
+    return out
+
+
+@st.composite
+def short_breaks(draw, n):
+    times = draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else set()
+    return [(t, draw(st.integers(-2, 2)), draw(st.integers(-1, 1)))
+            for t in sorted({0} | times)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_front_equality_matches_its_values(data, n):
+    f = data.draw(short_breaks(n))
+    if data.draw(st.booleans()):
+        g = data.draw(short_breaks(n))
+    else:  # f broken at more times, one piece maybe moved
+        g = _rebroken(f, data.draw(st.sets(st.integers(0, n - 1), max_size=3)))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(g) - 1))
+            t, v, s = g[k]
+            g[k] = (t, v + data.draw(st.integers(-1, 1)), s + data.draw(st.integers(-1, 1)))
+    f, g = dynamics_analysis.Front(n, f), dynamics_analysis.Front(n, g)
+    assert (f == g) == (list(f) == list(g)) == (not f != g)
+
+
 def test_profile_truncation_clamps_and_warns():
     with pytest.warns(TruncationWarning):
         est = lyapunov_profile(shift_rule(BIN), bin_family(2), 8, horizon=3)

@@ -106,13 +106,11 @@ def _reference_bracket(t: F, concrete: bool):
         n += 1
 
 
-def reference_realize_slope(theta, depth, b_policy="minimal", *,
+def reference_realize_slope(theta, depth, *,
                             idealized=False, alphabet_size=2, table_entries=0):
     """The greedy nesting with a reduced Fraction target and each level's
     schedule built; the argument checks are left to `realize_slope`."""
     t = F(theta)
-    policy = {"minimal": lambda b: b,
-              "pow2": lambda b: 1 << max(0, b - 1).bit_length()}[b_policy]
     overhead = 0
     if not idealized:
         probe_b = min_block_length(alphabet_size, table_entries, 2, 0)
@@ -125,15 +123,14 @@ def reference_realize_slope(theta, depth, b_policy="minimal", *,
                 f"target {cur} is the closed lower endpoint of the level-{k + 1} "
                 f"bracket [{F(d, n)}, {F(d + 1, n)})"))
             warned = True
-        b_min = 1
+        b = 1
         if not idealized:
-            b_min = min_block_length(alphabet_size, table_entries, w, d)
+            b = min_block_length(alphabet_size, table_entries, w, d)
             if cur > 0:
-                b_min = max(b_min, _ceil(2 * cur * n * overhead / ((d + 1) - cur * n)))
+                b = max(b, _ceil(2 * cur * n * overhead / ((d + 1) - cur * n)))
             elif cur < 0:
                 ratio = cur * n / d
-                b_min = max(b_min, _ceil(ratio * overhead / (1 - ratio)))
-        b = policy(b_min)
+                b = max(b, _ceil(ratio * overhead / (1 - ratio)))
         if idealized:
             sched = idealized_schedule(b, w, d)
         else:
@@ -141,7 +138,7 @@ def reference_realize_slope(theta, depth, b_policy="minimal", *,
         alpha, beta = F(d * b, sched.T), F(b, sched.T)
         if not alpha <= cur < alpha + beta:
             raise ValueError(
-                f"block policy broke the level-{k + 1} bracket: {cur} "
+                f"block length {b} broke the level-{k + 1} bracket: {cur} "
                 f"outside [{alpha}, {alpha + beta})")
         levels.append(LevelParams(b, w, d, sched.T))
         cur = (cur - alpha) / beta
@@ -330,19 +327,6 @@ def test_realize_rejects_floats_and_unit_targets():
         realize_slope(F(1, 3), 0)
 
 
-def test_realize_pow2_policy():
-    prog = realize_slope(F(1, 3), 4, b_policy="pow2")
-    assert all(p.B & (p.B - 1) == 0 for p in prog.levels)
-    lam, bound = lambda_eval(prog)
-    assert abs(lam - F(1, 3)) <= bound
-
-
-def test_realize_custom_policy_is_validated():
-    # a policy is one of the two names
-    with pytest.raises(ValueError, match="unknown block policy 'fibonacci'"):
-        realize_slope(F(1, 3), 3, b_policy="fibonacci")
-
-
 def test_realize_concrete_tracks_table_size():
     # a larger simulated alphabet inflates the schedule overhead, which
     # shows up in epsilon but not in the error bound's validity
@@ -385,8 +369,7 @@ def test_program_json_without_target():
     prog = SlopeProgram((QUARTER, QUARTER))
     parsed = program_from_json(program_to_json(prog))
     assert parsed.theta is None
-    assert parsed.lam == F(5, 16)
-    assert parsed.bound == F(1, 16)
+    assert lambda_eval(parsed) == (F(5, 16), F(1, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +400,7 @@ targets = st.one_of(
 
 @st.composite
 def slope_programs(draw):
-    kw = {"b_policy": draw(st.sampled_from(("minimal", "pow2"))),
-          "idealized": draw(st.booleans())}
+    kw = {"idealized": draw(st.booleans())}
     if not kw["idealized"]:
         kw["alphabet_size"] = draw(st.sampled_from((2, 3, 5)))
         kw["table_entries"] = draw(st.sampled_from((0, 4, 25)))
@@ -427,10 +409,10 @@ def slope_programs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(slope_programs())
-@example((F(0), 60, {"b_policy": "minimal", "idealized": False}))
-@example((F(-2, 5), 12, {"b_policy": "pow2", "idealized": False}))
-@example((F(-2, 5), 12, {"b_policy": "minimal", "idealized": True}))
-@example((F(1, 3), 60, {"b_policy": "minimal", "idealized": False}))
+@example((F(0), 60, {"idealized": False}))
+@example((F(-2, 5), 12, {"idealized": False}))
+@example((F(-2, 5), 12, {"idealized": True}))
+@example((F(1, 3), 60, {"idealized": False}))
 def test_integer_composition_equals_fraction_references(case):
     theta, depth, kw = case
     got = _outcome(lambda: realize_slope(theta, depth, **kw))
