@@ -4,8 +4,10 @@ Subcommands cover the arrow automaton (space-time diagrams, crossing
 tables), the brute-force analyses (determined regions, propagation
 exponents, blocking words), the slope realization pipeline, and nested
 suspension towers.  Every command is deterministic: the same invocation
-produces byte-identical output.  Exit codes: 0 on success, 2 on a usage
-or domain error, 3 on an I/O failure.
+produces byte-identical output.  Commands return their output; `main`
+alone writes it, to stdout or to --out, and maps errors to exit codes.
+Exit codes: 0 on success, 2 on a usage or domain error, 3 on an I/O
+failure.
 """
 
 from __future__ import annotations
@@ -57,14 +59,14 @@ BINARY = Alphabet(("0", "1"))
 
 def _span(text: str) -> range:
     """Inclusive integer span: "2" or "-3..3"."""
-    if ".." in text:
-        a, b = text.split("..", 1)
-        span = range(int(a), int(b) + 1)
-        if not span:
-            raise ValueError(f"empty span {text!r}")
-        return span
-    v = int(text)
-    return range(v, v + 1)
+    a, sep, b = text.partition("..")
+    try:
+        span = range(int(a), int(b if sep else a) + 1)
+    except ValueError:
+        raise ValueError(f"span {text!r} is not an integer or a..b") from None
+    if not span:
+        raise ValueError(f"empty span {text!r}")
+    return span
 
 
 def _write(text, path: str | None) -> None:
@@ -77,17 +79,17 @@ def _write(text, path: str | None) -> None:
         fh.writelines(chunks)
 
 
+def _named_rule(name: str, d: int):
+    """The identity or the d-fold shift over BINARY."""
+    return identity_rule(BINARY) if name == "identity" else shift_rule(BINARY, d)
+
+
 def _binary_rule(args):
     """Rule and inverse from --params (a rule file) or --rule/--d."""
-    if getattr(args, "params", None):
+    if args.params:
         with open(args.params, encoding="utf-8") as fh:
             return rule_from_json(fh.read()), None
-    if args.rule == "identity":
-        rule = identity_rule(BINARY)
-        return rule, rule
-    if args.rule == "shift":
-        return shift_rule(BINARY, args.d), shift_rule(BINARY, -args.d)
-    raise ValueError(f"unknown rule {args.rule!r}")
+    return _named_rule(args.rule, args.d), _named_rule(args.rule, -args.d)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def _arrow_block_start(n: int, level: int) -> Padded:
 MAX_RENDER_CELLS = 2**30
 
 
-def cmd_ab_run(args) -> int:
+def cmd_ab_run(args):
     legend = ab.ascii_legend(args.n) if args.format == "txt" else None
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -130,13 +132,11 @@ def cmd_ab_run(args) -> int:
     lo, hi = cfg.anchor, cfg.anchor + width - 1
     rows = itertools.islice(iterate(system.rule, cfg), height)
     if legend is not None:
-        _write(ab.diagram_lines(rows, lo, hi, legend, ""), args.out)
-    else:
-        _write(ab.pgm_lines(rows, lo, hi, height, system.alphabet), args.out)
-    return 0
+        return ab.diagram_lines(rows, lo, hi, legend, "")
+    return ab.pgm_lines(rows, lo, hi, height, system.alphabet)
 
 
-def cmd_ab_cross(args) -> int:
+def cmd_ab_cross(args) -> str:
     levels, ns = _span(args.level), _span(args.n)
     for level in levels:  # refuse the first bad pair before crossing any
         for n in ns:
@@ -155,11 +155,10 @@ def cmd_ab_cross(args) -> int:
     else:
         lines = [f"{'level':>5} {'n':>3} {'steps':>10} restored"]
         lines += [f"{k:>5} {n:>3} {s:>10} {r}" for k, n, s, r in rows]
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> str:
     if args.n < 1:
         raise ValueError("need n >= 1 counters")
     alphabet = ab.level_alphabet(args.n)
@@ -167,8 +166,7 @@ def cmd_render(args) -> int:
     lines = ["symbol glyph gray"]
     for sym in alphabet:
         lines.append(f"{sym} {legend[sym]} {alphabet.index(sym)}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +177,7 @@ MAX_REGION_CELLS = 2**22  # cells a region's family members may be read on
 MAX_BLOCKING_MAXLEN = 15  # 2^16 - 2 words to report
 
 
-def cmd_region(args) -> int:
+def cmd_region(args) -> str:
     # the library reads n = -1 as an empty agreement window; the CLI's
     # agreement radius starts at 0
     if args.n < 0:
@@ -204,11 +202,10 @@ def cmd_region(args) -> int:
         (i_range.start, i_range[-1]),
         inverse=inverse,
     )
-    _write(region_to_lines(region), args.out)
-    return 0
+    return region_to_lines(region)
 
 
-def cmd_lyapunov(args) -> int:
+def cmd_lyapunov(args) -> str:
     # before the walk or the scan, which take time in t_max
     if args.tmax < 0:
         raise ValueError("t_max must be >= 0")
@@ -219,26 +216,20 @@ def cmd_lyapunov(args) -> int:
         right, left = ab.perturbation_front(cfg, args.n, args.tmax)
         est = profile_from_fronts(right, left, args.horizon)
     else:
-        if args.system == "identity":
-            rule = identity_rule(BINARY)
-        else:
-            rule = shift_rule(BINARY, args.d)
         family = padded_scale_family(BINARY, args.cmax, "0")
-        est = lyapunov_profile(rule, family, args.tmax, args.horizon)
+        est = lyapunov_profile(_named_rule(args.system, args.d), family,
+                               args.tmax, args.horizon)
     if args.csv:
-        _write(lyapunov_csv(est), args.out)
-    else:
-        t = est.t_max
-        text = (
-            f"t_max {t}\n"
-            f"lambda_plus {est.lambda_plus[t]} ratio {est.ratio_plus(t):.6f}\n"
-            f"lambda_minus {est.lambda_minus[t]} ratio {est.ratio_minus(t):.6f}\n"
-        )
-        _write(text, args.out)
-    return 0
+        return lyapunov_csv(est)
+    t = est.t_max
+    return (
+        f"t_max {t}\n"
+        f"lambda_plus {est.lambda_plus[t]} ratio {est.ratio_plus(t):.6f}\n"
+        f"lambda_minus {est.lambda_minus[t]} ratio {est.ratio_minus(t):.6f}\n"
+    )
 
 
-def cmd_blocking(args) -> int:
+def cmd_blocking(args) -> str:
     rule, _ = _binary_rule(args)
     if args.word:
         words = [tuple(w) for w in args.word]
@@ -267,15 +258,14 @@ def cmd_blocking(args) -> int:
             lines.append(f"{''.join(rep.word)},blocking_up_to,{rep.verdict.t_max}")
         else:
             lines.append(f"{''.join(rep.word)},refuted_at,{rep.verdict.t}")
-    _write("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # realization and towers
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> str:
     prog = realize_slope(
         args.theta,
         args.depth,
@@ -291,16 +281,18 @@ def cmd_realize(args) -> int:
     except ValueError:
         raise ValueError(f"lambda_{args.depth} or its bound has too many digits "
                          "to print; lower --depth") from None
+    # --out is the program file, so the summary goes to stdout first
     sys.stdout.write(text + "\n")
-    if args.out:
-        _write(program_to_json(prog), args.out)
-    return 0
+    return program_to_json(prog) if args.out else ""
 
 
 def _parse_levels(text: str):
     levels = []
     for part in text.split(";"):
-        nums = [int(x) for x in part.split(",")]
+        try:
+            nums = [int(x) for x in part.split(",")]
+        except ValueError:
+            nums = []
         if len(nums) not in (3, 4):
             raise ValueError(
                 f"level {part!r} is not B,W,D or B,W,D,table_entries"
@@ -314,7 +306,7 @@ def _default_base() -> SimParams:
     return SimParams(ident, ident, periodic_family(BINARY, 2), 4, 1, 0)
 
 
-def cmd_tower(args) -> int:
+def cmd_tower(args) -> str:
     if args.params:
         with open(args.params, encoding="utf-8") as fh:
             base = sim_params_from_json(fh.read())
@@ -328,8 +320,7 @@ def cmd_tower(args) -> int:
         "state_count": rep.state_count,
         "transform": [[str(x) for x in row] for row in rep.transform],
     }
-    _write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", args.out)
-    return 0
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +450,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            _write(args.func(args), args.out)
+            return 0
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3

@@ -574,10 +574,7 @@ def shape_transform(level) -> tuple:
     suspension spacetime shapes (columns act on (space, time)): it fixes
     (1, 0) and sends (0, 1) to (D, T/B).  `level` is anything with B, T and
     D attributes, a CycleSchedule or a slope_engine.LevelParams."""
-    return (
-        (Fraction(1), Fraction(level.D)),
-        (Fraction(0), Fraction(level.T, level.B)),
-    )
+    return shape_product((level,))
 
 
 def compose_levels(levels) -> tuple:
@@ -600,7 +597,8 @@ def shape_product(levels) -> tuple:
 @dataclass(frozen=True)
 class TowerLevel:
     """Block parameters of one nesting level; `table_entries` sizes the
-    lookup stage when the induced map's table is not materialized."""
+    lookup stage when the induced map's table is not materialized (`tower`
+    checks it, through `fixed_stages`)."""
 
     B: int
     W: int
@@ -609,8 +607,6 @@ class TowerLevel:
 
     def __post_init__(self):
         _check_level(self.B, self.W)
-        if self.table_entries < 0:
-            raise ValueError("table_entries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -641,7 +637,6 @@ def tower(levels: Sequence[TowerLevel], base: SimParams) -> TowerReport:
     sizes: list = []
     scheds: list = []
     n = base.N
-    count = len(base.points)
     for depth_in, lv in enumerate(reversed(levels)):
         try:
             sched = schedule_from_counts(n, lv.table_entries, lv.B, lv.W, lv.D)
@@ -651,11 +646,11 @@ def tower(levels: Sequence[TowerLevel], base: SimParams) -> TowerReport:
             ) from None
         sizes.append(n)
         scheds.append(sched)
-        count *= lv.B * sched.T
         n *= lv.B * sched.T
     sizes.reverse()
     scheds.reverse()
-    return TowerReport(tuple(sizes), tuple(scheds), count, shape_product(scheds))
+    state_count = len(base.points) * (n // base.N)
+    return TowerReport(tuple(sizes), tuple(scheds), state_count, shape_product(scheds))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,12 @@ import pytest
 from expansive_lab import arrow_bracket, cli
 from expansive_lab.cli import main
 from expansive_lab.shift_core import Alphabet, Padded, iterate, orbit, rule_to_json, shift_rule
-from expansive_lab.slope_engine import lambda_eval, program_from_json, realize_slope
+from expansive_lab.slope_engine import (
+    lambda_eval,
+    program_from_json,
+    program_to_json,
+    realize_slope,
+)
 
 
 def run(capsys, *argv):
@@ -612,11 +617,39 @@ def test_crossing_timeout_prints_the_budget(capsys):
 
 
 def test_stdout_and_file_output_agree(capsys, tmp_path):
-    args = ("lyapunov", "--system", "shift", "--tmax", "4", "--csv")
-    _, out, _ = run(capsys, *args)
-    target = tmp_path / "table.csv"
-    assert main([*args, "--out", str(target)]) == 0
-    assert target.read_text() == out
+    """Every subcommand whose output is its report writes the same bytes to
+    --out as to stdout, and nothing to stdout then."""
+    argvs = [
+        ("ab-run", "--steps", "5"),
+        ("ab-run", "--steps", "5", "--format", "pgm"),
+        ("ab-cross", "--n", "1", "--level", "0..1"),
+        ("render", "--n", "1"),
+        ("region", "--n", "1", "--trange", "-1..1", "--irange", "-3..3", "--cmax", "2"),
+        ("lyapunov", "--system", "shift", "--tmax", "4"),
+        ("lyapunov", "--system", "shift", "--tmax", "4", "--csv"),
+        ("blocking", "--word", "01", "--tmax", "5"),
+        ("tower", "--levels", "8,2,1"),
+    ]
+    for i, argv in enumerate(argvs):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        target = tmp_path / f"out{i}"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+
+def test_realize_prints_its_summary_whatever_its_out(capsys, tmp_path):
+    """realize's --out is its program file: the summary stays on stdout,
+    also before an I/O error."""
+    argv = ("realize", "--theta", "1/3", "--depth", "4")
+    code, summary, _ = run(capsys, *argv)
+    assert code == 0 and summary.count("\n") == 3
+    target = tmp_path / "prog.json"
+    assert run(capsys, *argv, "--out", str(target)) == (0, summary, "")
+    assert target.read_text() == program_to_json(realize_slope("1/3", 4))
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "p.json"))
+    assert (code, out) == (3, summary)
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_keeps_the_recorded_digests(capsys):
@@ -793,6 +826,15 @@ def _params_doc(**edits):
             ("tower", "--levels", "64,2,1", "--params", "params.json"),
             "key 'data': expected a string or an integer, got an array",
         ),
+        ({}, ("region", "--n", "1", "--trange", "a..3"),
+         "span 'a..3' is not an integer or a..b"),
+        ({}, ("ab-cross", "--n", "x"), "span 'x' is not an integer or a..b"),
+        ({}, ("tower", "--levels", "4,x,0"),
+         "level '4,x,0' is not B,W,D or B,W,D,table_entries"),
+        ({}, ("tower", "--levels", ""), "level '' is not B,W,D or B,W,D,table_entries"),
+        ({}, ("tower", "--levels", "4,1,0;;8,1,0"),
+         "level '' is not B,W,D or B,W,D,table_entries"),
+        ({}, ("tower", "--levels", "4,1,0,-1"), "table_entries must be >= 0"),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
          "theta-too-many-digits",
@@ -802,7 +844,8 @@ def _params_doc(**edits):
          "entries-number", "entry-number", "window-number", "entry-short",
          "entry-long", "symbol-array", "params-y-array",
          "params-b-string", "rule-radius-boolean", "params-radius-boolean",
-         "params-data-array"],
+         "params-data-array", "span-not-integer", "ab-cross-span-not-integer",
+         "level-not-integer", "levels-empty", "level-empty", "tower-entries"],
 )
 def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
                                               files, argv, message):

@@ -753,10 +753,15 @@ def test_tower_rejects_degenerate_input():
         tower([TowerLevel(8, 1, 0)], SimParams(IDENT, IDENT, (), 8, 1, 0))
 
 
-@pytest.mark.parametrize("fields", [(0, 1, 0), (4, 0, 0), (4, 1, 0, -1)])
+@pytest.mark.parametrize("fields", [(0, 1, 0), (4, 0, 0)])
 def test_tower_level_validates_fields(fields):
     with pytest.raises(ValueError):
         TowerLevel(*fields)
+
+
+def test_tower_checks_the_table_entries_of_a_level():
+    with pytest.raises(ValueError, match="^table_entries must be >= 0$"):
+        tower([TowerLevel(4, 1, 0, -1)], ident_params(8, 2, 1))
 
 
 @pytest.mark.parametrize("make", [
