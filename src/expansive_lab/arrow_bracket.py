@@ -263,9 +263,10 @@ class ArrowWalk:
     bracket node in one jump (see `_NodeTable`) and so pay per tick only
     outside the nodes they can jump; `arrow_trace` adds one C-level sum
     per step replayed from the node's move block.  Their walker holds
-    only the brackets of the cells the arrow has neared, and they find
-    nodes only where it faces one (see `_macro_steps`); what is left of
-    their set-up over the whole word is counting its arrows in C.
+    only the brackets the walk has changed and reads every other cell
+    from the word (see `_Changes`), and they find nodes only where it
+    faces one (see `_macro_steps`); what is left of their set-up over the
+    whole word is counting its arrows in C.
     """
 
     n: int
@@ -331,8 +332,9 @@ def _face_maps(n: int) -> dict[int, dict[str, tuple[str, str]]]:
 def walk_from_configuration(cfg: Padded, n: int) -> ArrowWalk:
     """Sparse walker for a padded configuration with exactly one arrow,
     holding every bracket of its word; raises as `_walk_and_table`."""
-    walk, table = _walk_and_table(cfg, n)
-    table.copy_brackets(walk.brackets, cfg.anchor, cfg.anchor + len(cfg.word) - 1)
+    walk, _ = _walk_and_table(cfg, n)
+    walk.brackets = {x: s for x, s in enumerate(cfg.word, cfg.anchor)
+                     if s != BLANK and s not in _ARROWS}
     return walk
 
 
@@ -347,9 +349,10 @@ def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
 
 
 def _walk_and_table(cfg: Padded, n: int):
-    """A walker at the one arrow of `cfg`, holding no brackets yet, and the
-    node table of its word, for `_macro_steps`.  Raises ValueError unless
-    the padding is blank and the word has exactly one arrow, counted in C."""
+    """A walker at the one arrow of `cfg`, whose brackets read through to
+    the word (`_Changes`), and the node table of that word, for
+    `_macro_steps`.  Raises ValueError unless the padding is blank and the
+    word has exactly one arrow, counted in C."""
     if cfg.pad != BLANK:
         raise ValueError("walker expects blank padding")
     word = cfg.word
@@ -358,7 +361,32 @@ def _walk_and_table(cfg: Padded, n: int):
     if count != 1:
         raise ValueError(f"expected exactly one arrow, found {count}")
     pos = cfg.anchor + word.index(ARROW_RIGHT if right else ARROW_LEFT)
-    return ArrowWalk(n, {}, pos, 1 if right else -1), _NodeTable(n, word, cfg.anchor)
+    table = _NodeTable(n, word, cfg.anchor)
+    return ArrowWalk(n, _Changes(table.original), pos, 1 if right else -1), table
+
+
+class _Changes(dict):
+    """A walk's brackets over a word: its own entries are the cells whose
+    bracket the walk has changed, and `get` and `in` read every other cell
+    through `original` (cell -> its symbol in the word, blank for none).
+    A cell set back to its symbol in the word leaves the store."""
+
+    def __init__(self, original):
+        super().__init__()
+        self.original = original
+
+    def get(self, x, default=None):
+        s = dict.get(self, x) or self.original(x)
+        return default if s == BLANK else s
+
+    def __contains__(self, x):
+        return dict.__contains__(self, x) or self.original(x) != BLANK
+
+    def __setitem__(self, x, s):
+        if s == self.original(x):
+            self.pop(x, None)
+        else:
+            dict.__setitem__(self, x, s)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +435,6 @@ class _NodeTable:
         j = x - self.anchor
         s = self.word[j] if 0 <= j < len(self.word) else BLANK
         return BLANK if s in _ARROWS else s
-
-    def copy_brackets(self, brackets: dict, lo: int, hi: int) -> None:
-        """Put the brackets of cells lo..hi, as they were before the walk,
-        into `brackets`."""
-        a, b = max(lo - self.anchor, 0), max(hi - self.anchor + 1, 0)
-        brackets.update(
-            (x, s)
-            for x, s in enumerate(self.word[a:b], self.anchor + a)
-            if s != BLANK and s not in _ARROWS
-        )
 
     def node(self, x: int, facing: int, budget: int):
         """(far cell, shape) of the node whose outer bracket, for an arrow
@@ -568,50 +586,28 @@ def _macro_steps(walk: ArrowWalk, table: _NodeTable, t_max: int):
     S fits in the steps left; the walk then ends exactly as S calls of
     `walk.step` would leave it.  Stops early if the arrow gets stuck.
 
-    The walk starts with no brackets: they are copied from the table's
-    word over a span of cells that grows, by at least its own width, when
-    the arrow comes within two cells of either end or jumps past it.  So
-    the cost is that of the cells the arrow reaches, not of the word.
+    The walk's brackets come from `_walk_and_table`: they hold only the
+    cells the walk has changed and read every other one from the table's
+    word, so the cost is that of the cells the arrow reaches, not of the
+    word, and a jump's test for a changed bracket reads only the changes.
     """
     brackets = walk.brackets
-    changed: set = set()  # cells whose bracket differs from the table's word
     end = walk.steps + t_max
-    lo = hi = walk.pos  # `brackets` holds the brackets of cells lo..hi
-
-    def cover(x):
-        nonlocal lo, hi
-        grow = max(hi - lo, 16)
-        if x - 2 < lo:
-            lo, old = min(x - 2, lo - grow), lo
-            table.copy_brackets(brackets, lo, old - 1)
-        if x + 2 > hi:
-            hi, old = max(x + 2, hi + grow), hi
-            table.copy_brackets(brackets, old + 1, hi)
-
     while walk.steps < end:
-        if not lo + 2 <= walk.pos <= hi - 2:
-            cover(walk.pos)
         ahead = walk.pos + walk.facing
         if ahead in brackets:
             node = table.node(ahead, walk.facing, end - walk.steps)
             if node is not None:
                 other, shape = node
                 a, b = (ahead, other) if walk.facing > 0 else (other, ahead)
-                cover(other)
-                if other + walk.facing not in brackets and not (
-                    changed and any(a <= c <= b for c in changed)
+                if other + walk.facing not in brackets and not any(
+                    a <= c <= b for c in brackets.keys()
                 ):
                     walk.pos = other + walk.facing
                     walk.steps += table.steps[shape]
                     yield a, shape
                     continue
-            if not walk.step():
-                return
-            if brackets[ahead] == table.original(ahead):
-                changed.discard(ahead)
-            else:
-                changed.add(ahead)
-        elif not walk.step():
+        if not walk.step():
             return
         yield ahead, None
 
@@ -638,8 +634,6 @@ MAX_BLOCK_LEVEL = 18
 
 @dataclass(frozen=True)
 class BlockSpec:
-    level: int
-    n: int
     word: tuple
 
     @property
@@ -678,13 +672,11 @@ def make_block(k: int, n: int) -> BlockSpec:
     lut = {"[": open_bracket(n), "]": close_bracket(n), "-": BLANK}
     word = tuple(map(lut.__getitem__, spaced))
     assert len(word) == 12 * 2**k - 7
-    return BlockSpec(k, n, word)
+    return BlockSpec(word)
 
 
 @dataclass(frozen=True)
 class CrossingReport:
-    level: int
-    n: int
     steps: int
     restored: bool
 
@@ -714,15 +706,13 @@ def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport
     node = table.node(0, 1, budget)
     if node is None:
         raise Timeout(budget)
-    return CrossingReport(k, n, table.steps[node[1]], True)
+    return CrossingReport(table.steps[node[1]], True)
 
 
 @dataclass(frozen=True)
 class CrossingLanguage:
     """The intermediate patterns of both crossing directions of a block."""
 
-    level: int
-    n: int
     right: tuple
     left: tuple
 
@@ -744,7 +734,7 @@ def enumerate_L(k: int, n: int) -> CrossingLanguage:
         for start in (Padded(system.alphabet, (ARROW_RIGHT,) + word, BLANK),
                       Padded(system.alphabet, word + (ARROW_LEFT,), BLANK))
     )
-    return CrossingLanguage(k, n, right, left)
+    return CrossingLanguage(right, left)
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +959,6 @@ def canonical_point(word: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class InjectivityReport:
-    n: int
-    periods: tuple
     points: int
     collisions: tuple
     stuck_points: int
@@ -1007,7 +995,7 @@ def scan_periodic_injectivity(n: int, periods) -> InjectivityReport:
             stuck_points += stuck
             images.setdefault(canonical_point(y.word), []).append((w, stuck))
     collisions = tuple(tuple(group) for group in images.values() if len(group) > 1)
-    return InjectivityReport(n, tuple(sorted(periods)), points, collisions, stuck_points)
+    return InjectivityReport(points, collisions, stuck_points)
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,6 @@ def cmd_ab_cross(args) -> str:
 
 
 def cmd_render(args) -> str:
-    if args.n < 1:
-        raise ValueError("need n >= 1 counters")
     alphabet = ab.level_alphabet(args.n)
     legend = ab.ascii_legend(args.n)
     lines = ["symbol glyph gray"]

@@ -161,7 +161,6 @@ class DeterminedRegion:
     family-closure's true region.
     """
 
-    n: int
     cells: frozenset
     t_range: tuple
     i_range: tuple
@@ -230,7 +229,7 @@ def determined_region(
             if not live and u:
                 break
     box = itertools.product(range(i_lo, i_hi + 1), range(t_lo, t_hi + 1))
-    return DeterminedRegion(n, frozenset(box) - differ, t_range, i_range)
+    return DeterminedRegion(frozenset(box) - differ, t_range, i_range)
 
 
 def _difference(x: Configuration, y: Configuration, lo, hi) -> list:
@@ -643,7 +642,6 @@ class RefutedAt:
 @dataclass(frozen=True)
 class BlockingReport:
     word: tuple
-    t_max: int
     verdict: BlockingUpTo | RefutedAt
 
 
@@ -733,7 +731,7 @@ def blocking_word_search(
                 hits.append(left.reach(end))
         refuted = min(hits, default=t_max + 1)
         verdict = BlockingUpTo(t_max) if refuted > t_max else RefutedAt(refuted)
-        reports.append(BlockingReport(word, t_max, verdict))
+        reports.append(BlockingReport(word, verdict))
     return reports
 
 
@@ -772,15 +770,11 @@ class Direction:
 
 @dataclass(frozen=True)
 class ExpansiveAtScale:
-    direction: Direction
-    extent: tuple
     pairs_checked: int
 
 
 @dataclass(frozen=True)
 class NotDeterminedAtScale:
-    direction: Direction
-    extent: tuple
     witness_pair: tuple
     witness_cell: tuple
 
@@ -834,6 +828,6 @@ def direction_probe(
             other = cells(m, query)
             if other != box:
                 cell = next(c for c, p, q in zip(query, box, other) if p != q)
-                return NotDeterminedAtScale(direction, extent, (first, m), cell)
+                return NotDeterminedAtScale((first, m), cell)
     pairs = sum(len(c) * (len(c) - 1) // 2 for c in classes.values())
-    return ExpansiveAtScale(direction, extent, pairs)
+    return ExpansiveAtScale(pairs)

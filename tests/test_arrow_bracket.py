@@ -1055,8 +1055,8 @@ def test_node_moves_replay_the_step_walker(n):
         assert sorted(cells) == list(range(len(table.steps)))
         for shape, a in cells.items():
             width = table._keys[shape][0]
-            brackets = {}
-            table.copy_brackets(brackets, a, a + width)
+            brackets = {x: s for x in range(a, a + width + 1)
+                        if (s := table.original(x)) != BLANK}
             for facing in (1, -1):
                 moves = table.moves(shape, facing)
                 assert len(moves) == table.steps[shape]
@@ -1221,10 +1221,10 @@ def _assert_nodes_match_eager(cfg, n, budgets):
 
 
 def _assert_walk_table_matches_eager(cfg, n, t_max):
-    """After a macro walk, its walker holds the brackets of the step
-    walker over a span of cells, every node its table holds is an eager
-    node, every refusal is a cell with no node or a node whose S exceeds
-    the recorded budget, and the walk kept to t_max."""
+    """After a macro walk, its walker holds exactly the step walker's
+    brackets that differ from the word, every node its table holds is an
+    eager node, every refusal is a cell with no node or a node whose S
+    exceeds the recorded budget, and the walk kept to t_max."""
     eager = _eager_nodes(n, _brackets_of(cfg))
     walk, table = _walk_and_table(cfg, n)
     for _ in _macro_steps(walk, table, t_max):
@@ -1233,9 +1233,8 @@ def _assert_walk_table_matches_eager(cfg, n, t_max):
     stepped = walk_from_configuration(cfg, n)
     while stepped.steps < walk.steps and stepped.step():
         pass
-    held = walk.brackets
-    lo, hi = min(held, default=0), max(held, default=-1)
-    assert held == {x: s for x, s in stepped.brackets.items() if lo <= x <= hi}
+    assert dict(walk.brackets) == {x: s for x, s in stepped.brackets.items()
+                                   if s != table.original(x)}
     for x, node in {**table.opens, **table.closes}.items():
         assert eager[x] == _reported(table, node)
     for x, budget in table.refused.items():
@@ -1304,16 +1303,16 @@ def test_wide_node_with_a_bracket_beyond_is_stepped():
 def test_walk_reads_only_the_cells_it_reaches():
     """A 10^6-step walk into the level-16 block (786,427 cells) reaches
     about 400 of them.  Its table then holds only nodes inside the reached
-    span, nodes it gave up on lie there too, and the walker holds the
-    brackets of about that span: the walk's work is counted in nodes and
-    cells, not timed."""
+    span, nodes it gave up on lie there too, and the walker holds only
+    the brackets it changed, all inside that span: the walk's work is
+    counted in nodes and cells, not timed."""
     cfg = _padded_from_word((ARROW_RIGHT, BLANK) + make_block(16, 2).word, 2,
                             anchor=-2)
     walk, table = _walk_and_table(cfg, 2)
     lo = hi = walk.pos
     for cell, shape in _macro_steps(walk, table, 10**6):
-        if shape is None:
-            lo, hi = min(lo, walk.pos), max(hi, walk.pos)
+        if shape is None:  # a tick reaches the arrow's cell and the faced one
+            lo, hi = min(lo, walk.pos, cell), max(hi, walk.pos, cell)
         else:  # a jump reaches the cells either side of the node
             lo, hi = min(lo, cell - 1), max(hi, table.opens[cell][0] + 1)
     assert walk.steps == 10**6 and hi - lo < 1000
@@ -1323,8 +1322,21 @@ def test_walk_reads_only_the_cells_it_reaches():
         assert inside[x] == _reported(table, node)
     assert all(lo <= x <= hi for x in table.refused)
     assert len(table.refused) < 40  # 22: a few per level of nesting
-    assert all(lo - (hi - lo) - 18 <= x <= hi + (hi - lo) + 18
-               for x in walk.brackets)
+    assert all(lo <= x <= hi and s != table.original(x)
+               for x, s in walk.brackets.items())
+
+
+def test_long_walk_holds_only_the_cells_it_changed():
+    """10^7 steps into the depth-7 landscape reach thousands of brackets,
+    but the walker holds only the few the arrow left changed."""
+    arr = hierarchical_arrangement(7, 2, seed=0)
+    start = 2 * arr.free_cell
+    cfg = arr.configuration(start - 60000, start + 60000, arrow_at=start, facing=1)
+    walk, table = _walk_and_table(cfg, 2)
+    for _ in _macro_steps(walk, table, 10**7):
+        pass
+    assert walk.steps == 10**7
+    assert len(walk.brackets) <= 16
 
 
 def test_block_size_budget_allocates_nothing():

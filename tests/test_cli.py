@@ -835,6 +835,7 @@ def _params_doc(**edits):
         ({}, ("tower", "--levels", "4,1,0;;8,1,0"),
          "level '' is not B,W,D or B,W,D,table_entries"),
         ({}, ("tower", "--levels", "4,1,0,-1"), "table_entries must be >= 0"),
+        ({}, ("render", "--n", "0"), "counter bound n must be >= 1"),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
          "theta-too-many-digits",
@@ -845,7 +846,8 @@ def _params_doc(**edits):
          "entry-long", "symbol-array", "params-y-array",
          "params-b-string", "rule-radius-boolean", "params-radius-boolean",
          "params-data-array", "span-not-integer", "ab-cross-span-not-integer",
-         "level-not-integer", "levels-empty", "level-empty", "tower-entries"],
+         "level-not-integer", "levels-empty", "level-empty", "tower-entries",
+         "render-n-zero"],
 )
 def test_malformed_inputs_print_their_message(capsys, tmp_path, monkeypatch,
                                               files, argv, message):

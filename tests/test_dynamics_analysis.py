@@ -256,11 +256,11 @@ def test_region_to_lines_golden():
     )
     # hand-built regions with a cell outside the box, or a box far larger
     # than the region, print sorted too
-    outside = DeterminedRegion(1, region.cells | {(-5, 3), (9, -1)}, (0, 1), (-2, 2))
+    outside = DeterminedRegion(region.cells | {(-5, 3), (9, -1)}, (0, 1), (-2, 2))
     assert region_to_lines(outside) == (
         "(-5,3)\n(-1,0)\n(-1,1)\n(0,0)\n(0,1)\n(1,0)\n(1,1)\n(9,-1)\n"
     )
-    huge = DeterminedRegion(1, frozenset({(3, 7), (-2, 10**30)}), (0, 10**30), (-2, 10**30))
+    huge = DeterminedRegion(frozenset({(3, 7), (-2, 10**30)}), (0, 10**30), (-2, 10**30))
     assert region_to_lines(huge) == f"(-2,{10**30})\n(3,7)\n"
 
 

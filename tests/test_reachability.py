@@ -4,10 +4,16 @@ module, the acceptance gates, the benchmark harness or another test module.
 A name that only its own tests call is a candidate for deletion; the few
 kept on purpose are listed in ALLOWED, each with its reason.
 
+Every field of a dataclass or NamedTuple of the package is read, as an
+attribute load, by some file (its own module and tests included).  A
+field nothing reads restates what its maker was given and is a candidate
+for deletion too; ALLOWED names such fields as `module.Class.field`.
+
 The count is by name, so a local variable elsewhere that happens to share
 a name counts as a use, and so does each part of a dotted string such as
-the benchmark's "cycle_machine.program_word.calls": the scan errs toward
-calling a name reached.
+the benchmark's "cycle_machine.program_word.calls"; any `.name` load counts
+as reading every field called `name`: the scan errs toward calling a name
+reached.
 """
 
 import ast
@@ -51,6 +57,30 @@ def _file_identifiers(path) -> set:
     return _identifiers(ast.parse(path.read_text(encoding="utf-8")))
 
 
+def _attribute_loads(path) -> set:
+    """The attribute names a file reads, as in `x.name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {sub.attr for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def unread_fields(module, loads) -> list:
+    """`Class.field` for each field of a dataclass or NamedTuple of
+    `module` whose name `loads` lacks."""
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or not (
+            "dataclass" in set().union(*map(_identifiers, cls.decorator_list))
+            or "NamedTuple" in set().union(*map(_identifiers, cls.bases))
+        ):
+            continue
+        found += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in loads]
+    return found
+
+
 def unreached(module, used_elsewhere) -> list:
     """Public top-level names of `module` that `used_elsewhere` lacks and
     that no code of `module` reaches: its top-level statements, or the body
@@ -65,18 +95,23 @@ def unreached(module, used_elsewhere) -> list:
 
 
 def _unreached_in_package(allowed) -> list:
-    """Dotted names of `unreached` over every package module, with the
-    names in `allowed` taken as reached (this file's own list is no use)."""
+    """Dotted names of `unreached` and `unread_fields` over every package
+    module, with the names in `allowed` taken as reached (this file's own
+    list is no use)."""
     tests = ROOT / "tests"
     modules = sorted(PACKAGE.glob("*.py"))
     files = modules + sorted(tests.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    used = {path: _file_identifiers(path) for path in files if path != THIS}
+    files.remove(THIS)
+    used = {path: _file_identifiers(path) for path in files}
+    loads = set().union(*map(_attribute_loads, files))
     found = []
     for module in modules:
         own_tests = tests / f"test_{module.stem}.py"
         elsewhere = set().union(*(v for p, v in used.items() if p not in (module, own_tests)))
         kept = {n.partition(".")[2] for n in allowed if n.startswith(f"{module.stem}.")}
         found += [f"{module.stem}.{name}" for name in unreached(module, elsewhere | kept)]
+        found += [f"{module.stem}.{name}" for name in unread_fields(module, loads)
+                  if name not in kept]
     return found
 
 
@@ -99,3 +134,27 @@ def test_the_scan_follows_calls_inside_a_module(tmp_path):
         "class Unused: pass\n"
     )
     assert unreached(module, {"used"}) == ["Unused", "dead", "dead_too"]
+
+
+def test_the_field_scan_reads_attribute_loads(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "from dataclasses import dataclass, field\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    kept: int\n"
+        "    echoed: int\n"
+        "    derived: int = field(init=False)\n"
+        "class Pair(NamedTuple):\n"
+        "    left: int\n"
+        "    right: int\n"
+        "class Plain:\n"
+        "    note: int\n"
+        "def use(r, p):\n"
+        "    r.echoed = p.right\n"
+        "    return r.kept, r.derived\n"
+    )
+    loads = _attribute_loads(module)
+    assert loads == {"right", "kept", "derived"}
+    assert unread_fields(module, loads) == ["Report.echoed", "Pair.left"]
