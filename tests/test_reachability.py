@@ -53,13 +53,12 @@ def _identifiers(node) -> set:
     return names
 
 
-def _file_identifiers(path) -> set:
-    return _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _attribute_loads(path) -> set:
-    """The attribute names a file reads, as in `x.name`."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _attribute_loads(tree) -> set:
+    """The attribute names a piece of code reads, as in `x.name`."""
     return {sub.attr for sub in ast.walk(tree)
             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
 
@@ -67,9 +66,8 @@ def _attribute_loads(path) -> set:
 def unread_fields(module, loads) -> list:
     """`Class.field` for each field of a dataclass or NamedTuple of
     `module` whose name `loads` lacks."""
-    tree = ast.parse(module.read_text(encoding="utf-8"))
     found = []
-    for cls in tree.body:
+    for cls in _parse(module).body:
         if not isinstance(cls, ast.ClassDef) or not (
             "dataclass" in set().union(*map(_identifiers, cls.decorator_list))
             or "NamedTuple" in set().union(*map(_identifiers, cls.bases))
@@ -85,7 +83,7 @@ def unreached(module, used_elsewhere) -> list:
     """Public top-level names of `module` that `used_elsewhere` lacks and
     that no code of `module` reaches: its top-level statements, or the body
     of one of its names that is itself reached."""
-    tree = ast.parse(module.read_text(encoding="utf-8"))
+    tree = _parse(module)
     bodies = {node.name: _identifiers(node) for node in tree.body if isinstance(node, _DEFS)}
     top = set().union(*(_identifiers(n) for n in tree.body if not isinstance(n, _DEFS)))
     live = bodies.keys() & (used_elsewhere | top)
@@ -102,8 +100,9 @@ def _unreached_in_package(allowed) -> list:
     modules = sorted(PACKAGE.glob("*.py"))
     files = modules + sorted(tests.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     files.remove(THIS)
-    used = {path: _file_identifiers(path) for path in files}
-    loads = set().union(*map(_attribute_loads, files))
+    trees = {path: _parse(path) for path in files}
+    used = {path: _identifiers(tree) for path, tree in trees.items()}
+    loads = set().union(*map(_attribute_loads, trees.values()))
     found = []
     for module in modules:
         own_tests = tests / f"test_{module.stem}.py"
@@ -155,6 +154,6 @@ def test_the_field_scan_reads_attribute_loads(tmp_path):
         "    r.echoed = p.right\n"
         "    return r.kept, r.derived\n"
     )
-    loads = _attribute_loads(module)
+    loads = _attribute_loads(_parse(module))
     assert loads == {"right", "kept", "derived"}
     assert unread_fields(module, loads) == ["Report.echoed", "Pair.left"]
