@@ -62,6 +62,7 @@ _END = "#"
 
 _PROGRAM_SYMBOLS = ("0", "1", _SEP, _WAIT, _RIGHT, _LEFT, _END, _BLANK)
 _DATA_SYMBOLS = ("0", "1", _BLANK)
+_NOT_A_CELL = "a cell is not a (block, program, data, state) 4-tuple"
 
 
 def _word_bits(n: int) -> int:
@@ -395,11 +396,11 @@ class _Codec:
 
     `bits` maps each simulated symbol to the `word_bits` cells of its data
     word and `program` is the program layer padded to B cells.  A block
-    storing the words (cur, prev) is a head cell, which alone carries the
-    state token, and `tail(cur, prev)`, its other B-1 cells.  Tails are built
-    on first use, so the tables grow with the symbol pairs met rather than
-    like N^2 * B; `blocks` maps each built block, its head cell without the
-    token followed by its tail, back to (cur, prev).
+    storing the words (cur, prev) is a head cell, `heads[cur]` followed by
+    the state token it alone carries, and `tail(cur, prev)`, its other B-1
+    cells.  Tails are built on first use, so the tables grow with the symbol
+    pairs met rather than like N^2 * B; `blocks` maps each built block, its
+    head cell without the token followed by its tail, back to (cur, prev).
     """
 
     def __init__(self, p: SimParams):
@@ -409,6 +410,7 @@ class _Codec:
             for v, sym in enumerate(p.phi.alphabet)
         }
         self.program = _program_layer(p, self.bits)
+        self.heads = {s: (1, self.program[0], w[0]) for s, w in self.bits.items()}
         self.tails: dict = {}
         self.blocks: dict = {}
 
@@ -421,7 +423,7 @@ class _Codec:
                 (0, ps, ds, _BLANK) for ps, ds in zip(self.program[1:], data[1:])
             )
             self.tails[cur, prev] = tail
-            self.blocks[(1, self.program[0], data[0]) + tail] = (cur, prev)
+            self.blocks[self.heads[cur] + tail] = (cur, prev)
         return tail
 
 
@@ -449,11 +451,10 @@ def encode(
     _check_schedule_match(p, sched)
     _check_state(s, p, sched)
     codec = p.codec
-    token = sched._tokens[s.t]
-    head = codec.program[0]
+    state = (sched._tokens[s.t],)  # the state layer of every head
     cells: list = []
     for cur, prev in zip(s.y.word, apply_rule(p.phi_inv, s.y).word):
-        cells.append((1, head, codec.bits[cur][0], token))
+        cells.append(codec.heads[cur] + state)
         cells += codec.tail(cur, prev)
     return Periodic._of(sched._alphabet, tuple(cells[s.b :] + cells[: s.b]))
 
@@ -463,12 +464,13 @@ def decode(
 ) -> SuspensionState:
     """Invert `encode`, checking every layer invariant.
 
-    Raises MalformedConfiguration on a bad block layer, inconsistent or
-    unknown state tokens, a program layer that differs from the parameters'
-    program, out-of-range data words, or a previous word that is not the
-    phi-preimage of the current one.  The checks run block by block and
-    cell by cell, then on the tokens, then on the preimage, so the first
-    violation found in that order gives the message.
+    Raises MalformedConfiguration on a cell that is not a 4-tuple, a bad
+    block layer, inconsistent or unknown state tokens, a program layer that
+    differs from the parameters' program, out-of-range data words, or a
+    previous word that is not the phi-preimage of the current one.  The
+    checks run block by block and cell by cell, then on the tokens, then on
+    the preimage, so the first violation found in that order gives the
+    message.
 
     Cost for a period of P*B cells: finding b reads B cells; then each
     block is one dict lookup keyed by its cells (one hash per cell), the
@@ -487,7 +489,10 @@ def decode(
     word = c.word
     # all B candidates are read, so a cell without a block layer there
     # fails here whatever b is, before any block is checked
-    starts = [k for k in range(B) if word[-k][0] == 1]
+    try:
+        starts = [k for k in range(B) if word[-k][0] == 1]
+    except (TypeError, IndexError):
+        raise MalformedConfiguration(_NOT_A_CELL) from None
     if not starts:
         raise MalformedConfiguration("no block beginning near the origin")
     b = starts[0]
@@ -521,7 +526,11 @@ def _decode_block(cells: tuple, p: SimParams) -> tuple:
     `decode`."""
     bits, prog = p.word_bits, p.codec.program
     data = []
-    for o, (bb, ps, ds, ss) in enumerate(cells):
+    for o, cell in enumerate(cells):
+        try:
+            bb, ps, ds, ss = cell
+        except (TypeError, ValueError):
+            raise MalformedConfiguration(_NOT_A_CELL) from None
         if bb != (1 if o == 0 else 0):
             raise MalformedConfiguration("block layer is not 1 0^{B-1}")
         if ps != prog[o]:
@@ -553,16 +562,35 @@ def _bits_to_symbol(bits_seq, alphabet: Alphabet):
 def pi_on_encoded(
     c: Periodic, p: SimParams, sched: CycleSchedule
 ) -> Periodic:
-    """The cycle map conjugated through the encoding."""
-    return encode(step_suspension(decode(c, p, sched), "phi", p, sched), p, sched)
+    """The cycle map conjugated through the encoding.
+
+    Cost for a period of P*B cells: one `decode`, then a copy of the cells
+    with the P head cells given the next token off the wrap (t != 0), or
+    one `encode` at it."""
+    return _conjugated_step(c, "phi", p, sched)
 
 
 def pi_inv_on_encoded(
     c: Periodic, p: SimParams, sched: CycleSchedule
 ) -> Periodic:
-    return encode(
-        step_suspension(decode(c, p, sched), "phi_inv", p, sched), p, sched
-    )
+    """The inverse cycle map conjugated through the encoding, at the cost
+    of `pi_on_encoded`; its wrap is at t = 1."""
+    return _conjugated_step(c, "phi_inv", p, sched)
+
+
+def _conjugated_step(
+    c: Periodic, generator: str, p: SimParams, sched: CycleSchedule
+) -> Periodic:
+    # encode(step_suspension(decode(c))): off the wrap the step hands back
+    # the very y that decode checked, so only the heads' token changes
+    s = decode(c, p, sched)
+    new = step_suspension(s, generator, p, sched)
+    if new.y is not s.y:
+        return encode(new, p, sched)
+    cells, state = list(c.word), (sched._tokens[new.t],)
+    for j, cur in enumerate(new.y.word):
+        cells[(j * p.B - new.b) % len(cells)] = p.codec.heads[cur] + state
+    return Periodic._of(sched._alphabet, tuple(cells))
 
 
 # ---------------------------------------------------------------------------

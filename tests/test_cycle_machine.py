@@ -36,6 +36,7 @@ from expansive_lab.cycle_machine import (
     token_for_t,
     tower,
 )
+from expansive_lab.dynamics_analysis import periodic_family
 from expansive_lab.shift_core import (
     Alphabet,
     LocalRule,
@@ -469,6 +470,9 @@ def codec_instance(kind, w, d):
     return p, build_schedule(p)
 
 
+NOT_A_CELL = "a cell is not a (block, program, data, state) 4-tuple"
+
+
 def decode_by_cell_scan(c, p, sched):
     """`decode` by a scan of every cell of every layer of the whole
     configuration, with the cycle time found by its own walk over the
@@ -480,7 +484,10 @@ def decode_by_cell_scan(c, p, sched):
         raise MalformedConfiguration(
             f"period {c.period} is not a multiple of B={B}"
         )
-    starts = [k for k in range(B) if c[-k][0] == 1]
+    try:
+        starts = [k for k in range(B) if c[-k][0] == 1]
+    except (TypeError, IndexError):
+        raise MalformedConfiguration(NOT_A_CELL) from None
     if not starts:
         raise MalformedConfiguration("no block beginning near the origin")
     b = min(starts)
@@ -502,7 +509,10 @@ def decode_by_cell_scan(c, p, sched):
         start = -b + j * B
         cur_bits, prev_bits = [], []
         for o in range(B):
-            bb, ps, ds, ss = c[start + o]
+            try:
+                bb, ps, ds, ss = c[start + o]
+            except (TypeError, ValueError):
+                raise MalformedConfiguration(NOT_A_CELL) from None
             if bb != (1 if o == 0 else 0):
                 raise MalformedConfiguration("block layer is not 1 0^{B-1}")
             if ps != prog[o]:
@@ -553,17 +563,21 @@ _ANY = st.integers(0, 10**6)
     word=st.text("ab", min_size=1, max_size=4),
     b=_ANY,
     t=_ANY,
-    change=st.none() | st.tuples(_ANY, st.just(0) | _ANY, st.integers(0, 3), _ANY),
+    change=st.none() | st.tuples(_ANY, st.just(0) | _ANY, st.integers(0, 4), _ANY),
     fresh=st.booleans(),
 )
 # the head of block 1 loses its block bit, or shows another token
 @example(kind="identity", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 0, 0), fresh=False)
 @example(kind="identity", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 3, 2), fresh=False)
+# an int cell where b is sought, a short head, a short tail cell
+@example(kind="flip", w=1, d=0, word="ab", b=0, t=0, change=(0, 0, 4, 0), fresh=False)
+@example(kind="flip", w=1, d=0, word="ab", b=0, t=0, change=(1, 0, 4, 2), fresh=False)
+@example(kind="flip", w=1, d=0, word="ab", b=0, t=0, change=(1, 3, 4, 3), fresh=False)
 def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
     """`decode` gives the whole-configuration scan's state, or its
     exception and message, on encoded states with at most one cell changed
-    in one layer; `fresh` decodes with equal parameters whose tables are
-    still empty."""
+    in one layer (layer 4: the cell loses its four layers); `fresh`
+    decodes with equal parameters whose tables are still empty."""
     p, sched = codec_instance(kind, w, d)
     y = Periodic(AB, word)
     s = SuspensionState(y, b % p.B, t % sched.T)
@@ -573,13 +587,17 @@ def test_decode_matches_cell_scan(kind, w, d, word, b, t, change, fresh):
     if change is not None:
         j, o, layer, k = change
         i = ((j % y.period) * p.B + o % p.B - s.b) % c.period
-        tokens = tuple(token_by_walk(sched, u) for u in range(sched.T))
-        values = ((0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (".",) + tokens)[layer]
-        cell = list(c.word[i])
-        cell[layer] = values[k % len(values)]
         cells = list(c.word)
-        cells[i] = tuple(cell)
-        c = Periodic(c.alphabet, cells)
+        if layer == 4:
+            cells[i] = (7, (), cells[i][:2], cells[i][:3], cells[i] + ("x",))[k % 5]
+            c = Periodic(Alphabet(dict.fromkeys(cells)), cells)
+        else:
+            tokens = tuple(token_by_walk(sched, u) for u in range(sched.T))
+            values = ((0, 1), _PROGRAM_SYMBOLS, _DATA_SYMBOLS, (".",) + tokens)[layer]
+            cell = list(cells[i])
+            cell[layer] = values[k % len(values)]
+            cells[i] = tuple(cell)
+            c = Periodic(c.alphabet, cells)
     if fresh:
         p = SimParams(p.phi, p.phi_inv, p.points, p.B, p.W, p.D)
     want = decode_outcome(decode_by_cell_scan, c, p, sched)
@@ -595,7 +613,7 @@ def test_decode_leaves_odd_head_cells_to_the_scan():
     cells[p.B] += ("x",)  # the head of block 1 gains a fifth field
     odd = Periodic(Alphabet(dict.fromkeys(cells)), cells)
     want = decode_outcome(decode_by_cell_scan, odd, p, sched)
-    assert want[0] is ValueError  # too many values to unpack
+    assert want == (MalformedConfiguration, NOT_A_CELL)
     assert decode_outcome(decode, odd, p, sched) == want
 
 
@@ -646,6 +664,76 @@ def test_pi_off_sync_changes_only_tokens():
     assert diff  # the token layer did move
     assert all(enc[i][:3] == nxt[i][:3] for i in diff)
     assert decode(nxt, p, sched).t == 4
+
+
+@pytest.mark.parametrize("kind", sorted(CODEC_MAPS))
+@pytest.mark.parametrize("w, d", [(1, 0), (2, 1), (1, -1)])
+def test_pi_matches_encode_of_the_stepped_state(kind, w, d, monkeypatch):
+    """Both conjugated maps equal `encode(step_suspension(decode(c)))` on
+    every point of period <= 4, every block phase and the cycle times next
+    to the wraps; off its wrap a map calls no `encode`."""
+    p, sched = codec_instance(kind, w, d)
+    encoded = []
+
+    def counting(s, p, sched):
+        encoded.append(s)
+        return encode(s, p, sched)
+
+    monkeypatch.setattr(cycle_machine, "encode", counting)
+    maps = (("phi", pi_on_encoded, 0), ("phi_inv", pi_inv_on_encoded, 1))
+    for y in periodic_family(AB, 4):
+        for b in range(p.B):
+            for t in {0, 1, 2, sched.T - 2, sched.T - 1}:
+                c = encode(SuspensionState(y, b, t), p, sched)
+                for generator, pi, wrap in maps:
+                    s = step_suspension(decode(c, p, sched), generator, p, sched)
+                    want = encode(s, p, sched)
+                    got = pi(c, p, sched)
+                    assert got.word == want.word and type(got.word) is tuple
+                    assert got.alphabet is want.alphabet
+                    assert encoded == ([s] if t == wrap else [])
+                    encoded.clear()
+
+
+def tampered_encodings(p, sched, t):
+    """Encodings of a state at cycle time t, each broken in one way that
+    `decode` rejects, by name."""
+    B = p.B
+    good = encode(SuspensionState(POINTS[3], 0, t), p, sched)
+
+    def with_cells(changes):
+        cells = list(good.word)
+        for i, cell in changes.items():
+            cells[i] = cell
+        return Periodic(Alphabet(dict.fromkeys(cells)), cells)
+
+    prev = good.word[p.word_bits]  # block 0's first previous-word bit
+    flipped = prev[:2] + ("1" if prev[2] == "0" else "0",) + prev[3:]
+    later = good.word[B][:3] + (token_for_t(sched, (t + 1) % sched.T),)
+    unknown = ("transmit", 0, 0, "x")
+    return {
+        "previous word": with_cells({p.word_bits: flipped}),
+        "tokens disagree": with_cells({B: later}),
+        "period": Periodic(good.alphabet, good.word[: B + 1]),
+        "foreign alphabet": with_cells({
+            j: good.word[j][:3] + (unknown,) for j in range(0, good.period, B)
+        }),
+        "int cell": with_cells({0: 7}),
+        "short head": with_cells({B: good.word[B][:2]}),
+        "short tail cell": with_cells({B + 3: good.word[B + 3][:3]}),
+    }
+
+
+@pytest.mark.parametrize("t", [0, 1, 5])
+def test_pi_validates_like_decode(t):
+    # t = 0 is the wrap of pi, t = 1 that of its inverse, t = 5 neither's
+    p, sched = codec_instance("flip", 1, 0)
+    for name, c in tampered_encodings(p, sched, t).items():
+        want = decode_outcome(decode, c, p, sched)
+        assert want[0] is MalformedConfiguration, name
+        assert want == decode_outcome(decode_by_cell_scan, c, p, sched), name
+        for pi in (pi_on_encoded, pi_inv_on_encoded):
+            assert decode_outcome(pi, c, p, sched) == want, name
 
 
 def test_pi_then_inverse_is_identity():
