@@ -28,6 +28,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .dynamics_analysis import Front
 from .shift_core import (
@@ -351,8 +352,13 @@ def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
 def _walk_and_table(cfg: Padded, n: int):
     """A walker at the one arrow of `cfg`, whose brackets read through to
     the word (`_Changes`), and the node table of that word, for
-    `_macro_steps`.  Raises ValueError unless the padding is blank and the
-    word has exactly one arrow, counted in C."""
+    `_macro_steps`.  Raises TypeError unless `cfg` is a configuration, and
+    ValueError unless it is padded, the padding is blank and the word has
+    exactly one arrow, counted in C."""
+    if not isinstance(cfg, Configuration):
+        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
+    if isinstance(cfg, Periodic):
+        raise ValueError("the walker needs a padded configuration with one arrow")
     if cfg.pad != BLANK:
         raise ValueError("walker expects blank padding")
     word = cfg.word
@@ -678,7 +684,8 @@ def make_block(k: int, n: int) -> BlockSpec:
 @dataclass(frozen=True)
 class CrossingReport:
     steps: int
-    restored: bool
+    # a crossing that does not restore its block raises Timeout instead
+    restored: ClassVar[bool] = True
 
 
 def crossing_steps(k: int, n: int) -> int:
@@ -706,7 +713,7 @@ def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport
     node = table.node(0, 1, budget)
     if node is None:
         raise Timeout(budget)
-    return CrossingReport(table.steps[node[1]], True)
+    return CrossingReport(table.steps[node[1]])
 
 
 @dataclass(frozen=True)
@@ -769,12 +776,10 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    if not isinstance(cfg, (Padded, Periodic)):
-        raise TypeError("unsupported configuration type")
+    if not isinstance(cfg, Configuration):
+        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
     if ARROW_RIGHT not in cfg.word and ARROW_LEFT not in cfg.word:
         return ArrowTrace()
-    if not isinstance(cfg, Padded):
-        raise ValueError("arrow_trace needs a padded configuration with one arrow")
     walk, table = _walk_and_table(cfg, system.n)
     path = [walk.pos]
     for cell, shape in _macro_steps(walk, table, t_max):
@@ -793,8 +798,8 @@ def admissible(cfg: Configuration, n: int) -> bool:
     one period (with the wrap-around adjacency included); an arrow in the
     period word repeats every period, so the period must be at least 5 for
     every rule window to see a single arrow."""
-    if not isinstance(cfg, (Padded, Periodic)):
-        raise TypeError("unsupported configuration type")
+    if not isinstance(cfg, Configuration):
+        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
     word = cfg.word
     arrows = sum(map(is_arrow, word))
     if arrows > 1 or isinstance(cfg, Padded) and cfg.pad != BLANK:

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
+from .dynamics_analysis import periodic_family
 from .shift_core import (
     _SYMBOL,
     Alphabet,
@@ -133,11 +134,6 @@ class SimParams:
     def stages(self) -> tuple:
         """The fixed stages of every schedule built for these parameters."""
         return fixed_stages(self.N, self.table_entries)
-
-    def program_length(self) -> int:
-        return _program_length(
-            self.word_bits, self.table_entries, self.W, self.D
-        )
 
     @cached_property
     def codec(self) -> "_Codec":
@@ -358,7 +354,7 @@ def step_suspension(
 def program_word(p: SimParams) -> tuple:
     """Program layer content: one row of five words per stored window
     (window symbols, phi output, phi_inv output), then W and D in unary."""
-    return p.codec.program[: p.program_length()]
+    return p.codec.program[: _program_length(p.word_bits, p.table_entries, p.W, p.D)]
 
 
 def _program_layer(p: SimParams, bits: dict) -> tuple:
@@ -386,7 +382,7 @@ def _program_layer(p: SimParams, bits: dict) -> tuple:
     cells.append(_END)
     cells.extend([_RIGHT if p.D > 0 else _LEFT] * abs(p.D))
     cells.append(_END)
-    assert len(cells) == p.program_length()
+    assert len(cells) == _program_length(p.word_bits, p.table_entries, p.W, p.D)
     cells.extend([_BLANK] * (p.B - len(cells)))
     return tuple(cells)
 
@@ -597,29 +593,26 @@ def _conjugated_step(
 # spacetime transforms and towers
 
 
-def shape_transform(level) -> tuple:
-    """The 2x2 matrix [[1, D], [0, T/B]] sending input spacetime shapes to
-    suspension spacetime shapes (columns act on (space, time)): it fixes
-    (1, 0) and sends (0, 1) to (D, T/B).  `level` is anything with B, T and
-    D attributes, a CycleSchedule or a slope_engine.LevelParams."""
-    return shape_product((level,))
+def shape_transform(*levels) -> tuple:
+    """The product, in order, of the levels' 2x2 matrices [[1, D], [0, T/B]],
+    each sending input spacetime shapes to suspension spacetime shapes
+    (columns act on (space, time)): it fixes (1, 0) and sends (0, 1) to
+    (D, T/B).  A level is anything with B, T and D attributes, a
+    CycleSchedule or a slope_engine.LevelParams; no level gives the
+    identity."""
+    x, y, p = compose_levels(levels)
+    return (Fraction(1), Fraction(x, p)), (Fraction(0), Fraction(y, p))
 
 
 def compose_levels(levels) -> tuple:
-    """The product of the levels' `shape_transform` matrices, in order, as
-    integers (x, y, p) with the product [[1, x/p], [0, y/p]]: every factor
-    [[1, D], [0, T/B]] keeps that shape, so a level costs a few integer
-    products and no gcd.  y is the product of the T and p of the B."""
+    """`shape_transform(*levels)` as integers (x, y, p) with the product
+    [[1, x/p], [0, y/p]]: every factor [[1, D], [0, T/B]] keeps that shape,
+    so a level costs a few integer products and no gcd.  y is the product
+    of the T and p of the B."""
     x, y, p = 0, 1, 1
     for lv in levels:
         x, y, p = lv.D * lv.B * p + x * lv.T, y * lv.T, p * lv.B
     return x, y, p
-
-
-def shape_product(levels) -> tuple:
-    """The product of the levels' `shape_transform` matrices, in order."""
-    x, y, p = compose_levels(levels)
-    return (Fraction(1), Fraction(x, p)), (Fraction(0), Fraction(y, p))
 
 
 @dataclass(frozen=True)
@@ -678,7 +671,7 @@ def tower(levels: Sequence[TowerLevel], base: SimParams) -> TowerReport:
     sizes.reverse()
     scheds.reverse()
     state_count = len(base.points) * (n // base.N)
-    return TowerReport(tuple(sizes), tuple(scheds), state_count, shape_product(scheds))
+    return TowerReport(tuple(sizes), tuple(scheds), state_count, shape_transform(*scheds))
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +711,6 @@ def sim_params_from_json(text: str) -> SimParams:
     if spec["kind"] == "periodic_points":
         points = tuple(Periodic(phi.alphabet, w) for w in spec["data"])
     elif spec["kind"] == "full":
-        from .dynamics_analysis import periodic_family
-
         points = periodic_family(phi.alphabet, spec["max_period"])
     else:
         raise ValueError(f"unknown Y kind {spec['kind']!r}")

@@ -539,7 +539,6 @@ class LyapunovEstimate:
     estimate a lower bound only.  Both fronts run from time 0 to `t_max`.
     """
 
-    horizon: int
     lambda_plus: Front
     lambda_minus: Front
     truncated: bool = False
@@ -555,7 +554,7 @@ class LyapunovEstimate:
         return self.lambda_minus[t] / t if t else 0.0
 
 
-def _estimate(fronts, t_max, horizon, truncated) -> LyapunovEstimate:
+def _estimate(fronts, t_max, truncated) -> LyapunovEstimate:
     # the advance of each cumulative (right, left) front from its start,
     # maximized over the fronts and 0; a pair with every difference beyond
     # the horizon has no fronts, and a front that ends where it starts
@@ -570,7 +569,7 @@ def _estimate(fronts, t_max, horizon, truncated) -> LyapunovEstimate:
             TruncationWarning,
             stacklevel=3,
         )
-    return LyapunovEstimate(horizon, plus, minus, truncated)
+    return LyapunovEstimate(plus, minus, truncated)
 
 
 def lyapunov_profile(
@@ -595,7 +594,7 @@ def lyapunov_profile(
     pair for the envelope of the advances: O(breakpoints), not O(t_max).
     """
     fronts, truncated = _pair_fronts(rule, family, t_max, horizon)
-    return _estimate(fronts.values(), t_max, horizon, truncated)
+    return _estimate(fronts.values(), t_max, truncated)
 
 
 def profile_from_fronts(right, left, horizon: int) -> LyapunovEstimate:
@@ -613,7 +612,7 @@ def profile_from_fronts(right, left, horizon: int) -> LyapunovEstimate:
         raise ValueError("horizon must be >= 0")
     return _estimate(
         [(right.clip(horizon), left.clip(horizon))] if abs(right.start) <= horizon else [],
-        right.t_max, horizon, right[-1] > horizon or left[-1] < -horizon,
+        right.t_max, right[-1] > horizon or left[-1] < -horizon,
     )
 
 

@@ -95,28 +95,7 @@ class Alphabet:
         return f"Alphabet({list(self.symbols)!r})"
 
 
-class Configuration:
-    """Common interface of the two configuration kinds.
-
-    Subclasses provide total coordinate access via ``cfg[i]`` for every
-    integer i, and `shifted`, satisfying ``cfg.shifted(k)[i] == cfg[i + k]``.
-    """
-
-    alphabet: Alphabet
-
-    def __getitem__(self, i: int) -> Symbol:
-        raise NotImplementedError
-
-    def shifted(self, k: int) -> "Configuration":
-        raise NotImplementedError
-
-    def window(self, lo: int, hi: int) -> tuple[Symbol, ...]:
-        """The word cfg[lo], ..., cfg[hi] (inclusive ends), sliced from the
-        stored word: the one reader of a run of cells."""
-        raise NotImplementedError
-
-
-class Periodic(Configuration):
+class Periodic:
     """A configuration repeating a fixed word, ``cfg[i] == word[i mod p]``.
 
     The word is kept verbatim; ``Periodic(A, "ab" * 2)`` and
@@ -173,7 +152,7 @@ class Periodic(Configuration):
         return f"Periodic({list(self.word)!r})"
 
 
-class Padded(Configuration):
+class Padded:
     """A finite word over an infinite constant background.
 
     ``cfg[i] == word[i - anchor]`` for ``anchor <= i < anchor + len(word)``
@@ -249,6 +228,12 @@ class Padded(Configuration):
 
     def __repr__(self) -> str:
         return f"Padded({list(self.word)!r}, pad={self.pad!r}, anchor={self.anchor})"
+
+
+# the one test of a configuration's kind; both kinds give cfg[i] for every
+# integer i, cfg.shifted(k)[i] == cfg[i + k] and cfg.window(lo, hi), the
+# cells lo..hi sliced from the word: the one reader of a run of cells
+Configuration = Periodic | Padded
 
 
 @dataclass(frozen=True)
@@ -346,7 +331,7 @@ def apply_rule(rule: LocalRule, cfg: Configuration) -> Configuration:
         raise AlphabetMismatch(
             f"rule alphabet {rule.alphabet!r} != configuration alphabet {cfg.alphabet!r}"
         )
-    if not isinstance(cfg, (Periodic, Padded)):
+    if not isinstance(cfg, Configuration):
         raise TypeError(f"unsupported configuration type {type(cfg)!r}")
     if not rule.table and rule.default == "identity":
         return cfg  # every cell keeps its symbol, the pad included

@@ -28,7 +28,7 @@ from .cycle_machine import (
     compose_levels,
     fixed_stages,
     min_block_length,
-    shape_product,
+    shape_transform,
 )
 from .dynamics_analysis import Direction
 from .shift_core import json_object
@@ -66,7 +66,7 @@ def _as_fraction(value: Rational) -> Fraction:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit and max(map(len, re.findall(r"\d+", str(value))), default=0) > limit:
             raise ValueError(f"target has a number of more than {limit} digits") from None
-        raise
+        raise ValueError(f"target {value!r} is not a rational number") from None
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,7 @@ def delta_polygon(prog: SlopeProgram, depth: int) -> ShapePolygon:
     last.  depth=0 gives the unit ball itself."""
     if not 0 <= depth <= len(prog.levels):
         raise ValueError(f"depth {depth} outside 0..{len(prog.levels)}")
-    (_, x), (_, y) = shape_product(prog.levels[:depth])
+    (_, x), (_, y) = shape_transform(*prog.levels[:depth])
     one, zero = Fraction(1), Fraction(0)
     return ShapePolygon(((one, zero), (x, y), (-one, zero), (-x, -y)))
 
@@ -280,13 +280,13 @@ def program_from_json(text: str) -> SlopeProgram:
     fraction = {"num": int, "den": int}
     doc = json_object(text, {
         "levels": [{"B": int, "W": int, "D": int, "T": int}],
-        "lambda": fraction, "bound": fraction,
+        "lambda": fraction, "bound": fraction, "theta": (str, type(None)),
     })
     levels = tuple(
         LevelParams(lv["B"], lv["W"], lv["D"], lv["T"])
         for lv in doc["levels"]
     )
-    theta = None if doc["theta"] is None else Fraction(doc["theta"])
+    theta = None if doc["theta"] is None else _as_fraction(doc["theta"])
     prog = SlopeProgram(levels, theta)
     lam, bound = lambda_eval(prog)
     if lam != Fraction(doc["lambda"]["num"], doc["lambda"]["den"]):

@@ -81,6 +81,7 @@ def test_bracket_info_roundtrip():
             assert bracket_info(close_bracket(k, marked)) == ("]", marked, k)
     assert bracket_info(BLANK) is None
     assert bracket_info(ARROW_LEFT) is None
+    assert bracket_info("[x") is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -250,6 +251,8 @@ def test_preblock_words():
     assert make_preblock(2) == "[[[-]-[-]]-[[-]-[-]]]"
     for k in range(6):
         assert len(make_preblock(k)) == 6 * 2**k - 3
+    with pytest.raises(ValueError, match="^level must be >= 0$"):
+        make_preblock(-1)
 
 
 def test_block_words():
@@ -513,6 +516,28 @@ def test_walker_start_refuses_what_the_cell_scan_refuses(word, pad):
     with pytest.raises(ValueError) as got:
         walk_from_configuration(cfg, 1)
     assert str(got.value) == str(want.value)
+
+
+def test_walk_starts_refuse_what_arrow_trace_refuses():
+    """Every walk start takes a padded configuration only: a periodic one
+    with an arrow is refused by one ValueError, anything that is no
+    configuration by one TypeError, and admissible refuses the latter."""
+    n = 1
+    system = build_rule(n)
+    periodic = Periodic(level_alphabet(n), (ARROW_RIGHT,) + (BLANK,) * 4)
+    starts = (
+        lambda cfg: walk_from_configuration(cfg, n),
+        lambda cfg: perturbation_front(cfg, n, 10),
+        lambda cfg: arrow_trace(cfg, system, 10),
+    )
+    for start in starts:
+        with pytest.raises(ValueError) as exc:
+            start(periodic)
+        assert exc.value.args == ("the walker needs a padded configuration with one arrow",)
+    for start in (*starts, lambda cfg: admissible(cfg, n)):
+        with pytest.raises(TypeError) as exc:
+            start((ARROW_RIGHT,))
+        assert exc.value.args == ("unsupported configuration type <class 'tuple'>",)
 
 
 def test_walkers_share_one_dispatch_table_per_bound():

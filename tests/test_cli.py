@@ -729,6 +729,9 @@ def _params_doc(**edits):
             "total rule has no entry for window ('0', '0', '1')",
         ),
         ({}, ("realize", "--theta", "1/0"), "target '1/0' has a zero denominator"),
+        ({}, ("realize", "--theta", "nan"), "target 'nan' is not a rational number"),
+        ({}, ("realize", "--theta", "inf"), "target 'inf' is not a rational number"),
+        ({}, ("realize", "--theta", "abc"), "target 'abc' is not a rational number"),
         pytest.param(
             {},
             ("realize", "--theta", "1/" + "3" * (_DIGIT_LIMIT + 1)),
@@ -838,7 +841,7 @@ def _params_doc(**edits):
         ({}, ("render", "--n", "0"), "counter bound n must be >= 1"),
     ],
     ids=["rule-key", "params-key", "rule-symbol", "missing-window", "theta-zero",
-         "theta-too-many-digits",
+         "theta-nan", "theta-inf", "theta-word", "theta-too-many-digits",
          "realize-alphabet-0", "realize-alphabet-negative", "realize-entries-1",
          "realize-entries-100",
          "region-rule-array", "blocking-rule-array", "params-string",

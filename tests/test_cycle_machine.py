@@ -40,6 +40,7 @@ from expansive_lab.dynamics_analysis import periodic_family
 from expansive_lab.shift_core import (
     Alphabet,
     LocalRule,
+    Padded,
     Periodic,
     apply_rule,
     identity_rule,
@@ -86,6 +87,35 @@ def test_params_reject_nonperiodic_points():
 def test_params_reject_zero_wait():
     with pytest.raises(ValueError):
         ident_params(8, 0, 0)
+
+
+BIN = Alphabet(("0", "1"))
+
+
+@pytest.mark.parametrize(
+    "phi, phi_inv, points, message",
+    [
+        (IDENT, identity_rule(BIN), POINTS, "phi and phi_inv use different alphabets"),
+        (IDENT, IDENT, (Periodic(BIN, "0"),), "represented point over the wrong alphabet"),
+        # phi_inv undoes phi on 1^inf, but phi does not undo phi_inv there
+        (LocalRule(BIN, 0, {("0",): "0", ("1",): "0"}),
+         LocalRule(BIN, 0, {("0",): "1", ("1",): "1"}),
+         (Periodic(BIN, "1"),), "phi does not undo phi_inv on Periodic(['1'])"),
+    ],
+    ids=["rule-alphabets", "point-alphabet", "phi-after-phi-inv"],
+)
+def test_params_refusals_name_their_cause(phi, phi_inv, points, message):
+    with pytest.raises(ValueError) as exc:
+        SimParams(phi, phi_inv, points, 8, 1, 0)
+    assert exc.value.args == (message,)
+
+
+def test_step_refuses_a_state_over_another_alphabet():
+    p = ident_params(8, 1, 0)
+    with pytest.raises(ValueError) as exc:
+        step_suspension(SuspensionState(Periodic(BIN, "0"), 0, 0), "phi", p,
+                        build_schedule(p))
+    assert exc.value.args == ("state over the wrong alphabet",)
 
 
 def test_schedule_worked_example():
@@ -167,7 +197,7 @@ def test_token_lookup_rejects_junk():
 def test_block_too_small_for_program():
     sigma, sigma_inv = shift_rule(AB, 1), shift_rule(AB, -1)
     p = SimParams(sigma, sigma_inv, POINTS, 51, 1, 1)
-    assert p.program_length() == 52
+    assert len(program_word(p)) == 52
     with pytest.raises(BlockTooSmall):
         build_schedule(p)
     build_schedule(SimParams(sigma, sigma_inv, POINTS, 52, 1, 1))
@@ -403,6 +433,8 @@ def test_decode_rejects_malformed_layers():
         )  # blocks disagree on t
     with pytest.raises(MalformedConfiguration):
         decode(Periodic(alpha, good.word[:6]), p, sched)  # period not k*B
+    with pytest.raises(MalformedConfiguration, match="^encoded configurations are periodic$"):
+        decode(Padded(alpha, good.word, good.word[-1]), p, sched)
     with pytest.raises(MalformedConfiguration):
         # previous word no longer the phi-preimage
         broken = mutate(1, 2, "1")
@@ -444,6 +476,19 @@ def test_decode_rejects_unknown_tokens():
     assert decode_outcome(decode_by_cell_scan, bad, p, sched) == (
         MalformedConfiguration, str(err.value)
     )
+
+
+def test_decode_rejects_a_data_word_past_the_alphabet():
+    # three symbols take two bits, so the word 11 names no symbol
+    abc = Alphabet("abc")
+    p = SimParams(identity_rule(abc), identity_rule(abc), (Periodic(abc, "abc"),), 4, 1, 0)
+    sched = build_schedule(p)
+    good = encode(SuspensionState(p.points[0], 0, 0), p, sched)
+    cells = [cell[:2] + ("1",) + cell[3:] if i < 2 else cell
+             for i, cell in enumerate(good.word)]
+    with pytest.raises(MalformedConfiguration) as exc:
+        decode(Periodic(good.alphabet, cells), p, sched)
+    assert exc.value.args == ("data word 3 outside the alphabet",)
 
 
 def test_decode_rejects_all_zero_block_layer():
@@ -491,7 +536,8 @@ def decode_by_cell_scan(c, p, sched):
     if not starts:
         raise MalformedConfiguration("no block beginning near the origin")
     b = min(starts)
-    prog = program_word(p) + (".",) * (B - p.program_length())
+    prog = program_word(p)
+    prog += (".",) * (B - len(prog))
 
     def symbol(bits_seq):
         v = 0
@@ -636,6 +682,12 @@ def test_encoding_alphabet_rejects_foreign_schedule():
     p = ident_params(4, 1, 0)
     with pytest.raises(ValueError):
         encoding_alphabet(p, idealized_schedule(4, 1, 0))
+    # the alphabet every encoding of the schedule is over: the product of
+    # the four layers, the state layer a blank or one token per cycle time
+    sched = build_schedule(p)
+    alphabet = encoding_alphabet(p, sched)
+    assert encode(SuspensionState(POINTS[2], 1, 3), p, sched).alphabet is alphabet
+    assert len(alphabet) == 2 * len(_PROGRAM_SYMBOLS) * len(_DATA_SYMBOLS) * (sched.T + 1)
 
 
 def test_codec_rejects_schedule_of_another_table():
@@ -781,6 +833,10 @@ def test_cycle_drift_runs_against_the_shear_sign():
 def test_shape_transform_idealized_matrix():
     a = shape_transform(idealized_schedule(4, 2, 1))
     assert a == ((1, 1), (0, 4))
+
+
+def test_shape_transform_of_no_level_is_the_identity():
+    assert shape_transform() == ((1, 0), (0, 1))
 
 
 def test_tower_composes_transforms():

@@ -125,6 +125,9 @@ def test_periodic_family_rotation_classes():
             alphabet, max_period
         ), symbols
     assert periodic_family(BIN, 0) == periodic_family(BIN, -2) == ()
+    with pytest.raises(ValueError) as exc:
+        periodic_family(BIN, 30)
+    assert exc.value.args == ("periodic family up to period 30 over 2 symbols is too large",)
 
 
 def crossing_family(k, n, shifts=(0,)):
@@ -418,6 +421,22 @@ def test_fronts_compare_without_listing_their_values(t_max):
     assert right == left
 
 
+def test_front_leaves_other_comparisons_to_python():
+    front = dynamics_analysis.Front(3, [(0, 0, 1)])
+    assert front.__eq__(5) is NotImplemented and front != 5
+    assert repr(front) == "Front(3, [(0, 0, 1)])"
+
+
+def test_profiles_refuse_a_negative_horizon():
+    right = dynamics_analysis.Front(3, [(0, 0, 1)])
+    left = dynamics_analysis.Front(3, [(0, 0, -1)])
+    for call in (lambda: lyapunov_profile(identity_rule(BIN), bin_family(1), 2, -1),
+                 lambda: profile_from_fronts(right, left, -1)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert exc.value.args == ("horizon must be >= 0",)
+
+
 def _rebroken(breaks, cuts):
     """The same front's breakpoints with one at each time in `cuts` too."""
     out = []
@@ -490,7 +509,7 @@ def test_walker_profile_clips_like_the_pair_profile(n, level, site, t_max,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = lyapunov_profile(_arrow_rule(n), (cfg, bare), t_max, horizon)
-    assert (est.t_max, est.horizon) == (t_max, horizon)
+    assert est.t_max == t_max
     assert (est.lambda_plus, est.lambda_minus) == (
         want.lambda_plus, want.lambda_minus
     )

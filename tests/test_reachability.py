@@ -14,9 +14,16 @@ a name counts as a use, and so does each part of a dotted string such as
 the benchmark's "cycle_machine.program_word.calls"; any `.name` load counts
 as reading every field called `name`: the scan errs toward calling a name
 reached.
+
+Every name README's module map puts in backticks exists, so the map
+cannot name a deleted function.
 """
 
 import ast
+import builtins
+import functools
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -157,3 +164,48 @@ def test_the_field_scan_reads_attribute_loads(tmp_path):
     loads = _attribute_loads(_parse(module))
     assert loads == {"right", "kept", "derived"}
     assert unread_fields(module, loads) == ["Report.echoed", "Pair.left"]
+
+
+# a backticked span that is a name: an identifier, maybe dotted
+_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _module_map_rows() -> list:
+    """(module, contents) for each row of README's module map."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^\| `(\w+)` \| (.*) \|$", text.split("## Module map", 1)[1], re.M)
+
+
+def test_the_module_map_names_only_what_exists():
+    """Each name of a row resolves as an attribute of the row's module, of
+    another package module or the package, of a public package class, or
+    of builtins (each further dotted part an attribute of the one before),
+    or else as a def in tests/."""
+    package = importlib.import_module("expansive_lab")
+    modules = {path.stem: importlib.import_module(f"expansive_lab.{path.stem}")
+               for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    classes = [obj for module in modules.values() for name, obj in vars(module).items()
+               if inspect.isclass(obj) and obj.__module__ == module.__name__
+               and not name.startswith("_")]
+    test_defs = {node.name for path in THIS.parent.glob("*.py")
+                 for node in ast.walk(_parse(path)) if isinstance(node, ast.FunctionDef)}
+
+    def resolves(name, owners) -> bool:
+        for owner in owners:
+            try:
+                functools.reduce(getattr, name.split("."), owner)
+                return True
+            except AttributeError:
+                pass
+        return name in test_defs
+
+    rows = _module_map_rows()
+    assert sorted(module for module, _ in rows) == sorted(modules)
+    unresolved = [
+        f"{module}: {name}"
+        for module, contents in rows
+        for name in dict.fromkeys(re.findall(r"`([^`]+)`", contents))
+        if _NAME.fullmatch(name) and not resolves(
+            name, [modules[module], *modules.values(), package, *classes, builtins])
+    ]
+    assert unresolved == []

@@ -170,11 +170,12 @@ class TestApplyRule:
             with pytest.raises(AlphabetMismatch):
                 apply_rule(identity_rule(ab), x)
 
-        class Other(Configuration):
+        class Other:
             alphabet = abc
 
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError) as exc:
             apply_rule(identity_rule(abc), Other())
+        assert exc.value.args == (f"unsupported configuration type {Other!r}",)
 
     def test_shift_rule_size_budget(self, ab, abc):
         # 2**23 and 3**15 windows exceed the budget, checked before building
@@ -339,6 +340,15 @@ class TestComposition:
         assert rules_equal(compose_rules(f, identity_rule(ab)), f)
         assert rules_equal(compose_rules(identity_rule(ab), f), f)
 
+    def test_rules_differ_on_each_branch(self, ab, abc):
+        # other alphabets; another output on one window; a window that a
+        # total rule lacks
+        assert not rules_equal(identity_rule(ab), identity_rule(abc))
+        assert not rules_equal(shift_rule(ab, 1), identity_rule(ab))
+        partial = LocalRule(ab, 0, {("a",): "a"}, "total")
+        assert not rules_equal(partial, identity_rule(ab))
+        assert not rules_equal(identity_rule(ab), partial)
+
     def test_oversized_composition_rejected(self):
         big = Alphabet(list(range(40)))
         f = shift_rule(big, 1)
@@ -444,6 +454,25 @@ class TestValidation:
     def test_bad_default(self, ab):
         with pytest.raises(ValueError):
             LocalRule(ab, 0, {}, "wild")
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Alphabet(()), ValueError, "alphabet must be non-empty"),
+            (lambda: Periodic(_AB, ()), ValueError, "period word must be non-empty"),
+            (lambda: LocalRule(_AB, -1, {}), ValueError, "radius must be >= 0"),
+            (lambda: orbit(identity_rule(_AB), Periodic(_AB, "a"), -1), ValueError,
+             "steps must be >= 0"),
+            (lambda: compose_rules(identity_rule(_AB), identity_rule(Alphabet("ba"))),
+             AlphabetMismatch, "cannot compose rules over different alphabets"),
+        ],
+        ids=["empty-alphabet", "empty-period", "negative-radius", "negative-steps",
+             "compose-alphabets"],
+    )
+    def test_refusals_name_their_cause(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert exc.value.args == (message,)
 
     @pytest.mark.parametrize(
         "build, message",

@@ -17,7 +17,6 @@ from expansive_lab.cycle_machine import (
     idealized_schedule,
     min_block_length,
     schedule_from_counts,
-    shape_product,
     shape_transform,
     tower,
 )
@@ -80,8 +79,9 @@ def reference_lambda_eval(prog, depth=None):
     return lam, math.prod((ab.beta for ab in abs_), start=F(1))
 
 
-def reference_shape_product(levels):
-    """The dense 2x2 product of the levels' `shape_transform` matrices."""
+def reference_shape_transform(levels):
+    """The dense 2x2 product of the levels' one-level `shape_transform`
+    matrices."""
     m = ((F(1), F(0)), (F(0), F(1)))
     for a in map(shape_transform, levels):
         m = tuple(
@@ -238,6 +238,10 @@ def test_delta_polygon_height_doubles_per_level():
         poly = delta_polygon(prog, m)
         assert poly.vertices[1][1] >= 2**m
         assert poly.vertices[3][1] <= -(2**m)
+    for m in (-1, 9):
+        with pytest.raises(ValueError) as exc:
+            delta_polygon(prog, m)
+        assert exc.value.args == (f"depth {m} outside 0..8",)
 
 
 def test_direction_of():
@@ -357,7 +361,11 @@ def test_program_json_rejects_tampered_lambda():
 @pytest.mark.parametrize(
     "text, message",
     [('{"theta": null}', "missing key 'levels'"),
-     ("[]", "expected a JSON object, got an array")],
+     ("[]", "expected a JSON object, got an array"),
+     ('{"theta": [1]}', "key 'theta': expected a string or null, got an array"),
+     ('{"theta": 0.1}', "key 'theta': expected a string or null, got a number"),
+     ('{"theta": "1/0", "levels": []}', "target '1/0' has a zero denominator"),
+     ('{"theta": "nan", "levels": []}', "target 'nan' is not a rational number")],
 )
 def test_program_json_malformed_raises_value_error(text, message):
     with pytest.raises(ValueError) as exc:
@@ -420,8 +428,8 @@ def test_integer_composition_equals_fraction_references(case):
     prog = got[0][1]
     for m in range(depth + 1):
         assert lambda_eval(prog, m) == reference_lambda_eval(prog, m)
-        dense = reference_shape_product(prog.levels[:m])
-        assert shape_product(prog.levels[:m]) == dense
+        dense = reference_shape_transform(prog.levels[:m])
+        assert shape_transform(*prog.levels[:m]) == dense
         (x, y) = dense[0][1], dense[1][1]
         assert delta_polygon(prog, m).vertices == ((1, 0), (x, y), (-1, 0), (-x, -y))
 
@@ -443,7 +451,7 @@ def test_any_level_stack_evaluates_as_the_references(prog):
     for m in (None, *range(-1, len(prog.levels) + 2)):
         assert _outcome(lambda: lambda_eval(prog, m)) == _outcome(
             lambda: reference_lambda_eval(prog, m))
-    assert shape_product(prog.levels) == reference_shape_product(prog.levels)
+    assert shape_transform(*prog.levels) == reference_shape_transform(prog.levels)
 
 
 BINARY = Alphabet(("0", "1"))
@@ -468,5 +476,5 @@ def tower_levels(draw):
 @given(tower_levels())
 def test_tower_transform_equals_the_dense_product(levels):
     rep = tower(levels, BASE)
-    assert rep.transform == reference_shape_product(rep.schedules)
+    assert rep.transform == reference_shape_transform(rep.schedules)
 
