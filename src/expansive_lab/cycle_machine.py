@@ -397,6 +397,9 @@ class _Codec:
     cells.  Tails are built on first use, so the tables grow with the symbol
     pairs met rather than like N^2 * B; `blocks` maps each built block, its
     head cell without the token followed by its tail, back to (cur, prev).
+    `last` is None or the entry (out, out.word, sched, state) of the latest
+    conjugated cycle-map step, so that the next step can take the state
+    `out` encodes in place of decoding `out` (see `pi_on_encoded`).
     """
 
     def __init__(self, p: SimParams):
@@ -409,6 +412,7 @@ class _Codec:
         self.heads = {s: (1, self.program[0], w[0]) for s, w in self.bits.items()}
         self.tails: dict = {}
         self.blocks: dict = {}
+        self.last = None
 
     def tail(self, cur, prev) -> tuple:
         tail = self.tails.get((cur, prev))
@@ -562,7 +566,9 @@ def pi_on_encoded(
 
     Cost for a period of P*B cells: one `decode`, then a copy of the cells
     with the P head cells given the next token off the wrap (t != 0), or
-    one `encode` at it."""
+    one `encode` at it.  A configuration this map (or its inverse) has just
+    returned is not decoded again when it is passed straight back with the
+    same `p` and `sched` objects, so an orbit decodes only its start."""
     return _conjugated_step(c, "phi", p, sched)
 
 
@@ -578,15 +584,25 @@ def _conjugated_step(
     c: Periodic, generator: str, p: SimParams, sched: CycleSchedule
 ) -> Periodic:
     # encode(step_suspension(decode(c))): off the wrap the step hands back
-    # the very y that decode checked, so only the heads' token changes
-    s = decode(c, p, sched)
+    # the very y that decode checked, so only the heads' token changes.
+    # The word is compared too: a tuple cannot change, so a `word`
+    # reassigned since this map returned `c` is decoded again.
+    codec = p.codec
+    kept = codec.last
+    if kept and c is kept[0] and c.word is kept[1] and sched is kept[2]:
+        s = kept[3]
+    else:
+        s = decode(c, p, sched)
     new = step_suspension(s, generator, p, sched)
     if new.y is not s.y:
-        return encode(new, p, sched)
-    cells, state = list(c.word), (sched._tokens[new.t],)
-    for j, cur in enumerate(new.y.word):
-        cells[(j * p.B - new.b) % len(cells)] = p.codec.heads[cur] + state
-    return Periodic._of(sched._alphabet, tuple(cells))
+        out = encode(new, p, sched)
+    else:
+        cells, state = list(c.word), (sched._tokens[new.t],)
+        for j, cur in enumerate(new.y.word):
+            cells[(j * p.B - new.b) % len(cells)] = codec.heads[cur] + state
+        out = Periodic._of(sched._alphabet, tuple(cells))
+    codec.last = (out, out.word, sched, new)
+    return out
 
 
 # ---------------------------------------------------------------------------

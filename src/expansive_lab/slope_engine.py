@@ -276,7 +276,8 @@ def program_to_json(prog: SlopeProgram) -> str:
 
 def program_from_json(text: str) -> SlopeProgram:
     """Parse a program file, checking the stored evaluation against a
-    fresh one so stale files fail loudly."""
+    fresh one, and a stored target against its bound, so stale files fail
+    loudly."""
     fraction = {"num": int, "den": int}
     doc = json_object(text, {
         "levels": [{"B": int, "W": int, "D": int, "T": int}],
@@ -293,4 +294,8 @@ def program_from_json(text: str) -> SlopeProgram:
         raise ValueError("stored lambda does not match the levels")
     if bound != Fraction(doc["bound"]["num"], doc["bound"]["den"]):
         raise ValueError("stored bound does not match the levels")
+    if theta is not None and abs(lam - theta) > bound:
+        raise ValueError(
+            "stored theta is not within the bound of the levels' lambda"
+        )
     return prog

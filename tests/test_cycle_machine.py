@@ -788,6 +788,94 @@ def test_pi_validates_like_decode(t):
             assert decode_outcome(pi, c, p, sched) == want, name
 
 
+# generator sequences of chained orbits, each with the cycle time it starts
+# at so that its steps cross the wrap of each map it uses
+CHAINED_ORBITS = {
+    "pi": (("phi",) * 6, -3),
+    "pi_inv": (("phi_inv",) * 6, 3),
+    "alternating": (("phi", "phi_inv") * 3, 0),
+}
+CONJUGATED = {"phi": pi_on_encoded, "phi_inv": pi_inv_on_encoded}
+
+
+def counting_decodes(monkeypatch) -> list:
+    """Make `cycle_machine.decode` record each configuration it is given."""
+    decoded = []
+
+    def counting(c, p, sched):
+        decoded.append(c)
+        return decode(c, p, sched)
+
+    monkeypatch.setattr(cycle_machine, "decode", counting)
+    return decoded
+
+
+@pytest.mark.parametrize("orbit", sorted(CHAINED_ORBITS))
+@pytest.mark.parametrize("kind", sorted(CODEC_MAPS))
+@pytest.mark.parametrize("w, d", [(1, 0), (2, 1), (1, -1)])
+def test_chained_pi_matches_encode_of_the_stepped_state(orbit, kind, w, d):
+    """Each step of an orbit that passes every returned configuration
+    straight back equals `encode(step_suspension(decode(c)))`."""
+    p, sched = codec_instance(kind, w, d)
+    generators, start = CHAINED_ORBITS[orbit]
+    for y in periodic_family(AB, 4):
+        for b in {0, 1, p.B - 1}:
+            c = encode(SuspensionState(y, b, start % sched.T), p, sched)
+            for generator in generators:
+                s = step_suspension(decode(c, p, sched), generator, p, sched)
+                c = CONJUGATED[generator](c, p, sched)
+                assert c.word == encode(s, p, sched).word
+
+
+@pytest.mark.parametrize("kind", sorted(CODEC_MAPS))
+def test_chained_pi_decodes_only_the_start(kind, monkeypatch):
+    """An orbit from a fresh `encode`, across the wraps of both maps, calls
+    `decode` once: each later step is handed back the configuration the
+    step before returned."""
+    p, sched = codec_instance(kind, 1, 0)
+    c = encode(SuspensionState(POINTS[3], 1, sched.T - 3), p, sched)
+    decoded = counting_decodes(monkeypatch)
+    for generator in ("phi",) * 8 + ("phi_inv",) * 8:
+        c = CONJUGATED[generator](c, p, sched)
+    assert len(decoded) == 1
+    assert decode(c, p, sched) == SuspensionState(POINTS[3], 1, sched.T - 3)
+
+
+@pytest.mark.parametrize("pi, t", [(pi_on_encoded, 4), (pi_inv_on_encoded, 6)])
+def test_pi_decodes_a_returned_configuration_given_a_new_word(pi, t):
+    # `Periodic` attributes can be assigned; a tampered word is decoded
+    p, sched = codec_instance("flip", 1, 0)
+    c = pi(encode(SuspensionState(POINTS[3], 0, t), p, sched), p, sched)
+    assert c.word == encode(SuspensionState(POINTS[3], 0, 5), p, sched).word
+    c.word = tampered_encodings(p, sched, 5)["previous word"].word
+    want = (MalformedConfiguration,
+            "previous words are not the phi-preimage of the current ones")
+    assert decode_outcome(decode, c, p, sched) == want
+    assert decode_outcome(pi, c, p, sched) == want
+
+
+def test_pi_decodes_a_returned_configuration_under_other_arguments(monkeypatch):
+    """Passed back with an equal but distinct schedule or parameters, a
+    returned configuration is decoded; with mismatched parameters it is
+    refused as `decode` refuses it."""
+    p, sched = codec_instance("shift", 1, 0)
+    c = pi_on_encoded(encode(SuspensionState(POINTS[2], 1, 5), p, sched), p, sched)
+    want = encode(SuspensionState(POINTS[2], 1, 7), p, sched).word
+    decoded = counting_decodes(monkeypatch)
+    same_sched = build_schedule(p)
+    same_p = SimParams(p.phi, p.phi_inv, p.points, p.B, p.W, p.D)
+    assert (same_sched, same_p) == (sched, p)
+    assert same_sched is not sched and same_p is not p
+    for args in ((p, same_sched), (same_p, sched)):
+        decoded.clear()
+        assert pi_on_encoded(c, *args).word == want
+        assert decoded == [c]
+    c = pi_on_encoded(c, p, sched)
+    flip, _ = codec_instance("flip", 1, 0)
+    with pytest.raises(ValueError, match="different parameters"):
+        pi_on_encoded(c, flip, sched)
+
+
 def test_pi_then_inverse_is_identity():
     p = ident_params(4, 1, 0)
     sched = build_schedule(p)

@@ -358,6 +358,17 @@ def test_program_json_rejects_tampered_lambda():
         program_from_json(json.dumps(doc))
 
 
+def test_program_json_rejects_a_theta_its_levels_do_not_realize():
+    doc = json.loads(program_to_json(realize_slope(F(1, 3), 4)))
+    doc["theta"] = "9/10"
+    with pytest.raises(ValueError) as exc:
+        program_from_json(json.dumps(doc))
+    assert exc.value.args == (
+        "stored theta is not within the bound of the levels' lambda",)
+    doc["theta"] = "1/3"
+    assert program_from_json(json.dumps(doc)).theta == F(1, 3)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [('{"theta": null}', "missing key 'levels'"),
