@@ -93,59 +93,99 @@ def periodic_family(alphabet: Alphabet, max_period: int) -> tuple:
 
 
 def _lockstep(rule, family):
-    """Yield (orbit, drift) at t = 0, 1, ...: orbit[k] is family[k] after t
-    steps, and drift[k] is None until a step leaves member k's word
-    unchanged.  That step shifted the member by drift[k] (0 if periodic),
-    and as the rule commutes with the shift so does every later one: the
-    member is shifted from then on, not stepped.  A padded member that is
-    a shift of an earlier one, its lead, follows its lead's orbit, shifted.
-    Both lists change in place between yields.  Cost: once step 1 is asked
-    for, each lead draws its steps from `iterate` until it translates: one
-    `apply_rule` for step 1, then only the cells next to the last step's
-    changes."""
-    orbit, drift = list(family), [None] * len(family)
+    """Yield (orbit, drift, since) at t = 0, 1, ..., lists changed in place:
+    orbit[k] is family[k] after since[k] steps, and since[k] is t until a
+    step leaves the member's word unchanged.  That step shifted it by
+    drift[k] (0 if periodic; None before), and as the rule commutes with
+    the shift so does every later one: the member is held from then on,
+    and `_at` reads it.  A padded member that is a shift of an earlier one
+    follows that lead's orbit, shifted.  Cost: each lead draws its steps
+    from `iterate` until it translates; a step visits only the others."""
+    orbit, drift, since = list(family), [None] * len(family), [0] * len(family)
     leads: dict = {}  # padded members with one alphabet object, pad and word
-    lead = [
-        leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)
-        for k, y in enumerate(family)
-    ]
-    yield orbit, drift
+    lead = [leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)
+            for k, y in enumerate(family)]
+    yield orbit, drift, since
     steps = {k: islice(iterate(rule, family[k]), 1, None) for k in leads.values()}
-    while True:
-        for k, (y, j) in enumerate(zip(orbit, lead)):
-            if drift[k] is None and j < k:
-                orbit[k] = orbit[j].shifted(family[j].anchor - family[k].anchor)
+    busy = range(len(family))
+    for t in itertools.count(1):
+        for k in busy:
+            j = lead[k]
+            if j < k:  # held at its last step, like its lead, once that translates
                 drift[k] = drift[j]
-            elif drift[k] is None:
-                orbit[k] = next(steps[k])
+                if drift[k] is not None:
+                    continue
+                orbit[k] = orbit[j].shifted(family[j].anchor - family[k].anchor)
+            else:
+                y, orbit[k] = orbit[k], next(steps[k])
                 if orbit[k].word == y.word:
                     drift[k] = y.anchor - orbit[k].anchor if isinstance(y, Padded) else 0
                     del steps[k]
-            elif drift[k]:
-                orbit[k] = y.shifted(drift[k])
-        yield orbit, drift
+            since[k] = t
+        busy = [k for k in busy if drift[k] is None]
+        yield orbit, drift, since
+
+
+def _at(state, k, t):
+    """Member k of a `_lockstep` state at time t, its last step or later."""
+    orbit, drift, since = state
+    d = drift[k]
+    return orbit[k].shifted(d * (t - since[k])) if d and t != since[k] else orbit[k]
 
 
 def _common_drift(orbit, drift, a, b):
     """The drift by which members a and b of a `_lockstep` orbit both
-    translate from now on, an all-pad member matching any; None while
-    either still changes."""
+    translate from now on, an all-pad member matching any; else None."""
     d = drift[a] if orbit[a].word else drift[b]
     return d if not orbit[b].word or drift[b] == d else None
 
 
-def _family_rows(rule, inverse, family, t_range, lo, hi):
-    """Yield (t, rows) for t in t_range, where rows[k] is family[k] at time
-    t read on [lo, hi]; negative times run the inverse."""
-    t_lo, t_hi = t_range
-    if t_lo < 0 and inverse is None:
-        raise InverseRequired("negative times need an inverse rule")
-    # zip takes the time first, so neither orbit steps past its last time
-    forward = zip(range(t_hi + 1), _lockstep(rule, family))
-    backward = zip(range(-1, t_lo - 1, -1), islice(_lockstep(inverse, family), 1, None))
-    for t, (orbit, _) in itertools.chain(forward, backward):
-        if t_lo <= t <= t_hi:
-            yield t, [y.window(lo, hi) for y in orbit]
+def _pair_scan(rule, family, pairs, times, window, reach):
+    """The one scan of `pairs` of family members along the orbit of `rule`.
+
+    Yields (t, state, batch) at t = 0, 1, ... below times.stop, state the
+    `_lockstep` state and batch one (a, b, D, d) per pair (a, b) read:
+    - d is None: the pair steps on, and D is its difference set on
+      `window` at t; given only for t in times;
+    - d is an int: both members translate by d from t on, so D moves by -d
+      a step, and the pair leaves the scan.  D is the set on the window
+      for d == 0, else the whole set, which must be finite and inside
+      `reach` (else the pair steps on).
+    Step 1, which makes every check of `apply_rule`, is taken whenever
+    times.stop > 1; the scan ends once no pair steps.  Cost: that of
+    `_lockstep`, plus one difference per pair and step read.  Members
+    padded over one pad differ only inside their words, so their pair
+    reads its whole set and carries it on; leaving, it reads nothing.
+    """
+    lo, hi = window
+    live = [(a, b, None) for a, b in pairs]
+    for t, state in zip(range(times.stop), _lockstep(rule, family)):
+        orbit, drift, _ = state
+        read, batch, stepping = t in times, [], []
+        for a, b, cells in live:
+            d = _common_drift(orbit, drift, a, b)
+            whole = cells is not None  # the whole set one step ago
+            if whole and None not in (d, drift[a], drift[b]):  # both translated
+                cells = [p - d for p in cells] if d else cells
+            elif d is None and not read and (t or times.stop < 2):  # read step 0 for 1
+                stepping.append((a, b, None))
+                continue
+            else:  # padded members over one pad differ at finitely many cells
+                x, y = _at(state, a, t), _at(state, b, t)
+                whole = isinstance(x, Padded) and isinstance(y, Padded) and x.pad == y.pad
+                cells = _difference(x, y, *((-math.inf, math.inf) if whole else window))
+            if d and not (whole and (not cells or reach[0] <= cells[0] and cells[-1] <= reach[1])):
+                d = None
+            if d is None:
+                stepping.append((a, b, cells if whole else None))
+                if not read:
+                    continue
+            if not d and whole and cells and (cells[0] < lo or cells[-1] > hi):
+                cells = [i for i in cells if lo <= i <= hi]
+            batch.append((a, b, cells, d))
+        yield t, state, batch
+        if not (live := stepping) and t:
+            break
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +220,12 @@ def determined_region(
     on [-n, n] at time 0 also agrees at position i after t steps (negative t
     uses the supplied inverse).
 
-    Cost: agreeing on [-n, n] is having equal windows there, so the pairs
-    are those inside each class of equal windows, and a cell is determined
-    iff every member agrees there with the first member of its class.  The
-    members advance by `_lockstep`, forward with the rule and backward with
-    the inverse, and a link is compared at the times asked for until both
-    its members translate by one drift d (`_common_drift`).  Its difference
-    set D then moves by -d a step: for d == 0 D's columns differ at every
-    later time, and for d != 0 D is finite if the members share a pad (else
-    the link stays compared), and each of its points crosses the i-range in
-    one run of times, found in O(1).  Stepping stops at the last time, or
-    after step 1 (which makes every check of `apply_rule`) once no link is
-    compared: under a shift, at step 1, whatever the times asked for.
+    Cost: agreeing on [-n, n] is having equal windows there, so a cell is
+    determined iff every member agrees there with the first member of its
+    class.  These links go through `_pair_scan` forward and backward, and
+    each point of a link's difference set crosses the i-range in one run
+    of times (`_run`), so stepping stops once every link has left: under a
+    shift, at step 1, whatever the times asked for.
     """
     if not family:
         raise ValueError("family must be nonempty")
@@ -205,29 +239,19 @@ def determined_region(
     differ: set = set()
     for step, sign, times in ((rule, 1, range(max(t_lo, 0), t_hi + 1)),
                               (inverse, -1, range(max(-t_hi, 1), -t_lo + 1))):
-        live = links
-        for u, (orbit, drift) in zip(range(times.stop), _lockstep(step, family)):
-            stepping = []
-            for a, b in live:
-                x, y, d = orbit[a], orbit[b], _common_drift(orbit, drift, a, b)
-                if d is None or d and x.pad != y.pad:
-                    stepping.append((a, b))
-                elif d == 0:
-                    later = range(sign * max(u, times.start), sign * times.stop, sign)
-                    differ.update(itertools.product(_difference(x, y, i_lo, i_hi), later))
-                else:  # p - d*k enters the i-range at one end and leaves at the other
-                    enter, leave = (i_hi, i_lo) if d > 0 else (i_lo, i_hi)
-                    for p in _difference(x, y, -math.inf, math.inf):
-                        first = max(0, times.start - u, -((enter - p) // d))
-                        last = min(times.stop - u, (p - leave) // d + 1)
-                        differ.update((p - d * k, sign * (u + k)) for k in range(first, last))
-            if u in times:
-                for a, b in stepping:
-                    cells = _difference(orbit[a], orbit[b], i_lo, i_hi)
-                    differ.update(zip(cells, repeat(sign * u)))
-            live = stepping
-            if not live and u:
-                break
+        for u, _, batch in _pair_scan(step, family, links, times, i_range, (-math.inf, math.inf)):
+            for _, _, cells, d in batch:
+                if not d:  # cells of the i-range, at step u or from step u on
+                    end = u + 1 if d is None else times.stop
+                    differ.update(itertools.product(
+                        cells, range(sign * max(u, times.start), sign * end, sign)))
+                    continue
+                enter, leave = (i_hi, i_lo) if d > 0 else (i_lo, i_hi)
+                for p in cells:  # p - d*k, at step u + k, enters at one end, leaves at the other
+                    first = max(0, times.start - u, -((enter - p) // d))
+                    last = min(times.stop - u, (p - leave) // d + 1)
+                    differ.update(zip(range(p - d * first, p - d * last, -d),
+                                      range(sign * (u + first), sign * (u + last), sign)))
     box = itertools.product(range(i_lo, i_hi + 1), range(t_lo, t_hi + 1))
     return DeterminedRegion(frozenset(box) - differ, t_range, i_range)
 
@@ -442,20 +466,11 @@ def _pair_fronts(rule, family, t_max, horizon):
     family[b] differed at some time <= t (None while they differed nowhere
     there); clipped tells whether a support ever reached past the horizon.
 
-    The members advance by `_lockstep`, and each pair is compared on
-    aligned words.  Once both members of a pair translate by one common
-    drift d (an all-pad member is shift-invariant and matches any drift),
-    the pair's difference set D_t only moves: it is D_t - d*s at time t+s.
-    The pair's fronts then follow in closed form (`_drifting`, which clips
-    at the horizon) and the pair leaves the scan, unless d != 0 and the
-    horizon clips this step's window, which would hide part of D_t; such a
-    pair stays on the step loop, which clips exactly.
-
-    Cost: that of `_lockstep`, one comparison per pair and step until the
-    pair translates, then O(1 + |d|) breakpoints per front: a front holds
-    one breakpoint per move on the step loop and no per-step list.  The
-    scan ends once every pair is in closed form; a support still moving
-    then is checked against the horizon at t_max, since it moves linearly.
+    The pairs go through `_pair_scan`, clipped at the horizon.  A pair
+    that leaves it with drift d has the difference set D_t - d*s at time
+    t+s, so its fronts follow in closed form (`_drifting`, which clips
+    too); with d != 0, only once D_t lies inside the horizon.  Cost: that
+    of `_pair_scan`, then O(1 + |d|) breakpoints per front.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -467,59 +482,37 @@ def _pair_fronts(rule, family, t_max, horizon):
         if y.pad != family[0].pad:
             raise ValueError("family members must share one pad symbol")
     n = t_max + 1
-    breaks = {
-        (a, b): ([], [])
-        for a in range(len(family))
-        for b in range(a + 1, len(family))
-        if family[a] != family[b]
-    }
+    breaks = {(a, b): ([], []) for a, b in itertools.combinations(range(len(family)), 2)
+              if family[a] != family[b]}
     if not breaks:
         return breaks, False
-    live = dict(breaks)
-    clipped = False
-    for t, (orbit, drift) in zip(range(n), _lockstep(rule, family)):
-        lo = min((y.anchor for y in orbit if y.word), default=0)
-        hi = max((y.anchor + len(y.word) - 1 for y in orbit if y.word), default=-1)
-        whole = -horizon <= lo and hi <= horizon
-        clipped = clipped or not whole
-        lo, hi = max(lo, -horizon), min(hi, horizon)
-        rows = [y.window(lo, hi) for y in orbit]
-        for (a, b), (right, left) in list(live.items()):
+
+    def past(state, t):  # whether a support reaches past the horizon at time t
+        return horizon < math.inf and any(
+            not -horizon <= y.anchor - (d or 0) * (t - s) <= horizon + 1 - len(y.word)
+            for y, d, s in zip(*state) if y.word)
+
+    clipped, window = False, (-horizon, horizon)
+    for t, state, batch in _pair_scan(rule, family, breaks, range(n), window, window):
+        clipped = clipped or past(state, t)
+        for a, b, diff, d in batch:
+            right, left = breaks[a, b]
             r, l = (right[-1][1], left[-1][1]) if t else (None, None)
-            diff = ()
-            if rows[a] != rows[b]:
-                diff = [
-                    i for i, p, q in zip(range(lo, hi + 1), rows[a], rows[b])
-                    if p != q
-                ]
+            if diff:
                 r = diff[-1] if r is None else max(r, diff[-1])
                 l = diff[0] if l is None else min(l, diff[0])
             if not t or r != right[-1][1]:
                 right.append((t, r, 0))
             if not t or l != left[-1][1]:
                 left.append((t, l, 0))
-            d = _common_drift(orbit, drift, a, b)
-            # the closed form needs all of D_t; a fixed pair (d == 0) keeps
-            # even a clipped D_t
-            if d is None or not (whole or d == 0):
-                continue
             if diff and d:  # the front on the side D_t moves to
                 side, v = (right, r) if d < 0 else (left, l)
                 if side[-1][0] == t:
                     side.pop()
                 for s, w, z in _drifting(v, diff, -d, n - t, horizon):
                     _push(side, t + s, w, z)
-            del live[a, b]
-        if not live:
-            break
-    # every pair is written out up to t_max, but the scan stopped at time t;
-    # a support that still moves, inside the horizon at t, stays inside up
-    # to t_max iff it is inside at t_max
-    for y, d in zip(orbit, drift):
-        if d and y.word:
-            moved = d * (t_max - t)
-            if y.anchor - moved < -horizon or y.anchor + len(y.word) - 1 - moved > horizon:
-                clipped = True
+    # after the scan's last step each support only moves: check it at t_max
+    clipped = clipped or past(state, t_max)
     fronts = {pair: (Front(n, r), Front(n, l)) for pair, (r, l) in breaks.items()}
     return fronts, clipped
 
@@ -794,39 +787,44 @@ def direction_probe(
     (in lexicographic order) agreeing on the band yet differing inside the
     query box, and their first differing cell (time-major).
 
-    Cost: that of `_lockstep` both ways.  Members with equal band cells form
-    a class, and its first differing pair is its first member with the
-    first member that differs from it: one comparison per member, not pair.
+    Cost: that of `_pair_scan` both ways over every pair.  Each point of a
+    pair's difference set lies in the band, and in the query box, along
+    one run of steps (`_run`), so no band, box or row is listed.
     """
     e_extent, t_extent = extent
-    band = [
-        (i, t)
-        for t in range(-t_extent, t_extent + 1)
-        for i in range(-e_extent, e_extent + 1)
-        if direction.contains(i, t)
-    ]
-    query = [
-        (i, t)
-        for t in range(-(t_extent // 2), t_extent // 2 + 1)
-        for i in range(-(e_extent // 2), e_extent // 2 + 1)
-    ]
-    # rows[t][m][e_extent + i] is cell i of member m at time t
-    rows = dict(_family_rows(
-        rule, inverse, family, (-t_extent, t_extent), -e_extent, e_extent
-    ))
+    if t_extent > 0 and inverse is None:
+        raise InverseRequired("negative times need an inverse rule")
+    s, r = direction.slope, direction.thickness  # the band: |a*i + b*t| <= c
+    a, b, c = (1, 0, r) if s is None else (-s, 1, r * (1 + abs(s)))
+    pairs = list(itertools.combinations(range(len(family)), 2))
+    seen, first = set(), {}  # pairs differing on the band; first query cells
+    for step, sign, start in ((rule, 1, 0), (inverse, -1, 1)):
+        scan = _pair_scan(step, family, pairs, range(start, t_extent + 1),
+                          (-e_extent, e_extent), (-math.inf, math.inf))
+        for u, _, batch in scan:
+            for m, k, cells, d in batch:
+                v, last = (0, 0) if d is None else (-d, t_extent - u)
+                for p in cells:  # at step u + s, cell p + v*s at time sign*(u + s)
+                    s0, s1 = _run(*_run(0, last, p, v, e_extent),
+                                  a * p + b * sign * u, a * v + b * sign, c)
+                    if s0 <= s1:
+                        seen.add((m, k))
+                    s0, s1 = _run(0, min(last, t_extent // 2 - u), p, v, e_extent // 2)
+                    if s0 <= s1:
+                        s0 = s0 if sign > 0 else s1  # the earliest time
+                        cell = (sign * (u + s0), p + v * s0)
+                        first[m, k] = min(first.get((m, k), cell), cell)
+    agree = [pair for pair in pairs if pair not in seen]
+    for pair in agree:
+        if pair in first:
+            return NotDeterminedAtScale(pair, first[pair][::-1])
+    return ExpansiveAtScale(len(agree))
 
-    def cells(m, spots):
-        return tuple(rows[t][m][e_extent + i] for i, t in spots)
 
-    classes: dict = {}
-    for m in range(len(family)):
-        classes.setdefault(cells(m, band), []).append(m)
-    for first, *rest in classes.values():  # in the order of their first members
-        box = cells(first, query)
-        for m in rest:
-            other = cells(m, query)
-            if other != box:
-                cell = next(c for c, p, q in zip(query, box, other) if p != q)
-                return NotDeterminedAtScale((first, m), cell)
-    pairs = sum(len(c) * (len(c) - 1) // 2 for c in classes.values())
-    return ExpansiveAtScale(pairs)
+def _run(lo, hi, a, b, c) -> tuple:
+    """(first, last) of the steps s in [lo, hi] with |a + b*s| <= c; none if first > last."""
+    if b < 0:
+        a, b = -a, -b
+    if not b:
+        return (lo, hi) if abs(a) <= c else (1, 0)
+    return max(lo, -((c + a) // b)), min(hi, (c - a) // b)

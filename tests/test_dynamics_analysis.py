@@ -1240,6 +1240,22 @@ _directions = st.one_of(
     n=2, t_range=(-3, 3), i_lo=-8, width=17,
     direction=Direction(Fraction(1), slope=Fraction(-1, 2)), extent=(6, 2),
 )
+# the same shift and family with a member that rotates, so its pairs step
+# at every time, read well past the drawn extents
+@example(
+    case=RULE_CASES[4],
+    family=padded_scale_family(BIN, 3, "0", [("1", "0", "1")]) + (Periodic(BIN, ("0", "1")),),
+    n=1, t_range=(-3, 3), i_lo=-8, width=17,
+    direction=Direction(Fraction(1), slope=Fraction(-1, 2)), extent=(24, 16),
+)
+# 90 at a wider extent: the probe reads time 0 only, as 90 has no inverse
+@example(
+    case=RULE_CASES[6],
+    family=(Padded(BIN, ("1",), "0"), Padded(BIN, ("1", "1"), "0", 1), Padded(BIN, (), "0"),
+            Padded(BIN, ("1", "0", "1"), "0", -5)),
+    n=0, t_range=(0, 4), i_lo=-6, width=12,
+    direction=Direction(Fraction(1), slope=Fraction(1)), extent=(12, 0),
+)
 def test_family_scans_match_per_member_orbits(case, family, n, t_range, i_lo,
                                               width, direction, extent):
     rule, inverse = case
@@ -1299,7 +1315,9 @@ def test_lockstep_matches_stepped_orbits_on_active_rules(rule, family, t_max):
     """The lockstep orbit, the family scans on it and their per-member
     references agree member by member on rules that keep members busy."""
     want = [_stepped_orbit(rule, y, t_max) for y in family]
-    for t, (got, _) in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
+    # a member that translates is held at the step it did, and read at t by `_at`
+    for t, state in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
+        got = [dynamics_analysis._at(state, k, t) for k in range(len(family))]
         assert got == [w[t] for w in want]
     assert [orbit(rule, y, t_max) for y in family] == want
     i_range = (-12, 12)
@@ -1326,7 +1344,7 @@ def test_lockstep_applies_the_rule_once_per_lead(monkeypatch):
     t_max = 300
     want = [orbit(rule, y, t_max) for y in family]
     monkeypatch.setattr(shift_core, "apply_rule", counted)
-    for t, (got, drift) in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
+    for t, (got, drift, _) in zip(range(t_max + 1), dynamics_analysis._lockstep(rule, family)):
         assert got == [w[t] for w in want]
     assert drift == [None] * 4
     assert len(calls) == 2
@@ -1350,6 +1368,47 @@ def test_region_steps_each_member_at_most_once_per_direction(monkeypatch):
         (i, t) for t in range(-3, 4) for i in range(-6, 7) if abs(i + 2 * t) <= 2
     }
     assert 0 < len(calls) <= 2 * len(family)
+
+
+def test_region_shifts_only_the_members_a_stepping_link_reads(monkeypatch):
+    """A member that rotates keeps its link on the step loop at every time,
+    while the padded members translate from step 1 and their links leave:
+    those members are not shifted again at each later step."""
+    shifts = []
+    shifted = Padded.shifted
+
+    def counted(cfg, k):
+        shifts.append(k)
+        return shifted(cfg, k)
+
+    monkeypatch.setattr(Padded, "shifted", counted)
+    family = bin_family(14) + (Periodic(BIN, ("0", "1")),)
+    region = determined_region(shift_rule(BIN, 1), family, -1, (0, 20000), (0, 0))
+    # cell 0 reads cell t of time 0: the rotating member differs from the
+    # all-pad one at odd t, and the deviation at t differs up to t = 14
+    assert region.cells == {(0, t) for t in range(16, 20001, 2)}
+    assert len(shifts) <= len(family)
+
+
+def test_probe_reads_each_pair_not_each_time(monkeypatch):
+    """Along the shift's flow line, 42 members at extent (400, 400): each
+    pair reads its difference at most twice, as every member translates
+    from step 1, rather than every member's 801 cells at each of 801
+    times."""
+    reads = []
+    window = Padded.window
+
+    def counted(cfg, lo, hi):
+        reads.append(hi - lo + 1)
+        return window(cfg, lo, hi)
+
+    monkeypatch.setattr(Padded, "window", counted)
+    family = bin_family(20)
+    probe = direction_probe(shift_rule(BIN, 1), shift_rule(BIN, -1), family,
+                            Direction(Fraction(1), slope=Fraction(-1)), (400, 400))
+    assert probe == NotDeterminedAtScale((0, 1), (180, -200))
+    pairs = len(family) * (len(family) - 1) // 2
+    assert len(reads) <= 4 * (pairs + len(family))
 
 
 def test_family_scans_keep_members_over_other_pads_apart():
@@ -1383,18 +1442,23 @@ def test_family_scans_keep_members_over_other_pads_apart():
 
 
 def reference_region(rule, family, n, t_range, i_range, inverse=None):
-    """The determined region read off per-time rows: every member's window
-    on the i-range at every time, each link compared cell by cell.  The
-    closed form for translating links must give exactly these cells."""
+    """The determined region read off per-time rows: every member stepped
+    on its own (`orbit_table`) and read on the i-range at every time, each
+    link compared cell by cell.  The closed form for translating links
+    must give exactly these cells."""
     if not family:
         raise ValueError("family must be nonempty")
-    i_lo, i_hi = i_range
+    (t_lo, t_hi), (i_lo, i_hi) = t_range, i_range
+    if t_lo < 0 and inverse is None:
+        raise InverseRequired("negative times need an inverse rule")
     classes: dict = {}
     for m, y in enumerate(family):
         classes.setdefault(y.window(-n, n), []).append(m)
     links = [(c[0], m) for c in classes.values() for m in c[1:]]
+    tables = [orbit_table(rule, inverse, y, t_lo, t_hi) for y in family]
     cells = set()
-    for t, rows in dynamics_analysis._family_rows(rule, inverse, family, t_range, i_lo, i_hi):
+    for t in range(t_lo, t_hi + 1):
+        rows = [table[t].window(i_lo, i_hi) for table in tables]
         differ = {
             k for a, b in links if rows[a] != rows[b]
             for k, (p, q) in enumerate(zip(rows[a], rows[b])) if p != q

@@ -17,6 +17,9 @@ reached.
 
 Every name README's module map puts in backticks exists, so the map
 cannot name a deleted function.
+
+The helpers that advance a family and read its drifts have one caller,
+the pair engine of `dynamics_analysis`, so no probe grows its own loop.
 """
 
 import ast
@@ -209,3 +212,46 @@ def test_the_module_map_names_only_what_exists():
             name, [modules[module], *modules.values(), package, *classes, builtins])
     ]
     assert unresolved == []
+
+
+def _own_calls(node) -> set:
+    """The bare names a function's own body calls, leaving out the bodies
+    of the functions, lambdas and classes defined inside it."""
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (*_DEFS, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+            names.add(child.func.id)
+        names |= _own_calls(child)
+    return names
+
+
+def callers(paths, name) -> list:
+    """`module.function` for each function of the files whose own body
+    calls `name`."""
+    return sorted(
+        f"{path.stem}.{node.name}"
+        for path in paths
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and name in _own_calls(node)
+    )
+
+
+def test_the_caller_scan_reads_each_function_body_once(tmp_path):
+    module = tmp_path / "probe.py"
+    module.write_text(
+        "def engine(): return helper()\n"
+        "def outer():\n"
+        "    def inner(): return helper()\n"
+        "    return inner\n"
+        "def other(): return engine() or (lambda: helper())\n"
+    )
+    assert callers([module], "helper") == ["probe.engine", "probe.inner"]
+
+
+def test_one_engine_advances_a_family_and_reads_its_drifts():
+    modules = sorted(PACKAGE.glob("*.py"))
+    for name in ("_lockstep", "_common_drift"):
+        assert callers(modules, name) == ["dynamics_analysis._pair_scan"], name
