@@ -99,8 +99,8 @@ def _lockstep(rule, family):
     drift[k] (0 if periodic; None before), and as the rule commutes with
     the shift so does every later one: the member is held from then on,
     and `_at` reads it.  A padded member that is a shift of an earlier one
-    follows that lead's orbit, shifted.  Cost: each lead draws its steps
-    from `iterate` until it translates; a step visits only the others."""
+    follows that lead's orbit, shifted.  Cost: a lead draws steps from
+    `iterate` until it translates; a step visits only members still changing."""
     orbit, drift, since = list(family), [None] * len(family), [0] * len(family)
     leads: dict = {}  # padded members with one alphabet object, pad and word
     lead = [leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)

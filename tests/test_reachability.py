@@ -215,11 +215,11 @@ def test_the_module_map_names_only_what_exists():
 
 
 def _own_calls(node) -> set:
-    """The bare names a function's own body calls, leaving out the bodies
-    of the functions, lambdas and classes defined inside it."""
+    """The bare names a function's own body calls, its lambdas included,
+    leaving out the bodies of the functions and classes defined inside it."""
     names = set()
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (*_DEFS, ast.Lambda)):
+        if isinstance(child, _DEFS):
             continue
         if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
             names.add(child.func.id)
@@ -248,7 +248,7 @@ def test_the_caller_scan_reads_each_function_body_once(tmp_path):
         "    return inner\n"
         "def other(): return engine() or (lambda: helper())\n"
     )
-    assert callers([module], "helper") == ["probe.engine", "probe.inner"]
+    assert callers([module], "helper") == ["probe.engine", "probe.inner", "probe.other"]
 
 
 def test_one_engine_advances_a_family_and_reads_its_drifts():
