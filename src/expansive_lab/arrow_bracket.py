@@ -27,7 +27,6 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .dynamics_analysis import Front
@@ -37,7 +36,9 @@ from .shift_core import (
     LocalRule,
     Padded,
     Periodic,
+    Record,
     apply_rule,
+    field,
     iterate,
     min_rotation,
     necklaces,
@@ -161,8 +162,7 @@ def _adjacent_brackets(word, brackets: frozenset) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ABSystem:
+class ABSystem(Record):
     """A counter bound together with its derived range-2 cell map."""
 
     n: int
@@ -253,8 +253,7 @@ def build_rule(n: int) -> ABSystem:
 # sparse one-arrow simulation
 
 
-@dataclass
-class ArrowWalk:
+class ArrowWalk(Record, frozen=False):
     """Mutable sparse automaton state: bracket cells plus one arrow.
 
     Blank cells are implicit.  Equivalent to applying the full cell map (the
@@ -276,10 +275,9 @@ class ArrowWalk:
     facing: int
     stuck: bool = False
     steps: int = 0
-    _face: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._face = _face_maps(self.n)
+        self._face = _face_maps(self.n)  # not a field: no repr, no comparison
 
     def step(self) -> bool:
         """Advance one tick.  Returns False (and flags stuck) on an
@@ -638,8 +636,7 @@ def make_preblock(k: int) -> str:
 MAX_BLOCK_LEVEL = 18
 
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(Record):
     word: tuple
 
     @property
@@ -681,11 +678,13 @@ def make_block(k: int, n: int) -> BlockSpec:
     return BlockSpec(word)
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(Record):
     steps: int
     # a crossing that does not restore its block raises Timeout instead
     restored: ClassVar[bool] = True
+
+    def __init__(self, steps: int):  # by hand: the generic init takes 1.4x as long
+        object.__setattr__(self, "steps", steps)
 
 
 def crossing_steps(k: int, n: int) -> int:
@@ -716,8 +715,7 @@ def run_crossing(k: int, n: int, max_steps: int | None = None) -> CrossingReport
     return CrossingReport(table.steps[node[1]])
 
 
-@dataclass(frozen=True)
-class CrossingLanguage:
+class CrossingLanguage(Record):
     """The intermediate patterns of both crossing directions of a block."""
 
     right: tuple
@@ -748,8 +746,7 @@ def enumerate_L(k: int, n: int) -> CrossingLanguage:
 # traces and admissibility
 
 
-@dataclass(frozen=True)
-class ArrowTrace:
+class ArrowTrace(Record):
     positions: list = field(default_factory=list)  # arrow position at t = 0, 1, ...
     stuck_at: int | None = None
 
@@ -829,8 +826,7 @@ def hierarchical_choices(depth: int, seed: int = 0) -> tuple:
     return tuple((rng.randint(0, 1), rng.randint(0, 1)) for _ in range(depth))
 
 
-@dataclass(frozen=True)
-class HierarchicalArrangement:
+class HierarchicalArrangement(Record):
     """Finite-depth nested bracket landscape.
 
     Stage k >= 1 works inside the arithmetic progression c_k + M_k Z with
@@ -962,8 +958,7 @@ def canonical_point(word: tuple) -> tuple:
     return min_rotation(word[:d])
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
+class InjectivityReport(Record):
     points: int
     collisions: tuple
     stuck_points: int

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -38,7 +37,9 @@ from .shift_core import (
     Alphabet,
     LocalRule,
     Periodic,
+    Record,
     apply_rule,
+    field,
     json_object,
     rule_from_json,
     rule_to_json,
@@ -83,8 +84,7 @@ def _check_level(b: int, w: int) -> None:
         raise ValueError("wait count W must be >= 1")
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(Record):
     """A simulated map with its represented points and block parameters.
 
     `points` are the periodic configurations every exhaustive check runs
@@ -170,8 +170,7 @@ def fixed_stages(n: int, entries: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class CycleSchedule:
+class CycleSchedule(Record):
     """Stage durations of one simulation cycle.
 
     A cycle transmits (B cells plus the first fixed stage), copies, looks
@@ -631,8 +630,7 @@ def compose_levels(levels) -> tuple:
     return x, y, p
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(Record):
     """Block parameters of one nesting level; `table_entries` sizes the
     lookup stage when the induced map's table is not materialized (`tower`
     checks it, through `fixed_stages`)."""
@@ -642,12 +640,12 @@ class TowerLevel:
     D: int
     table_entries: int = 0
 
-    def __post_init__(self):
-        _check_level(self.B, self.W)
+    def __init__(self, B, W, D, table_entries=0):  # by hand: the generic init takes 1.4x as long
+        _check_level(B, W)
+        vars(self).update(B=B, W=W, D=D, table_entries=table_entries)
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(Record):
     alphabet_sizes: tuple
     schedules: tuple
     state_count: int

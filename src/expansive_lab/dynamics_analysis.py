@@ -16,11 +16,11 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import itemgetter
 
+from . import shift_core
 from .shift_core import (
     _COMPOSE_LIMIT,
     Alphabet,
@@ -28,7 +28,8 @@ from .shift_core import (
     LocalRule,
     Padded,
     Periodic,
-    iterate,
+    Record,
+    _iterate_on,
     necklaces,
 )
 
@@ -99,15 +100,15 @@ def _lockstep(rule, family):
     drift[k] (0 if periodic; None before), and as the rule commutes with
     the shift so does every later one: the member is held from then on,
     and `_at` reads it.  A padded member that is a shift of an earlier one
-    follows that lead's orbit, shifted.  Cost: a lead draws steps from
-    `iterate` until it translates; a step visits only members still changing."""
+    follows that lead's orbit, shifted.  Cost: a lead takes step 1 with
+    `apply_rule`; one whose word it changed draws `iterate`'s later steps
+    until it translates; a step visits only members still changing."""
     orbit, drift, since = list(family), [None] * len(family), [0] * len(family)
     leads: dict = {}  # padded members with one alphabet object, pad and word
     lead = [leads.setdefault((id(y.alphabet), y.pad, y.word) if isinstance(y, Padded) else k, k)
             for k, y in enumerate(family)]
     yield orbit, drift, since
-    steps = {k: islice(iterate(rule, family[k]), 1, None) for k in leads.values()}
-    busy = range(len(family))
+    steps, first, busy = {}, shift_core.apply_rule, range(len(family))
     for t in itertools.count(1):
         for k in busy:
             j = lead[k]
@@ -117,10 +118,12 @@ def _lockstep(rule, family):
                     continue
                 orbit[k] = orbit[j].shifted(family[j].anchor - family[k].anchor)
             else:
-                y, orbit[k] = orbit[k], next(steps[k])
+                y, orbit[k] = orbit[k], next(steps[k]) if t > 1 else first(rule, orbit[k])
                 if orbit[k].word == y.word:
                     drift[k] = y.anchor - orbit[k].anchor if isinstance(y, Padded) else 0
-                    del steps[k]
+                    steps.pop(k, None)
+                elif t == 1:
+                    steps[k] = _iterate_on(rule, y, orbit[k])
             since[k] = t
         busy = [k for k in busy if drift[k] is None]
         yield orbit, drift, since
@@ -192,8 +195,7 @@ def _pair_scan(rule, family, pairs, times, window, reach):
 # determined regions
 
 
-@dataclass(frozen=True)
-class DeterminedRegion:
+class DeterminedRegion(Record):
     """Spacetime cells forced by agreement on [-n, n] at time zero.
 
     `cells` is relative to the family: with more configurations the region
@@ -521,8 +523,7 @@ def _pair_fronts(rule, family, t_max, horizon):
 # propagation exponents
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(Record):
     """Cumulative propagation fronts and their per-step ratios.
 
     lambda_plus[t] bounds how far right-half information must reach left
@@ -621,18 +622,18 @@ def lyapunov_csv(estimate: LyapunovEstimate) -> str:
 # blocking words
 
 
-@dataclass(frozen=True)
-class BlockingUpTo:
+class BlockingUpTo(Record):
     t_max: int
 
 
-@dataclass(frozen=True)
-class RefutedAt:
+class RefutedAt(Record):
     t: int
 
+    def __init__(self, t: int):  # by hand: the generic init takes 1.4x as long
+        object.__setattr__(self, "t", t)
 
-@dataclass(frozen=True)
-class BlockingReport:
+
+class BlockingReport(Record):
     word: tuple
     verdict: BlockingUpTo | RefutedAt
 
@@ -731,8 +732,7 @@ def blocking_word_search(
 # directional probes
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """A line through the spacetime origin with a thickness.
 
     Either the time axis (no slope: `vertical`) or the graph t = slope * i
@@ -760,13 +760,11 @@ class Direction:
         return abs(t - s * i) <= self.thickness * (1 + abs(s))
 
 
-@dataclass(frozen=True)
-class ExpansiveAtScale:
+class ExpansiveAtScale(Record):
     pairs_checked: int
 
 
-@dataclass(frozen=True)
-class NotDeterminedAtScale:
+class NotDeterminedAtScale(Record):
     witness_pair: tuple
     witness_cell: tuple
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 Symbol = Hashable
@@ -46,6 +46,67 @@ class QuiescenceViolation(ValueError):
 
 class MissingWindow(KeyError):
     """A rule declared total does not cover some window."""
+
+
+class field(dict):
+    """A record field's options, in place of its default: ``init=False`` leaves
+    it to ``__post_init__``, and ``default_factory`` makes each instance's."""
+
+
+class Record:
+    """Base of the package's records: a subclass's own annotations but a
+    ``ClassVar`` are its fields, each with its default or `field`.  From
+    closures, not generated code, it gets what methods of a frozen data class
+    (``frozen=False`` as a class keyword: a mutable one) its body lacks."""
+
+    def __init_subclass__(cls, frozen=True):
+        own, specs = vars(cls), {}
+        for name, hint in own.get("__annotations__", {}).items():
+            if str(hint).startswith(("ClassVar", "typing.ClassVar")):
+                continue
+            specs[name] = opts = own.get(name, field())
+            if not isinstance(opts, field):  # a plain default
+                specs[name] = field(default_factory=lambda value=opts: value)
+            elif name in own:
+                delattr(cls, name)
+        init = [k for k, opts in specs.items() if opts.get("init", True)]
+        makers = {k: o["default_factory"] for k, o in specs.items() if "default_factory" in o}
+        n, slots, post = len(init), tuple(enumerate(init)), getattr(cls, "__post_init__", None)
+        setobj, get, one = object.__setattr__, attrgetter(*specs), len(specs) == 1
+
+        def bind(args, kw):  # the init fields' values from any arguments
+            got = dict(**dict(zip(init, args)), **kw)  # TypeError on a field given twice
+            if len(args) > n or not got.keys() | makers.keys() >= set(init) >= got.keys():
+                raise TypeError(f"{cls.__qualname__}() takes {init}, not {args}, {kw}")
+            return [got[k] if k in got else makers[k]() for k in init]
+
+        def __init__(self, *args, **kw):  # its closure is kept small: each call copies it
+            if kw or len(args) != n:
+                args = bind(args, kw)
+            for i, k in slots:
+                setobj(self, k, args[i])
+            if post is not None:
+                post(self)
+
+        def __eq__(self, other):  # of one name, attrgetter gives no tuple
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return (get(self),) == (get(other),) if one else get(self) == get(other)
+
+        def __repr__(self):
+            values = ", ".join(f"{k}={getattr(self, k)!r}" for k in specs)
+            return f"{type(self).__qualname__}({values})"
+
+        def refuse(self, name, *value):  # __setattr__, and with no value __delattr__
+            raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+        methods = dict(__init__=__init__, __repr__=__repr__, __eq__=__eq__, __hash__=None)
+        if frozen:
+            methods.update(__setattr__=refuse, __delattr__=refuse,
+                           __hash__=lambda self: hash((get(self),) if one else get(self)))
+        for name, method in methods.items():
+            if name not in own:
+                setattr(cls, name, method)
 
 
 class Alphabet:
@@ -236,8 +297,7 @@ class Padded:
 Configuration = Periodic | Padded
 
 
-@dataclass(frozen=True)
-class LocalRule:
+class LocalRule(Record):
     """A sliding block code of range ``radius`` given by a window table.
 
     ``table`` maps (2*radius+1)-tuples of symbols to output symbols.  Windows
@@ -373,6 +433,11 @@ def iterate(rule: LocalRule, cfg: Configuration):
     yield cfg
     y = apply_rule(rule, cfg)
     yield y
+    yield from _iterate_on(rule, cfg, y)
+
+
+def _iterate_on(rule: LocalRule, cfg: Configuration, y: Configuration):
+    """`iterate`'s steps 2, 3, ... given its step 1, y = rule(cfg)."""
     r, evaluate = rule.radius, rule.evaluate
     width = 2 * r + 1
     p = cfg.period if isinstance(cfg, Periodic) else None

@@ -19,7 +19,6 @@ import json
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -31,7 +30,7 @@ from .cycle_machine import (
     shape_transform,
 )
 from .dynamics_analysis import Direction
-from .shift_core import json_object
+from .shift_core import Record, json_object
 
 
 class InvalidLevel(ValueError):
@@ -73,8 +72,7 @@ def _as_fraction(value: Rational) -> Fraction:
 # level algebra
 
 
-@dataclass(frozen=True)
-class LevelParams:
+class LevelParams(Record):
     """One nesting level; T is the exact cycle length of its schedule."""
 
     B: int
@@ -88,8 +86,7 @@ class LevelParams:
             raise ValueError("cycle length T must be >= 1")
 
 
-@dataclass(frozen=True)
-class SlopeProgram:
+class SlopeProgram(Record):
     """A stack of levels, outermost first, with an optional target."""
 
     levels: tuple
@@ -135,8 +132,7 @@ def direction_of(lam: Fraction) -> Direction:
 # the delta polygon
 
 
-@dataclass(frozen=True)
-class ShapePolygon:
+class ShapePolygon(Record):
     """Image of the l1 unit ball under the composed level transforms.
 
     Always a quadrilateral with (1,0) and (-1,0) as vertices, one vertex

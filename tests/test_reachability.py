@@ -4,10 +4,11 @@ module, the acceptance gates, the benchmark harness or another test module.
 A name that only its own tests call is a candidate for deletion; the few
 kept on purpose are listed in ALLOWED, each with its reason.
 
-Every field of a dataclass or NamedTuple of the package is read, as an
-attribute load, by some file (its own module and tests included).  A
-field nothing reads restates what its maker was given and is a candidate
-for deletion too; ALLOWED names such fields as `module.Class.field`.
+Every field of a record (a subclass of `shift_core.Record`), dataclass or
+NamedTuple of the package is read, as an attribute load, by some file (its
+own module and tests included).  A field nothing reads restates what its
+maker was given and is a candidate for deletion too; ALLOWED names such
+fields as `module.Class.field`.
 
 The count is by name, so a local variable elsewhere that happens to share
 a name counts as a use, and so does each part of a dotted string such as
@@ -74,13 +75,13 @@ def _attribute_loads(tree) -> set:
 
 
 def unread_fields(module, loads) -> list:
-    """`Class.field` for each field of a dataclass or NamedTuple of
+    """`Class.field` for each field of a record, dataclass or NamedTuple of
     `module` whose name `loads` lacks."""
     found = []
     for cls in _parse(module).body:
         if not isinstance(cls, ast.ClassDef) or not (
             "dataclass" in set().union(*map(_identifiers, cls.decorator_list))
-            or "NamedTuple" in set().union(*map(_identifiers, cls.bases))
+            or {"NamedTuple", "Record"} & set().union(*map(_identifiers, cls.bases))
         ):
             continue
         found += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
@@ -150,6 +151,7 @@ def test_the_field_scan_reads_attribute_loads(tmp_path):
     module.write_text(
         "from dataclasses import dataclass, field\n"
         "from typing import NamedTuple\n"
+        "from expansive_lab.shift_core import Record\n"
         "@dataclass(frozen=True)\n"
         "class Report:\n"
         "    kept: int\n"
@@ -158,15 +160,19 @@ def test_the_field_scan_reads_attribute_loads(tmp_path):
         "class Pair(NamedTuple):\n"
         "    left: int\n"
         "    right: int\n"
+        "class Verdict(Record, frozen=False):\n"
+        "    at: int\n"
+        "    unread: int = 0\n"
         "class Plain:\n"
         "    note: int\n"
-        "def use(r, p):\n"
+        "def use(r, p, v):\n"
         "    r.echoed = p.right\n"
-        "    return r.kept, r.derived\n"
+        "    return r.kept, r.derived, v.at\n"
     )
     loads = _attribute_loads(_parse(module))
-    assert loads == {"right", "kept", "derived"}
-    assert unread_fields(module, loads) == ["Report.echoed", "Pair.left"]
+    assert loads == {"right", "kept", "derived", "at"}
+    assert unread_fields(module, loads) == [
+        "Report.echoed", "Pair.left", "Verdict.unread"]
 
 
 # a backticked span that is a name: an identifier, maybe dotted
