@@ -266,7 +266,7 @@ class ArrowWalk(Record, frozen=False):
     only the brackets the walk has changed and reads every other cell
     from the word (see `_Changes`), and they find nodes only where it
     faces one (see `_macro_steps`); what is left of their set-up over the
-    whole word is counting its arrows in C.
+    whole word is counting its arrows in C, once while it is kept.
     """
 
     n: int
@@ -330,11 +330,11 @@ def _face_maps(n: int) -> dict[int, dict[str, tuple[str, str]]]:
 
 def walk_from_configuration(cfg: Padded, n: int) -> ArrowWalk:
     """Sparse walker for a padded configuration with exactly one arrow,
-    holding every bracket of its word; raises as `_walk_and_table`."""
-    walk, _ = _walk_and_table(cfg, n)
-    walk.brackets = {x: s for x, s in enumerate(cfg.word, cfg.anchor)
-                     if s != BLANK and s not in _ARROWS}
-    return walk
+    holding every bracket of its word; raises as `_arrow`, keeps no table."""
+    pos, facing = _arrow(cfg)
+    brackets = {x: s for x, s in enumerate(cfg.word, cfg.anchor)
+                if s != BLANK and s not in _ARROWS}
+    return ArrowWalk(n, brackets, pos, facing)
 
 
 def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
@@ -347,26 +347,49 @@ def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
     return Padded(alphabet, word, BLANK, lo)
 
 
-def _walk_and_table(cfg: Padded, n: int):
-    """A walker at the one arrow of `cfg`, whose brackets read through to
-    the word (`_Changes`), and the node table of that word, for
-    `_macro_steps`.  Raises TypeError unless `cfg` is a configuration, and
-    ValueError unless it is padded, the padding is blank and the word has
-    exactly one arrow, counted in C."""
+def _arrow(cfg: Padded, arrowless: bool = False):
+    """(cell, facing) of the one arrow of `cfg`, the arrows counted in C,
+    or None for none if `arrowless`.  Raises TypeError unless `cfg` is a
+    configuration, and ValueError unless it is padded, with blank padding
+    and exactly one arrow."""
     if not isinstance(cfg, Configuration):
         raise TypeError(f"unsupported configuration type {type(cfg)!r}")
+    word = cfg.word
+    right = word.count(ARROW_RIGHT)
+    count = right + word.count(ARROW_LEFT)
+    if arrowless and not count:
+        return None
     if isinstance(cfg, Periodic):
         raise ValueError("the walker needs a padded configuration with one arrow")
     if cfg.pad != BLANK:
         raise ValueError("walker expects blank padding")
-    word = cfg.word
-    right = word.count(ARROW_RIGHT)
-    count = right + word.count(ARROW_LEFT)
     if count != 1:
         raise ValueError(f"expected exactly one arrow, found {count}")
-    pos = cfg.anchor + word.index(ARROW_RIGHT if right else ARROW_LEFT)
-    table = _NodeTable(n, word, cfg.anchor)
-    return ArrowWalk(n, _Changes(table.original), pos, 1 if right else -1), table
+    return cfg.anchor + word.index(ARROW_RIGHT if right else ARROW_LEFT), 1 if right else -1
+
+
+_KEEP = 16  # node tables kept, the least recently walked evicted first
+_kept: dict = {}  # (id(word), n, anchor) -> (word, table, arrow cell, facing)
+
+
+def _walk_and_table(cfg: Padded, n: int, arrowless: bool = False):
+    """A walker at the one arrow of `cfg` whose brackets read through to
+    the word (`_Changes`), and the word's node table, kept by n, anchor
+    and the word's identity (the word held, so its id stays unique): a
+    table depends on nothing else, and a repeated walk scans no cell and
+    matches no node again.  None or a raise, keeping nothing, as `_arrow`."""
+    key = isinstance(cfg, Padded) and cfg.pad == BLANK and (id(cfg.word), n, cfg.anchor)
+    kept = _kept.pop(key, None)
+    if kept is None:
+        start = _arrow(cfg, arrowless)
+        if start is None:
+            return None
+        kept = (cfg.word, _NodeTable(n, cfg.word, cfg.anchor), *start)
+        if len(_kept) >= _KEEP:
+            del _kept[next(iter(_kept))]
+    _kept[key] = kept
+    _, table, pos, facing = kept
+    return ArrowWalk(n, _Changes(table.original), pos, facing), table
 
 
 class _Changes(dict):
@@ -411,7 +434,8 @@ class _NodeTable:
     every child) is one traversal; for make_block this is `crossing_steps`.
 
     Nodes are found on demand (`node`), read from the configuration's
-    word as it was before the walk, the arrow's cell read as blank.
+    word as it was before the walk, the arrow's cell read as blank: no
+    walk changes a table, so every walk of its word can share it.
     Nodes are numbered by shape, (width, ((child offset, child shape),
     ...)).  What a crossing of a shape does, relative to its open bracket,
     is built from its children's on first use: the arrow's move at each
@@ -769,15 +793,14 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     `_NodeTable.moves`), summed from the arrow's cell by
     `itertools.accumulate`.  Cost: one C-level add per position, plus the
     cells the arrow reaches (see `_macro_steps`); the arrows are counted
-    in C.
+    in C, once for a kept word (see `_walk_and_table`).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    if not isinstance(cfg, Configuration):
-        raise TypeError(f"unsupported configuration type {type(cfg)!r}")
-    if ARROW_RIGHT not in cfg.word and ARROW_LEFT not in cfg.word:
+    start = _walk_and_table(cfg, system.n, arrowless=True)
+    if start is None:
         return ArrowTrace()
-    walk, table = _walk_and_table(cfg, system.n)
+    walk, table = start
     path = [walk.pos]
     for cell, shape in _macro_steps(walk, table, t_max):
         if shape is None:
@@ -1016,7 +1039,8 @@ def perturbation_front(cfg: Padded, n: int, t_max: int):
     node's front moves by one bisection.  Each front holds one breakpoint
     per move, O(Lambda) in all, not one entry per step.  Past counting
     its arrows in C, nothing is read of the configuration but the cells
-    the arrow reaches and the nodes it faces (see `_macro_steps`).
+    the arrow reaches and the nodes it faces (see `_macro_steps`), none
+    of them again for a word kept (see `_walk_and_table`).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")

@@ -1252,6 +1252,7 @@ def _assert_walk_table_matches_eager(cfg, n, t_max):
     exceeds the recorded budget, and the walk kept to t_max."""
     eager = _eager_nodes(n, _brackets_of(cfg))
     walk, table = _walk_and_table(cfg, n)
+    assert table.opens == table.closes == table.refused == {}
     for _ in _macro_steps(walk, table, t_max):
         pass
     assert walk.steps <= t_max
@@ -1334,6 +1335,7 @@ def test_walk_reads_only_the_cells_it_reaches():
     cfg = _padded_from_word((ARROW_RIGHT, BLANK) + make_block(16, 2).word, 2,
                             anchor=-2)
     walk, table = _walk_and_table(cfg, 2)
+    assert table.opens == table.closes == table.refused == {}
     lo = hi = walk.pos
     for cell, shape in _macro_steps(walk, table, 10**6):
         if shape is None:  # a tick reaches the arrow's cell and the faced one
@@ -1358,10 +1360,201 @@ def test_long_walk_holds_only_the_cells_it_changed():
     start = 2 * arr.free_cell
     cfg = arr.configuration(start - 60000, start + 60000, arrow_at=start, facing=1)
     walk, table = _walk_and_table(cfg, 2)
+    assert table.opens == table.closes == table.refused == {}
     for _ in _macro_steps(walk, table, 10**7):
         pass
     assert walk.steps == 10**7
     assert len(walk.brackets) <= 16
+
+
+# ---------------------------------------------------------------------------
+# node tables kept across walks
+
+
+def _twin(cfg):
+    """An equal configuration whose word is an object of its own."""
+    twin = Padded(cfg.alphabet, list(cfg.word), cfg.pad, cfg.anchor)
+    assert twin == cfg and twin.word is not cfg.word
+    return twin
+
+
+def _walked(cfg, n, calls):
+    """`arrow_trace` ("trace") or `perturbation_front` ("front") of cfg
+    for each (function, t_max) of `calls`, in turn."""
+    return [arrow_trace(cfg, build_rule(n), t) if f == "trace"
+            else perturbation_front(cfg, n, t) for f, t in calls]
+
+
+def _assert_kept_walks_match_fresh(cfg, n, calls):
+    """Walked in turn on one configuration, all on one kept table, each
+    call gives what it gives on a fresh twin, the twin's table built for
+    that call alone."""
+    _, table = _walk_and_table(cfg, n)
+    assert table.opens == table.closes == table.refused == {}
+    kept = _walked(cfg, n, calls)
+    assert _walk_and_table(cfg, n)[1] is table
+    for call, got in zip(calls, kept):
+        assert got == _walked(_twin(cfg), n, [call])[0]
+
+
+@st.composite
+def _kept_cases(draw):
+    """(n, configuration) of a hierarchical arrangement with the arrow at
+    its free cell, or of a block with the arrow before it facing in or
+    after it facing out."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        arr = hierarchical_arrangement(draw(st.integers(1, 7)), n,
+                                       draw(st.integers(0, 2**31 - 1)))
+        start = 2 * arr.free_cell
+        return n, arr.configuration(start - 600, start + 600, arrow_at=start,
+                                    facing=draw(st.sampled_from((1, -1))))
+    block = make_block(draw(st.integers(0, 4)), n).word
+    arrow = (draw(st.sampled_from((ARROW_RIGHT, ARROW_LEFT))), BLANK)
+    word = arrow + block if draw(st.booleans()) else block + arrow[::-1]
+    return n, _padded_from_word(word, n, draw(st.integers(-5, 5)))
+
+
+_CALLS = st.lists(st.tuples(st.sampled_from(("trace", "front")),
+                            st.integers(0, 30000)), min_size=2, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kept_cases(), _CALLS)
+@example((2, _padded_from_word((ARROW_RIGHT, BLANK) + make_block(3, 2).word, 2)),
+         [("trace", 20000), ("front", 300), ("front", 20000), ("trace", 5)])
+@example((1, _padded_from_word(make_block(2, 1).word + (BLANK, ARROW_LEFT), 1)),
+         [("front", 100), ("trace", 100), ("trace", 3000), ("front", 0)])
+def test_kept_table_walks_match_fresh_walks(case, calls):
+    n, cfg = case
+    _assert_kept_walks_match_fresh(_twin(cfg), n, calls)
+
+
+def test_kept_table_walks_match_fresh_walks_on_gate_landscape():
+    """Gates 03 and 04 on one configuration, each twice, in both orders:
+    10^6 steps of the trace and 10^5 of the fronts."""
+    arr = hierarchical_arrangement(6, 2, seed=0)
+    cfg = arr.configuration(5000, 15200, arrow_at=2 * arr.free_cell, facing=1)
+    calls = [("front", 10**5), ("trace", 10**6), ("front", 10**5), ("trace", 10**6)]
+    _assert_kept_walks_match_fresh(cfg, 2, calls)
+    trace = arrow_trace(cfg, build_rule(2), 10**6)
+    assert (max(trace.positions), min(trace.positions)) == (13821, 8190)
+
+
+def test_equal_but_distinct_words_get_tables_of_their_own():
+    """A table is kept for one word object, counter bound and anchor; a
+    configuration sharing the word object gets no table it should not."""
+    cfg = _padded_from_word((ARROW_RIGHT, BLANK) + make_block(2, 1).word, 1)
+    _, table = _walk_and_table(cfg, 1)
+    assert _walk_and_table(cfg, 1)[1] is table
+    assert _walk_and_table(Padded(cfg.alphabet, cfg.word, BLANK, 0), 1)[1] is table
+    assert _walk_and_table(_twin(cfg), 1)[1] is not table
+    assert _walk_and_table(cfg, 2)[1] is not table
+    shifted = cfg.shifted(3)
+    assert shifted.word is cfg.word
+    walk, other = _walk_and_table(shifted, 1)
+    assert other is not table and walk.pos == -3
+    padded = Padded(cfg.alphabet, cfg.word, "[1")
+    periodic = Periodic(cfg.alphabet, cfg.word)
+    assert padded.word is cfg.word and periodic.word is cfg.word
+    with pytest.raises(ValueError, match="walker expects blank padding"):
+        perturbation_front(padded, 1, 10)
+    with pytest.raises(ValueError, match="the walker needs a padded configuration"):
+        arrow_trace(periodic, build_rule(1), 10)
+
+
+def test_a_dropped_word_leaves_its_table_to_no_new_word():
+    """Words of one length, each walked and dropped before the next is
+    made, so the next may take its memory: each gets a table of its own."""
+    system = build_rule(1)
+    for at in range(24):
+        word = ["[1", BLANK, "]1"] + [BLANK] * 24 + ["[1", BLANK, "]1"]
+        word[3 + at] = ARROW_RIGHT  # no cell trimmed: every word is 30 long
+        cfg = _padded_from_word(tuple(word), 1)
+        assert arrow_trace(cfg, system, 40).positions == _stepped_orbit(cfg, 1, 40)[0]
+        assert _walk_and_table(cfg, 1)[1].word == cfg.word
+        del cfg
+
+
+def test_the_store_keeps_the_last_sixteen_words(monkeypatch):
+    monkeypatch.setattr(arrow_bracket, "_kept", {})
+    cfgs = [_padded_from_word((ARROW_RIGHT,) + (BLANK,) * k + ("[1", BLANK, "]1"), 1)
+            for k in range(40)]
+    tables = []
+    for cfg in cfgs:
+        assert perturbation_front(cfg, 1, 100)
+        tables.append(_walk_and_table(cfg, 1)[1])
+        assert len(arrow_bracket._kept) <= arrow_bracket._KEEP == 16
+    assert len(arrow_bracket._kept) == 16
+    assert _walk_and_table(cfgs[24], 1)[1] is tables[24]  # the least recent
+    arrow_trace(cfgs[0], build_rule(1), 10)  # evicts the least recent: 25
+    assert _walk_and_table(cfgs[24], 1)[1] is tables[24]
+    assert _walk_and_table(cfgs[39], 1)[1] is tables[39]
+    assert _walk_and_table(cfgs[23], 1)[1] is not tables[23]
+    assert _walk_and_table(cfgs[25], 1)[1] is not tables[25]
+    assert len(arrow_bracket._kept) == 16
+
+
+def test_refused_and_arrowless_starts_keep_nothing(monkeypatch):
+    kept = {}
+    monkeypatch.setattr(arrow_bracket, "_kept", kept)
+    a = level_alphabet(1)
+    system = build_rule(1)
+    refused = [
+        (Padded(a, (ARROW_RIGHT, "[1", BLANK, ARROW_LEFT), BLANK), "found 2"),
+        (Periodic(a, (ARROW_RIGHT,) + (BLANK,) * 4), "a padded configuration"),
+        (Padded(a, (ARROW_RIGHT, BLANK), "]1"), "blank padding"),
+    ]
+    for cfg, message in refused:
+        for start in (lambda: perturbation_front(cfg, 1, 10),
+                      lambda: arrow_trace(cfg, system, 10),
+                      lambda: walk_from_configuration(cfg, 1)):
+            with pytest.raises(ValueError, match=message):
+                start()
+    for cfg in (Periodic(a, ("[1", BLANK)), Padded(a, ("[1", BLANK), "]1"),
+                _padded_from_word(make_block(1, 1).word, 1)):
+        assert arrow_trace(cfg, system, 10).no_arrow
+    assert walk_from_configuration(_padded_from_word((ARROW_LEFT, "[1"), 1), 1)
+    assert kept == {}
+
+
+class _Scans(tuple):
+    """A word that records each scan of it for an arrow."""
+
+    scans: list
+
+    def count(self, x):
+        self.scans.append(x)
+        return tuple.count(self, x)
+
+    def index(self, x, *args):
+        self.scans.append(x)
+        return tuple.index(self, x, *args)
+
+    def __contains__(self, x):
+        self.scans.append(x)
+        return tuple.__contains__(self, x)
+
+
+def test_a_repeated_walk_matches_no_node_and_scans_no_cell(monkeypatch):
+    found = []
+    original = _NodeTable._found
+
+    def counting(self, *args):
+        found.append(args[:2])
+        return original(self, *args)
+
+    monkeypatch.setattr(_NodeTable, "_found", counting)
+    cfg = _padded_from_word((ARROW_RIGHT, BLANK) + make_block(4, 2).word, 2)
+    cfg.word = _Scans(cfg.word)
+    cfg.word.scans = []
+    first = perturbation_front(cfg, 2, 48000)
+    assert found and cfg.word.scans
+    found.clear()
+    cfg.word.scans.clear()
+    assert perturbation_front(cfg, 2, 48000) == first
+    arrow_trace(cfg, build_rule(2), 48000)
+    assert found == [] and cfg.word.scans == []
 
 
 def test_block_size_budget_allocates_nothing():
