@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from bisect import bisect_right
 from typing import ClassVar
 
@@ -261,12 +260,13 @@ class ArrowWalk(Record, frozen=False):
     O(1) and is the oracle of the macro-stepping in `arrow_trace`,
     `perturbation_front` and `run_crossing`, which cross a whole resting
     bracket node in one jump (see `_NodeTable`) and so pay per tick only
-    outside the nodes they can jump; `arrow_trace` adds one C-level sum
-    per step replayed from the node's move block.  Their walker holds
-    only the brackets the walk has changed and reads every other cell
-    from the word (see `_Changes`), and they find nodes only where it
-    faces one (see `_macro_steps`); what is left of their set-up over the
-    whole word is counting its arrows in C, once while it is kept.
+    outside the nodes they can jump; `arrow_trace` adds one pointer per
+    step, copied in C from the crossing's cells (`_NodeTable.cross`).
+    Their walker holds only the brackets the walk has changed and reads
+    every other cell from the word (see `_Changes`), and they find nodes
+    only where it faces one (see `_macro_steps`); what is left of their
+    set-up over the whole word is counting its arrows in C, once while it
+    is kept.
     """
 
     n: int
@@ -369,6 +369,7 @@ def _arrow(cfg: Padded, arrowless: bool = False):
 
 
 _KEEP = 16  # node tables kept, the least recently walked evicted first
+_KEEP_CELLS = 2**22  # and the cells of their words, at most: one level-18 block
 _kept: dict = {}  # (id(word), n, anchor) -> (word, table, arrow cell, facing)
 
 
@@ -377,7 +378,10 @@ def _walk_and_table(cfg: Padded, n: int, arrowless: bool = False):
     the word (`_Changes`), and the word's node table, kept by n, anchor
     and the word's identity (the word held, so its id stays unique): a
     table depends on nothing else, and a repeated walk scans no cell and
-    matches no node again.  None or a raise, keeping nothing, as `_arrow`."""
+    matches no node again.  The least recently walked tables are dropped
+    while more than `_KEEP` are kept or their words hold more than
+    `_KEEP_CELLS` cells; a longer word is not kept.  None or a raise,
+    keeping nothing, as `_arrow`."""
     key = isinstance(cfg, Padded) and cfg.pad == BLANK and (id(cfg.word), n, cfg.anchor)
     kept = _kept.pop(key, None)
     if kept is None:
@@ -385,9 +389,10 @@ def _walk_and_table(cfg: Padded, n: int, arrowless: bool = False):
         if start is None:
             return None
         kept = (cfg.word, _NodeTable(n, cfg.word, cfg.anchor), *start)
-        if len(_kept) >= _KEEP:
+    if len(cfg.word) <= _KEEP_CELLS:
+        _kept[key] = kept
+        while len(_kept) > _KEEP or sum(len(w) for w, *_ in _kept.values()) > _KEEP_CELLS:
             del _kept[next(iter(_kept))]
-    _kept[key] = kept
     _, table, pos, facing = kept
     return ArrowWalk(n, _Changes(table.original), pos, facing), table
 
@@ -437,12 +442,12 @@ class _NodeTable:
     word as it was before the walk, the arrow's cell read as blank: no
     walk changes a table, so every walk of its word can share it.
     Nodes are numbered by shape, (width, ((child offset, child shape),
-    ...)).  What a crossing of a shape does, relative to its open bracket,
-    is built from its children's on first use: the arrow's move at each
-    step (`moves`, one byte a step, joined from the children's blocks in
-    C), and the moves of the running front on the side the arrow travels
+    ...)).  The moves of the running front on the side the arrow travels
     to (the farthest cell that the arrow or a changed bracket has
-    reached).
+    reached), relative to the open bracket, are built from the children's
+    on first use and kept (`front`).  The arrow's cells over a crossing
+    depend on where the node lies, so a walk builds them from the
+    children's into a memo of its own (`cross`), and the table keeps none.
     """
 
     def __init__(self, n: int, word: tuple, anchor: int):
@@ -456,7 +461,7 @@ class _NodeTable:
         self.steps: list = []  # shape -> S
         self._keys: list = []  # shape -> (width, children)
         self._shapes: dict = {}
-        self._blocks: dict = {}
+        self._fronts: dict = {}  # (shape, facing) -> front moves
 
     def original(self, x: int) -> str:
         """The symbol of cell x before the walk, the arrow's read as blank."""
@@ -553,41 +558,13 @@ class _NodeTable:
             cur = near + (w + 1) * facing  # the cell after the child's far bracket
         yield range(cur + facing, width if facing > 0 else 0, facing), None, None
 
-    def _traversal(self, shape: int, facing: int) -> array:
-        """Arrow moves over one interior traversal, from the cell after the
-        entered bracket to the cell before the far one: one tick per blank
-        stepped onto and each child's crossing moves, joined in C."""
-        tick, out = array("b", (facing,)), array("b")
-        for blanks, _, s in self._walk(shape, facing):
-            out += tick * len(blanks)
-            if s is not None:
-                out += self.moves(s, facing)
-        return out
-
-    def moves(self, shape: int, facing: int) -> array:
-        """The arrow's move at each step of a crossing, -2..2, from the
-        cell before the outer bracket: 2·facing to enter and to leave, 0 at
-        each bounce, ±1 per blank.  Moves do not depend on where the node
-        lies, so a parent block is its children's joined by array
-        concatenation, one byte a step."""
-        key = ("moves", shape, facing)
-        blk = self._blocks.get(key)
-        if blk is None:
-            enter, turn = array("b", (2 * facing,)), array("b", (0,))
-            there = self._traversal(shape, facing)
-            back = self._traversal(shape, -facing)
-            blk = enter + (there + turn + back + turn) * self.n + there + enter
-            self._blocks[key] = blk
-        return blk
-
     def front(self, shape: int, facing: int) -> list:
         """Moves of the running front on the exit side during a crossing:
         (step, cell) whenever it moves, the cells increasing going right
         and decreasing going left.  It takes each cell of the first
         traversal in turn, reaches the far bracket at the first bounce and
         stays there until the arrow leaves, at step S."""
-        key = ("front", shape, facing)
-        moves = self._blocks.get(key)
+        moves = self._fronts.get((shape, facing))
         if moves is None:
             w = self._keys[shape][0]
             far = w if facing > 0 else 0
@@ -599,8 +576,50 @@ class _NodeTable:
                     moves += ((t + k, off + x) for k, x in self.front(s, facing))
                     t += self.steps[s]
             moves += [(t + 1, far), (self.steps[shape], far + facing)]
-            self._blocks[key] = moves
+            self._fronts[shape, facing] = moves
         return moves
+
+    def cross(self, out: list, memo: dict, x: int, shape: int, facing: int) -> None:
+        """Append to `out` the arrow's cell after each of the S steps of a
+        crossing of `shape` from cell x, the cell before its near bracket:
+        the first interior cell, then n times one traversal there, the
+        bounce, one back and the bounce, then one more there and the cell
+        past the far bracket.  The traversal there is `_walk`'s blanks and
+        each child's crossing from `memo`, (cell, shape, facing) -> its
+        cells, built on first use.  Run backwards, a crossing is the
+        crossing the other way, cell for cell, so the way back is the way
+        there reversed, and a child crossed the other way before is copied
+        reversed.  A cell met again is the same int object, so a trace of
+        t steps costs t pointers and an int per cell of each crossing
+        built, and a crossing built costs one Python pass over its
+        children, its cells copied in C."""
+        width = self._keys[shape][0]
+        a = x + 1 if facing > 0 else x - width - 1  # the open cell
+        first = x + 2 * facing
+        there: list = []
+        for blanks, _, s in self._walk(shape, facing):
+            there += range(a + blanks.start, a + blanks.stop, facing)
+            if s is not None:
+                y = a + blanks.stop - facing
+                key = (y, s, facing)
+                child = memo.get(key)
+                if child is None:
+                    z = y + (self._keys[s][0] + 2) * facing
+                    back = memo.get((z, s, -facing))
+                    if back is None:
+                        child = memo[key] = []
+                        self.cross(child, memo, y, s, facing)
+                    else:
+                        child = memo[key] = back[-2::-1]
+                        child.append(z)
+                there += child
+        bounce = there + there[::-1]
+        bounce += (first, first)
+        out.append(first)
+        for _ in range(self.n):
+            out += bounce
+        out += there
+        out.append(x + (width + 2) * facing)
 
 
 def _macro_steps(walk: ArrowWalk, table: _NodeTable, t_max: int):
@@ -789,11 +808,15 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     Arrowless configurations are fixed points; they yield an empty trace,
     which reads as no_arrow.  If the arrow gets stuck the trace is truncated at
     that time and stuck_at records it (the configuration no longer changes).
-    Node crossings are replayed from their move blocks (see
-    `_NodeTable.moves`), summed from the arrow's cell by
-    `itertools.accumulate`.  Cost: one C-level add per position, plus the
-    cells the arrow reaches (see `_macro_steps`); the arrows are counted
-    in C, once for a kept word (see `_walk_and_table`).
+    Each jump writes its crossing's cells into the trace
+    (`_NodeTable.cross`), its children's crossings built once per call
+    into a memo dropped on return.  A cell met again is the same int
+    object, so the trace holds one pointer per step and one int per cell
+    of each crossing built, not one int per step.  Cost: one pointer
+    copied in C per position, one Python pass over the children of each
+    distinct crossing (cell, shape, facing) the walk makes, and the cells
+    the arrow reaches (see `_macro_steps`); the arrows are counted in C,
+    once for a kept word (see `_walk_and_table`).
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -801,14 +824,12 @@ def arrow_trace(cfg: Configuration, system: ABSystem, t_max: int) -> ArrowTrace:
     if start is None:
         return ArrowTrace()
     walk, table = start
-    path = [walk.pos]
+    path, memo = [walk.pos], {}
     for cell, shape in _macro_steps(walk, table, t_max):
         if shape is None:
             path.append(walk.pos)
         else:
-            # the jump's moves summed from the arrow's cell, which is popped
-            # because accumulate yields its initial value first
-            path += itertools.accumulate(table.moves(shape, walk.facing), initial=path.pop())
+            table.cross(path, memo, path[-1], shape, walk.facing)
     return ArrowTrace(path, stuck_at=walk.steps if walk.stuck else None)
 
 

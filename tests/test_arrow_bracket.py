@@ -1070,31 +1070,38 @@ def test_crossing_steps_match_step_walker(n, facing):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_node_moves_replay_the_step_walker(n):
-    """Every shape met in crossing block(k, n), k <= 4, both ways: its
-    moves, summed from the cell before the outer bracket, are the
-    positions of ArrowWalk.step on that node alone."""
+    """Every shape met in crossing block(k, n), k <= 4, both ways: the
+    cells of its crossing (`_NodeTable.cross`, one memo per table, so
+    children come built, copied reversed or from the memo) are the
+    positions of ArrowWalk.step on that node alone, and the crossing the
+    other way is the same cells backwards."""
     for k in range(5):
         table = _NodeTable(n, make_block(k, n).word, 0)
         assert table.node(0, 1, crossing_steps(k, n)) is not None
         cells = {shape: a for a, (_, shape) in table.opens.items()}
         assert sorted(cells) == list(range(len(table.steps)))
+        memo = {}
         for shape, a in cells.items():
             width = table._keys[shape][0]
             brackets = {x: s for x in range(a, a + width + 1)
                         if (s := table.original(x)) != BLANK}
+            crossed = {}
             for facing in (1, -1):
-                moves = table.moves(shape, facing)
-                assert len(moves) == table.steps[shape]
+                start = a - 1 if facing > 0 else a + width + 1
+                path = crossed[facing] = []
+                table.cross(path, memo, start, shape, facing)
+                moves = [q - p for p, q in zip([start] + path, path)]
+                assert len(path) == table.steps[shape]
                 assert set(moves) <= {-2, -1, 0, 1, 2}
                 assert moves[0] == moves[-1] == 2 * facing
                 assert sum(moves) == (width + 2) * facing
-                start = a - 1 if facing > 0 else a + width + 1
                 walk = ArrowWalk(n, dict(brackets), start, facing)
                 stepped = []
-                while len(stepped) < len(moves) and walk.step():
+                while len(stepped) < len(path) and walk.step():
                     stepped.append(walk.pos)
-                assert list(itertools.accumulate(moves, initial=start))[1:] == stepped
+                assert path == stepped
                 assert walk.brackets == brackets
+            assert crossed[-1] == crossed[1][-2::-1] + [a - 1]
 
 
 def test_macro_walk_matches_step_walker_on_gate_landscape():
@@ -1169,6 +1176,117 @@ def test_macro_walk_matches_step_walker_on_arrangements(depth, n, seed, facing,
     cfg = arr.configuration(start - 2000, start + 2000, arrow_at=start,
                             facing=facing)
     _assert_macro_matches_steps(cfg, n, t_max)
+
+
+# ---------------------------------------------------------------------------
+# traces from crossings whose cells are shared within one call
+
+
+@st.composite
+def _inner_starts(draw):
+    """(n, word, t_max): nested resting nodes, each but the innermost
+    with a child, and the arrow on a blank inside the outermost, facing
+    either way, one cell perhaps overwritten by any bracket.  Every
+    traversal of the outer node crosses its children again from the same
+    cells, and the trace takes their children's crossings from its memo."""
+    n = draw(st.integers(1, 3))
+
+    def node(depth):
+        word = [open_bracket(n), BLANK]
+        for _ in range(draw(st.integers(1, 2)) if depth else 0):
+            word += node(depth - 1) + [BLANK] * draw(st.integers(1, 2))
+        return word + [BLANK] * draw(st.integers(0, 2)) + [close_bracket(n)]
+
+    word = [BLANK] + node(draw(st.integers(2, 3))) + [BLANK]
+    if draw(st.booleans()):
+        symbols = [s for s in level_alphabet(n) if not is_arrow(s)]
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from(symbols))
+    at = draw(st.sampled_from([i for i in range(2, len(word) - 2) if word[i] == BLANK]))
+    word[at] = draw(st.sampled_from((ARROW_RIGHT, ARROW_LEFT)))
+    return n, tuple(word), draw(st.integers(0, 3000))
+
+
+# the arrow inside an outer node crosses its child, which holds a node,
+# from cell 1010 on each traversal to the left
+_RECROSSED = (BLANK, "[1", BLANK, "[1", BLANK, "[1", BLANK, "]1", BLANK, "]1", BLANK,
+              ARROW_LEFT, BLANK, "]1", BLANK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_arrow_words(), _inner_starts()), st.data())
+@example((1, (ARROW_RIGHT, "[*0", BLANK, "[1", BLANK, "]1"), 50), None)  # stuck
+@example((1, _RECROSSED, 2000), None)
+@example((1, (BLANK, "[1", BLANK, "[1", BLANK, "[1", BLANK, "]1", BLANK, "[1", BLANK, "]1",
+              BLANK, "]1", BLANK, ARROW_LEFT, BLANK, "]1", BLANK), 2000),
+         None)  # twin nodes one blank apart, each crossed both ways from that blank
+@example((2, (BLANK, ARROW_LEFT) + make_block(2, 2).word[::-1] + (BLANK,), 3000), None)
+def test_trace_matches_step_walker_at_every_horizon(case, data):
+    """`arrow_trace` against ArrowWalk.step alone, at the drawn horizon,
+    one drawn below it and one step short of the end of each of the first
+    two jumps (so the walk ends inside the node it did not jump)."""
+    n, word, t_max = case
+    cfg = _padded_from_word(word, n, anchor=1000)
+    path, stuck_at, _, _ = _stepped_orbit(cfg, n, t_max)
+    walk, table = _walk_and_table(cfg, n)
+    ends = [walk.steps for _, shape in _macro_steps(walk, table, t_max) if shape is not None]
+    horizons = {t_max, *(t - 1 for t in ends[:2])}
+    if data is not None:
+        horizons.add(data.draw(st.integers(0, t_max)))
+    for t in horizons:
+        trace = arrow_trace(cfg, build_rule(n), t)
+        assert trace.positions == path[:t + 1]
+        assert trace.stuck_at == (stuck_at if stuck_at is not None and stuck_at < t else None)
+
+
+def test_a_trace_crosses_a_node_again_from_the_same_cell():
+    """The premise of the `_RECROSSED` example: its walk jumps one node
+    from one cell more than once, the node holding a child whose crossing
+    the trace takes from its memo the second time."""
+    cfg = _padded_from_word(_RECROSSED, 1, anchor=1000)
+    walk, table = _walk_and_table(cfg, 1)
+    jumps = [(cell, shape, walk.facing)
+             for cell, shape in _macro_steps(walk, table, 2000) if shape is not None]
+    assert [j for j in jumps if jumps.count(j) > 1] == [(1003, 1, -1)] * 2
+    assert table._keys[1][1]  # the node jumped has a child
+    assert arrow_trace(cfg, build_rule(1), 2000).positions == _stepped_orbit(cfg, 1, 2000)[0]
+
+
+def test_gate_trace_memory_follows_the_cells_not_the_steps(monkeypatch):
+    """The gate-03 trace of 10^6 steps on a kept table: at most 12 MiB
+    held after the call (the list itself is 7.6 MiB) and 16 MiB at its
+    peak, where an int per step held 38 MiB."""
+    monkeypatch.setattr(arrow_bracket, "_kept", {})
+    arr = hierarchical_arrangement(6, 2, seed=0)
+    cfg = arr.configuration(5000, 15200, arrow_at=2 * arr.free_cell, facing=1)
+    system = build_rule(2)
+    arrow_trace(cfg, system, 10**6)  # keeps the table
+    tracemalloc.start()
+    try:
+        trace = arrow_trace(cfg, system, 10**6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.positions) == 10**6 + 1
+    assert held <= 12 * 2**20 and peak <= 16 * 2**20, (held, peak)
+    assert len(set(map(id, trace.positions))) < 10**5
+
+
+def test_traces_share_no_positions_across_calls():
+    """Two traces of one configuration on its kept table are equal lists
+    of distinct int objects (the start cell apart, which the store
+    holds), and a trace sets nothing on the table: no cache of positions
+    outlives a call."""
+    cfg = _padded_from_word((ARROW_RIGHT, BLANK) + make_block(3, 2).word, 2, anchor=1000)
+    system = build_rule(2)
+    arrow_trace(cfg, system, 20000)
+    _, table = _walk_and_table(cfg, 2)
+    state = {k: v.copy() for k, v in vars(table).items() if hasattr(v, "copy")}
+    names = set(vars(table))
+    first, second = (arrow_trace(cfg, system, 20000).positions for _ in range(2))
+    assert first == second and first is not second
+    assert not any(p is q for p, q in zip(first[1:], second[1:]))
+    assert set(vars(table)) == names
+    assert {k: v for k, v in vars(table).items() if k in state} == state
 
 
 # ---------------------------------------------------------------------------
@@ -1493,6 +1611,30 @@ def test_the_store_keeps_the_last_sixteen_words(monkeypatch):
     assert _walk_and_table(cfgs[23], 1)[1] is not tables[23]
     assert _walk_and_table(cfgs[25], 1)[1] is not tables[25]
     assert len(arrow_bracket._kept) == 16
+
+
+def test_the_store_keeps_words_within_its_cell_budget(monkeypatch):
+    """Past `_KEEP_CELLS` cells of kept words, the least recently walked
+    tables go first; a word longer than the budget is walked but not
+    kept, and drops no other table."""
+    kept = {}
+    monkeypatch.setattr(arrow_bracket, "_kept", kept)
+    monkeypatch.setattr(arrow_bracket, "_KEEP_CELLS", 30)
+    a, b, c, d, e, f = (
+        _padded_from_word((ARROW_RIGHT,) + (BLANK,) * k + ("[1", BLANK, "]1"), 1)
+        for k in (6, 6, 6, 6, 26, 27))  # words of 10, 10, 10, 10, 30 and 31 cells
+    words = lambda: [word for word, *_ in kept.values()]  # least recent first
+    for cfg in (a, b, c):
+        perturbation_front(cfg, 1, 20)
+    assert words() == [a.word, b.word, c.word]  # 30 cells: all kept
+    arrow_trace(a, build_rule(1), 20)  # a is now the most recent
+    perturbation_front(d, 1, 20)  # 40 cells: b, the least recent, goes
+    assert words() == [c.word, a.word, d.word]
+    perturbation_front(e, 1, 20)  # 60 cells: c, a and d go
+    assert words() == [e.word]
+    trace = arrow_trace(f, build_rule(1), 40)
+    assert trace.positions == _stepped_orbit(f, 1, 40)[0]
+    assert words() == [e.word]
 
 
 def test_refused_and_arrowless_starts_keep_nothing(monkeypatch):
