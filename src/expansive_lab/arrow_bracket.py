@@ -349,15 +349,15 @@ def walk_to_configuration(walk: ArrowWalk, alphabet: Alphabet) -> Padded:
 
 def _arrow(cfg: Padded, arrowless: bool = False):
     """(cell, facing) of the one arrow of `cfg`, the arrows counted in C,
-    or None for none if `arrowless`.  Raises TypeError unless `cfg` is a
-    configuration, and ValueError unless it is padded, with blank padding
-    and exactly one arrow."""
+    or None for none if `arrowless` (an arrow pad is not none).  Raises
+    TypeError unless `cfg` is a configuration, and ValueError unless it is
+    padded, with blank padding and exactly one arrow."""
     if not isinstance(cfg, Configuration):
         raise TypeError(f"unsupported configuration type {type(cfg)!r}")
     word = cfg.word
     right = word.count(ARROW_RIGHT)
     count = right + word.count(ARROW_LEFT)
-    if arrowless and not count:
+    if arrowless and not count and not (isinstance(cfg, Padded) and cfg.pad in _ARROWS):
         return None
     if isinstance(cfg, Periodic):
         raise ValueError("the walker needs a padded configuration with one arrow")
@@ -725,9 +725,6 @@ class CrossingReport(Record):
     steps: int
     # a crossing that does not restore its block raises Timeout instead
     restored: ClassVar[bool] = True
-
-    def __init__(self, steps: int):  # by hand: the generic init takes 1.4x as long
-        object.__setattr__(self, "steps", steps)
 
 
 def crossing_steps(k: int, n: int) -> int:
@@ -1106,7 +1103,7 @@ def ascii_legend(n: int) -> dict[str, str]:
     Blank and arrows render as themselves, resting brackets (unmarked,
     counter n) as plain square brackets, and every other symbol gets a letter
     or digit from a fixed pool in alphabet order.  Lossless for n <= 15;
-    raises ValueError above.
+    raises ValueError above, before building the alphabet.
     """
     import string
 
@@ -1118,10 +1115,9 @@ def ascii_legend(n: int) -> dict[str, str]:
         close_bracket(n): "]",
     }
     pool = string.ascii_uppercase + string.ascii_lowercase + string.digits
-    rest = [sym for sym in level_alphabet(n) if sym not in legend]
-    if len(rest) > len(pool):
+    if 4 * n > len(pool):  # the 4n symbols of level_alphabet(n) left, not listed
         raise ValueError(f"the text legend has glyphs for n <= 15 only, not n = {n}")
-    legend.update(zip(rest, pool))
+    legend.update(zip((sym for sym in level_alphabet(n) if sym not in legend), pool))
     return legend
 
 

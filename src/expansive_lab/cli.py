@@ -115,8 +115,10 @@ def cmd_ab_run(args):
     legend = ab.ascii_legend(args.n) if args.format == "txt" else None
     if args.steps < 0:
         raise ValueError("steps must be nonnegative")
-    cfg = _arrow_block_start(args.n, args.level)
+    # the block's refusals, then the bound's, before the start's alphabet is built
+    ab.check_block(args.level, args.n)
     system = ab.build_rule(args.n)
+    cfg = _arrow_block_start(args.n, args.level)
     height = args.steps + 1
     # the arrow crosses the block in S steps from cell -1 and then runs
     # free, one cell a step: the diagram spans the start's cells and one
@@ -159,8 +161,8 @@ def cmd_ab_cross(args) -> str:
 
 
 def cmd_render(args) -> str:
+    legend = ab.ascii_legend(args.n)  # refuses a large n before any symbol is built
     alphabet = ab.level_alphabet(args.n)
-    legend = ab.ascii_legend(args.n)
     lines = ["symbol glyph gray"]
     for sym in alphabet:
         lines.append(f"{sym} {legend[sym]} {alphabet.index(sym)}")

@@ -640,9 +640,8 @@ class TowerLevel(Record):
     D: int
     table_entries: int = 0
 
-    def __init__(self, B, W, D, table_entries=0):  # by hand: the generic init takes 1.4x as long
-        _check_level(B, W)
-        vars(self).update(B=B, W=W, D=D, table_entries=table_entries)
+    def __post_init__(self):
+        _check_level(self.B, self.W)
 
 
 class TowerReport(Record):

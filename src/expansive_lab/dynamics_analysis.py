@@ -191,6 +191,34 @@ def _pair_scan(rule, family, pairs, times, window, reach):
             break
 
 
+def _sweep(rule, inverse, family, pairs, t_range, window):
+    """Runs of the cells at which `pairs` differ on `window` at the times
+    of t_range, by `_pair_scan` forward under `rule` and backward under
+    `inverse` (InverseRequired if negative times have none).
+
+    Yields (a, b, sign, u, cells, v, s0, s1): pair (a, b) differs at each
+    c + v*s, c in cells, at time sign*(u + s) for s0 <= s <= s1, clipped
+    (`_run`) to the window and to the times asked for.  A batch's stationary
+    cells (d None or 0) form one run, with v == 0; each point of a moving
+    set is a run of its own, with v == -d."""
+    (t_lo, t_hi), (lo, hi) = t_range, window
+    if t_lo < 0 and inverse is None:
+        raise InverseRequired("negative times need an inverse rule")
+    for step, sign, times in ((rule, 1, range(max(t_lo, 0), t_hi + 1)),
+                              (inverse, -1, range(max(-t_hi, 1), -t_lo + 1))):
+        for u, _, batch in _pair_scan(step, family, pairs, times, window, (-math.inf, math.inf)):
+            for a, b, cells, d in batch:  # cells of the window, at step u or from step u on
+                s0, s1 = (0, 0) if d is None else (max(0, times.start - u), times.stop - 1 - u)
+                if not d:
+                    if cells and s0 <= s1:
+                        yield a, b, sign, u, cells, 0, s0, s1
+                    continue
+                for p in cells:  # p - d*s, at step u + s
+                    r0, r1 = _run(s0, s1, 2 * p - lo - hi, -2 * d, hi - lo)
+                    if r0 <= r1:
+                        yield a, b, sign, u, (p,), -d, r0, r1
+
+
 # ---------------------------------------------------------------------------
 # determined regions
 
@@ -224,36 +252,25 @@ def determined_region(
 
     Cost: agreeing on [-n, n] is having equal windows there, so a cell is
     determined iff every member agrees there with the first member of its
-    class.  These links go through `_pair_scan` forward and backward, and
-    each point of a link's difference set crosses the i-range in one run
-    of times (`_run`), so stepping stops once every link has left: under a
-    shift, at step 1, whatever the times asked for.
+    class.  These links go through `_sweep`, whose runs of differing cells
+    are listed, so stepping stops once every link has left: under a shift,
+    at step 1, whatever the times asked for.
     """
     if not family:
         raise ValueError("family must be nonempty")
     (t_lo, t_hi), (i_lo, i_hi) = t_range, i_range
-    if t_lo < 0 and inverse is None:
-        raise InverseRequired("negative times need an inverse rule")
     classes: dict = {}
     for m, y in enumerate(family):
         classes.setdefault(y.window(-n, n), []).append(m)
     links = [(c[0], m) for c in classes.values() for m in c[1:]]
     differ: set = set()
-    for step, sign, times in ((rule, 1, range(max(t_lo, 0), t_hi + 1)),
-                              (inverse, -1, range(max(-t_hi, 1), -t_lo + 1))):
-        for u, _, batch in _pair_scan(step, family, links, times, i_range, (-math.inf, math.inf)):
-            for _, _, cells, d in batch:
-                if not d:  # cells of the i-range, at step u or from step u on
-                    end = u + 1 if d is None else times.stop
-                    differ.update(itertools.product(
-                        cells, range(sign * max(u, times.start), sign * end, sign)))
-                    continue
-                enter, leave = (i_hi, i_lo) if d > 0 else (i_lo, i_hi)
-                for p in cells:  # p - d*k, at step u + k, enters at one end, leaves at the other
-                    first = max(0, times.start - u, -((enter - p) // d))
-                    last = min(times.stop - u, (p - leave) // d + 1)
-                    differ.update(zip(range(p - d * first, p - d * last, -d),
-                                      range(sign * (u + first), sign * (u + last), sign)))
+    for _, _, sign, u, cells, v, s0, s1 in _sweep(rule, inverse, family, links, t_range, i_range):
+        times = range(sign * (u + s0), sign * (u + s1 + 1), sign)
+        if v:  # one point, moving by v a step
+            (p,) = cells
+            differ.update(zip(range(p + v * s0, p + v * (s1 + 1), v), times))
+        else:
+            differ.update(itertools.product(cells, times))
     box = itertools.product(range(i_lo, i_hi + 1), range(t_lo, t_hi + 1))
     return DeterminedRegion(frozenset(box) - differ, t_range, i_range)
 
@@ -629,9 +646,6 @@ class BlockingUpTo(Record):
 class RefutedAt(Record):
     t: int
 
-    def __init__(self, t: int):  # by hand: the generic init takes 1.4x as long
-        object.__setattr__(self, "t", t)
-
 
 class BlockingReport(Record):
     word: tuple
@@ -785,33 +799,26 @@ def direction_probe(
     (in lexicographic order) agreeing on the band yet differing inside the
     query box, and their first differing cell (time-major).
 
-    Cost: that of `_pair_scan` both ways over every pair.  Each point of a
-    pair's difference set lies in the band, and in the query box, along
-    one run of steps (`_run`), so no band, box or row is listed.
+    Cost: that of `_sweep` over every pair.  Each run of a pair's
+    differences lies in the band, and in the query box, along one run of
+    steps (`_run`), so no band, box or row is listed.
     """
     e_extent, t_extent = extent
-    if t_extent > 0 and inverse is None:
-        raise InverseRequired("negative times need an inverse rule")
-    s, r = direction.slope, direction.thickness  # the band: |a*i + b*t| <= c
-    a, b, c = (1, 0, r) if s is None else (-s, 1, r * (1 + abs(s)))
+    s, r = direction.slope, direction.thickness  # the band: |x*i + y*t| <= z
+    x, y, z = (1, 0, r) if s is None else (-s, 1, r * (1 + abs(s)))
     pairs = list(itertools.combinations(range(len(family)), 2))
     seen, first = set(), {}  # pairs differing on the band; first query cells
-    for step, sign, start in ((rule, 1, 0), (inverse, -1, 1)):
-        scan = _pair_scan(step, family, pairs, range(start, t_extent + 1),
-                          (-e_extent, e_extent), (-math.inf, math.inf))
-        for u, _, batch in scan:
-            for m, k, cells, d in batch:
-                v, last = (0, 0) if d is None else (-d, t_extent - u)
-                for p in cells:  # at step u + s, cell p + v*s at time sign*(u + s)
-                    s0, s1 = _run(*_run(0, last, p, v, e_extent),
-                                  a * p + b * sign * u, a * v + b * sign, c)
-                    if s0 <= s1:
-                        seen.add((m, k))
-                    s0, s1 = _run(0, min(last, t_extent // 2 - u), p, v, e_extent // 2)
-                    if s0 <= s1:
-                        s0 = s0 if sign > 0 else s1  # the earliest time
-                        cell = (sign * (u + s0), p + v * s0)
-                        first[m, k] = min(first.get((m, k), cell), cell)
+    for m, k, sign, u, cells, v, s0, s1 in _sweep(rule, inverse, family, pairs,
+                                                  (-t_extent, t_extent), (-e_extent, e_extent)):
+        for p in cells:  # cell p + v*s at time sign*(u + s)
+            b0, b1 = _run(s0, s1, x * p + y * sign * u, x * v + y * sign, z)
+            if b0 <= b1:
+                seen.add((m, k))
+            q0, q1 = _run(s0, min(s1, t_extent // 2 - u), p, v, e_extent // 2)
+            if q0 <= q1:
+                q = q0 if sign > 0 else q1  # the earliest time
+                cell = (sign * (u + q), p + v * q)
+                first[m, k] = min(first.get((m, k), cell), cell)
     agree = [pair for pair in pairs if pair not in seen]
     for pair in agree:
         if pair in first:

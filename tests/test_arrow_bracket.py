@@ -1660,6 +1660,21 @@ def test_refused_and_arrowless_starts_keep_nothing(monkeypatch):
     assert kept == {}
 
 
+@pytest.mark.parametrize("pad", [ARROW_RIGHT, ARROW_LEFT])
+def test_an_arrow_pad_is_refused_not_read_as_no_arrow(pad, monkeypatch):
+    """Every cell outside the word holds an arrow, so the configuration is
+    not arrowless: the trace refuses it as the front does."""
+    kept = {}
+    monkeypatch.setattr(arrow_bracket, "_kept", kept)
+    for word in ((BLANK, "[1", BLANK), ()):
+        cfg = Padded(level_alphabet(1), word, pad)
+        for start in (lambda: arrow_trace(cfg, build_rule(1), 5),
+                      lambda: perturbation_front(cfg, 1, 5)):
+            with pytest.raises(ValueError, match="walker expects blank padding"):
+                start()
+    assert kept == {}
+
+
 class _Scans(tuple):
     """A word that records each scan of it for an arrow."""
 
@@ -1708,3 +1723,112 @@ def test_block_size_budget_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# time reversal: F^-1 = J F J, an exact oracle at any t
+
+
+def _reversal(n):
+    """The symbol involution J at counter bound n: it flips the arrows,
+    keeps the blank and the resting brackets, and for k < n swaps `[k`
+    with `[*(n-1-k)` and `]k` with `]*(n-1-k)`."""
+    j = {ARROW_RIGHT: ARROW_LEFT, ARROW_LEFT: ARROW_RIGHT, BLANK: BLANK,
+         open_bracket(n): open_bracket(n), close_bracket(n): close_bracket(n)}
+    for k in range(n):
+        for bracket in (open_bracket, close_bracket):
+            j[bracket(k)], j[bracket(n - 1 - k, True)] = bracket(n - 1 - k, True), bracket(k)
+    return j
+
+
+def _reversed_cfg(cfg, j):
+    return Padded(cfg.alphabet, [j[s] for s in cfg.word], j[cfg.pad], cfg.anchor)
+
+
+def test_reversed_patterns_are_the_forward_patterns():
+    for n in range(1, 16):
+        j = _reversal(n)
+        assert sorted(j) == sorted(level_alphabet(n)) and all(j[j[s]] == s for s in j)
+        forward = {(lhs, rhs) for _, lhs, rhs in transitions(n)}
+        assert {(tuple(map(j.get, rhs)), tuple(map(j.get, lhs)))
+                for lhs, rhs in forward} == forward
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_table_is_the_relabeled_forward_table(n):
+    j = _reversal(n)
+    relabeled = {tuple(map(j.get, w)): j[s] for w, s in build_rule(n).rule.table.items()}
+    assert build_inverse_rule(n).table == relabeled
+
+
+def test_inverse_rule_is_the_conjugated_rule_on_crossing_orbits():
+    """Sampled configurations of both crossings of block(k, n), k <= 2,
+    n <= 3, out to 30 steps past the crossing."""
+    for n in (1, 2, 3):
+        j, rule, inverse = _reversal(n), build_rule(n).rule, build_inverse_rule(n)
+        for k in (0, 1, 2):
+            word = make_block(k, n).word
+            for start in ((ARROW_RIGHT,) + word, word + (ARROW_LEFT,)):
+                rows = orbit(rule, _padded_from_word(start, n), crossing_steps(k, n) + 30)
+                for cfg in rows[::max(1, len(rows) // 40)]:
+                    assert apply_rule(inverse, cfg) == _reversed_cfg(
+                        apply_rule(rule, _reversed_cfg(cfg, j)), j)
+
+
+def _walked_for(walk, table, steps):
+    """`walk` after `steps` more macro steps, none of them stuck, the arrow
+    never more than 64 cells outside the table's word (out there a walk
+    only ticks, so a wrong one fails at once, not after 10^8 ticks)."""
+    end, lo, hi = walk.steps + steps, table.anchor - 64, table.anchor + len(table.word) + 64
+    for _ in _macro_steps(walk, table, steps):
+        assert lo <= walk.pos <= hi
+    assert walk.steps == end and not walk.stuck
+    return walk
+
+
+def _reverse_in_place(walk, j):
+    """J on a macro walk over a word J fixes: flip the facing and relabel
+    the brackets the walk changed."""
+    walk.facing = -walk.facing
+    for x, s in list(walk.brackets.items()):
+        walk.brackets[x] = j[s]
+
+
+def _state(walk):
+    return walk.pos, walk.facing, dict(walk.brackets)
+
+
+def _assert_reversal_checks(cfg, n, a, b):
+    """The round trip (a steps, J, a steps, J lands on the start) and the
+    split (a steps, J, b steps, J lands where a - b steps do)."""
+    j = _reversal(n)
+    assert all(j[s] == s for s in cfg.word if s not in (ARROW_RIGHT, ARROW_LEFT))
+    for back in (a, b):
+        walk, table = _walk_and_table(cfg, n)
+        _reverse_in_place(_walked_for(walk, table, a), j)
+        _reverse_in_place(_walked_for(walk, table, back), j)
+        fresh, _ = _walk_and_table(cfg, n)  # no step at all for the round trip
+        assert _state(walk) == _state(_walked_for(fresh, table, a - back))
+
+
+@pytest.mark.parametrize("k, n", [(12, 1), (10, 2), (8, 3), (4, 2), (0, 1)])
+def test_time_reversal_on_blocks(k, n):
+    """From arrow·block and block·arrow, stopped mid-crossing and past
+    it; at k = 10, n = 2 the crossing takes 1.8*10^11 steps."""
+    s, word = crossing_steps(k, n), make_block(k, n).word
+    for start in ((ARROW_RIGHT,) + word, word + (ARROW_LEFT,)):
+        cfg = _padded_from_word(start, n, anchor=-1)
+        for a, b in ((s // 3 + 7, s // 5 + 3), (s - 1, s // 2), (s + 50, s - 1)):
+            _assert_reversal_checks(cfg, n, a, b)
+
+
+@pytest.mark.parametrize("depth, n, seed, t", [(9, 2, 0, 10**8), (9, 1, 3, 10**6),
+                                                (8, 3, 1, 10**8), (6, 2, 0, 10**6)])
+def test_time_reversal_on_landscapes(depth, n, seed, t):
+    """Both facings from the free cell; by t the arrow has reached at most
+    58,879 cells from it, inside the materialized word."""
+    arr = hierarchical_arrangement(depth, n, seed)
+    start = 2 * arr.free_cell
+    for facing in (1, -1):
+        cfg = arr.configuration(start - 70000, start + 70000, arrow_at=start, facing=facing)
+        _assert_reversal_checks(cfg, n, t, t // 3 + 11)

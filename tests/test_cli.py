@@ -549,6 +549,29 @@ def test_size_budgets_refuse_before_building(argv, option):
     assert option in proc.stderr
 
 
+_LEGEND_REFUSAL = "error: the text legend has glyphs for n <= 15 only, not n = {n}\n"
+_BOUND_REFUSAL = ("error: counter bound {n} is above the limit 15 (the window table holds "
+                  "964, 2,880, 6,268, 58,728 and 301,516 entries at n = 1, 2, 3, 8 and 15)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("render",), _LEGEND_REFUSAL),
+        (("ab-run", "--format", "pgm", "--steps", "1"), _BOUND_REFUSAL),
+        (("ab-run", "--steps", "1"), _LEGEND_REFUSAL),
+    ],
+    ids=["render", "ab-run-pgm", "ab-run-txt"],
+)
+def test_a_huge_counter_bound_is_refused_as_the_first_one_past_the_limit(argv, message):
+    # level_alphabet(n) has 4n + 5 symbols: at n = 10^8 they do not fit under the cap
+    for n in (16, 10**8):
+        start = time.perf_counter()
+        proc = _run_capped(*argv, "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message.format(n=n))
+
+
 def _shift_params_file(path, y):
     """A parameter file simulating the binary shift over the points `y`."""
     inverse = json.loads(rule_to_json(shift_rule(Alphabet(("0", "1")), -1)))

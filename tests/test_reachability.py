@@ -21,6 +21,9 @@ cannot name a deleted function.
 
 The helpers that advance a family and read its drifts have one caller,
 the pair engine of `dynamics_analysis`, so no probe grows its own loop.
+The engine has two callers, the pair fronts and `_sweep`, which alone
+checks for an inverse and clips runs of differences for both spacetime
+probes.  No record writes its own `__init__`: `Record` makes each one.
 """
 
 import ast
@@ -261,3 +264,26 @@ def test_one_engine_advances_a_family_and_reads_its_drifts():
     modules = sorted(PACKAGE.glob("*.py"))
     for name in ("_lockstep", "_common_drift"):
         assert callers(modules, name) == ["dynamics_analysis._pair_scan"], name
+
+
+def test_one_sweep_serves_both_spacetime_probes():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert callers(modules, "_pair_scan") == ["dynamics_analysis._pair_fronts",
+                                              "dynamics_analysis._sweep"]
+    assert callers(modules, "_run") == ["dynamics_analysis._sweep",
+                                        "dynamics_analysis.direction_probe"]
+    raises = [node for path in modules for node in ast.walk(_parse(path))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and "InverseRequired" in _identifiers(node.exc)]
+    assert len(raises) == 1
+
+
+def test_no_record_writes_its_own_init():
+    written = [f"{path.stem}.{cls.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for cls in _parse(path).body
+               if isinstance(cls, ast.ClassDef)
+               and "Record" in set().union(*map(_identifiers, cls.bases))
+               and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                       for stmt in cls.body)]
+    assert written == []

@@ -1,7 +1,8 @@
 """Each record of the package (a subclass of `shift_core.Record`) behaves
 as the frozen (or, where declared, mutable) dataclass with the same
-annotations, defaults and methods would: its twin.  A record that writes
-its own `__init__` is held to the generated one."""
+annotations, defaults and methods would: its twin.  No record writes its
+own `__init__` (tests/test_reachability.py checks that), so each record's
+is `Record`'s, held here to the one the dataclass generates."""
 
 import ast
 import dataclasses
@@ -58,8 +59,7 @@ SAMPLES = {
 
 def _twin(cls):
     """The dataclass `cls` stands for: its annotations, defaults (a `field`
-    as a dataclasses.field), frozen flag and the methods of its body but
-    `__init__`, which the dataclass generates."""
+    as a dataclasses.field), frozen flag and the methods of its body."""
     module = importlib.import_module(cls.__module__)
     node = next(n for n in ast.parse(pathlib.Path(module.__file__).read_text()).body
                 if isinstance(n, ast.ClassDef) and n.name == cls.__name__)
@@ -74,7 +74,7 @@ def _twin(cls):
                 specs.append((name, hint))
             else:
                 specs.append((name, hint, eval(ast.unparse(stmt.value), scope)))
-        elif isinstance(stmt, ast.FunctionDef) and stmt.name != "__init__":
+        elif isinstance(stmt, ast.FunctionDef):
             namespace[stmt.name] = vars(cls)[stmt.name]
     frozen = not any(k.arg == "frozen" and not ast.literal_eval(k.value) for k in node.keywords)
     return dataclasses.make_dataclass(cls.__name__, specs, namespace=namespace, frozen=frozen)
