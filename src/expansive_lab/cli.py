@@ -205,6 +205,10 @@ def cmd_region(args) -> str:
     return region_to_lines(region)
 
 
+# the largest --n of `lyapunov --system ab`, whose alphabet has 4n + 5 symbols
+MAX_FRONT_COUNTER_BOUND = 10**5
+
+
 def cmd_lyapunov(args) -> str:
     # before the walk or the scan, which take time in t_max
     if args.tmax < 0:
@@ -212,6 +216,10 @@ def cmd_lyapunov(args) -> str:
     if args.horizon < 0:
         raise ValueError("horizon must be >= 0")
     if args.system == "ab":
+        if args.n > MAX_FRONT_COUNTER_BOUND:  # before its alphabet is built
+            raise ValueError(f"counter bound {args.n} is above the limit "
+                             f"{MAX_FRONT_COUNTER_BOUND} of --system ab, whose "
+                             f"alphabet has 4n + 5 symbols")
         cfg = _arrow_block_start(args.n, args.level)
         right, left = ab.perturbation_front(cfg, args.n, args.tmax)
         est = profile_from_fronts(right, left, args.horizon)

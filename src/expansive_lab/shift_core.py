@@ -427,8 +427,9 @@ def iterate(rule: LocalRule, cfg: Configuration):
     `Periodic`) and copies the rest; once a step changes nothing, every
     later item is the same object.  Cost: nothing until an item is asked
     for; one `apply_rule` for the first step, then per step at most 2r+1
-    window evaluations per cell the last step changed, plus one C-level
-    copy of the word.  It holds cfg and the current configuration.
+    window evaluations per cell the last step changed, each a slice of one
+    tuple, plus one C-level copy of the row `_iterate_on` keeps (two when
+    a padded row's ends move).  It holds cfg, the last item and the row.
     """
     yield cfg
     y = apply_rule(rule, cfg)
@@ -437,36 +438,45 @@ def iterate(rule: LocalRule, cfg: Configuration):
 
 
 def _iterate_on(rule: LocalRule, cfg: Configuration, y: Configuration):
-    """`iterate`'s steps 2, 3, ... given its step 1, y = rule(cfg)."""
+    """`iterate`'s steps 2, 3, ... given its step 1, y = rule(cfg).
+
+    One list, `row`, is written in place across the steps.  For `Padded` it
+    holds support(y) and the dirty cells, r more each side, its ends padded
+    or cut each step, so a translating orbit keeps it O(support); windows
+    are sliced from `t`, the row's tuple after the last write, which is the
+    new word too and is rebuilt only when the ends move.  For `Periodic`
+    the row is the word and `t` its wrapped window."""
     r, evaluate = rule.radius, rule.evaluate
-    width = 2 * r + 1
     p = cfg.period if isinstance(cfg, Periodic) else None
     # every cell step 1 could change: the period, or the support and r more each side
     lo, hi = (0, p - 1) if p else (cfg.anchor - r, cfg.anchor + len(cfg.word) - 1 + r)
+    t, a = y.window(lo - r, hi + r), lo - r  # cell i is t[i - a]
     changed = [
-        i for i, a, b in zip(range(lo, hi + 1), cfg.window(lo, hi), y.window(lo, hi))
-        if a != b
+        i for i, u, v in zip(range(lo, hi + 1), cfg.window(lo, hi), t[r : len(t) - r])
+        if u != v
     ]
+    row = list(y.word if p else t)  # cell i is row[i] if p, else row[i - a]
     while changed:
         near = {c + d for c in changed for d in range(-r, r + 1)}
         dirty = sorted({i % p for i in near} if p else near)
-        if not p:
-            lo, hi = dirty[0], dirty[-1]
+        if not p:  # the row's ends: the support and the dirty cells, r more each side
+            lo, hi = dirty[0] - r, dirty[-1] + r + 1
             if y.word:
-                lo, hi = min(lo, y.anchor), max(hi, y.anchor + len(y.word) - 1)
-        # cell i's window is window[i - lo : i - lo + width]
-        window = y.window(lo - r, hi + r)
-        new = [evaluate(window[i - lo : i - lo + width]) for i in dirty]
-        changed = [i for i, s in zip(dirty, new) if window[i - lo + r] != s]
+                lo, hi = min(lo, y.anchor - r), max(hi, y.anchor + len(y.word) + r)
+            if (lo, hi) != (a, a + len(row)):  # each end grows by pads or is cut
+                row[min(hi - a, len(row)) :] = [y.pad] * (hi - a - len(row))
+                row[: max(lo - a, 0)] = [y.pad] * (a - lo)
+                t, a = tuple(row), lo
+        new = [evaluate(t[i - a - r : i - a + r + 1]) for i in dirty]
+        changed = [i for i, s in zip(dirty, new) if t[i - a] != s]
         if not changed:
             break
-        row = list(window[r : len(window) - r])
+        k = 0 if p else a
         for i, s in zip(dirty, new):
-            row[i - lo] = s
-        y = (
-            Periodic._of(y.alphabet, tuple(row)) if p
-            else Padded._of(y.alphabet, tuple(row), y.pad, lo)
-        )
+            row[i - k] = s
+        word = tuple(row)
+        y = Periodic._of(y.alphabet, word) if p else Padded._of(y.alphabet, word, y.pad, a)
+        t = y.window(-r, p - 1 + r) if p else word
         yield y
     yield from itertools.repeat(y)
 

@@ -552,20 +552,23 @@ def test_size_budgets_refuse_before_building(argv, option):
 _LEGEND_REFUSAL = "error: the text legend has glyphs for n <= 15 only, not n = {n}\n"
 _BOUND_REFUSAL = ("error: counter bound {n} is above the limit 15 (the window table holds "
                   "964, 2,880, 6,268, 58,728 and 301,516 entries at n = 1, 2, 3, 8 and 15)\n")
+_FRONT_REFUSAL = ("error: counter bound {n} is above the limit 100000 of --system ab, "
+                  "whose alphabet has 4n + 5 symbols\n")
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, limit",
     [
-        (("render",), _LEGEND_REFUSAL),
-        (("ab-run", "--format", "pgm", "--steps", "1"), _BOUND_REFUSAL),
-        (("ab-run", "--steps", "1"), _LEGEND_REFUSAL),
+        (("render",), _LEGEND_REFUSAL, 15),
+        (("ab-run", "--format", "pgm", "--steps", "1"), _BOUND_REFUSAL, 15),
+        (("ab-run", "--steps", "1"), _LEGEND_REFUSAL, 15),
+        (("lyapunov", "--system", "ab"), _FRONT_REFUSAL, 10**5),
     ],
-    ids=["render", "ab-run-pgm", "ab-run-txt"],
+    ids=["render", "ab-run-pgm", "ab-run-txt", "lyapunov-ab"],
 )
-def test_a_huge_counter_bound_is_refused_as_the_first_one_past_the_limit(argv, message):
+def test_a_huge_counter_bound_is_refused_as_the_first_one_past_the_limit(argv, message, limit):
     # level_alphabet(n) has 4n + 5 symbols: at n = 10^8 they do not fit under the cap
-    for n in (16, 10**8):
+    for n in (limit + 1, 10**8):
         start = time.perf_counter()
         proc = _run_capped(*argv, "--n", str(n))
         assert time.perf_counter() - start < 1

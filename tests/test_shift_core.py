@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,7 @@ from expansive_lab.shift_core import (
     apply_rule,
     compose_rules,
     identity_rule,
+    iterate,
     necklaces,
     orbit,
     rule_from_json,
@@ -315,6 +317,105 @@ def test_orbit_matches_stepped_apply_rule(case, steps):
         return [_fields(x) for x in got] if isinstance(got, list) else got
 
     assert fields(orbit) == fields(_stepped_orbit)
+
+
+# on a quiescent "a" background each run of "b" loses its leftmost cell per step
+_ERODE = LocalRule(_AB, 1, {("a", "b", "a"): "a", ("a", "b", "b"): "a"}, "identity")
+# a constant word flips its symbol every step, at radius 2
+_BLINK = LocalRule(_AB, 2, {("a",) * 5: "b", ("b",) * 5: "a"}, "identity")
+
+
+@st.composite
+def _long_orbit_case(draw):
+    """`_rule_and_configuration`, or a binary word under a rule whose padded
+    supports translate (the shifts d = +-1, +-2), grow (`_SPREAD`) or shrink
+    to nothing (`_ERODE`); a periodic word may be shorter than the radius."""
+    if draw(st.booleans()):
+        return draw(_rule_and_configuration())
+    rule = draw(st.sampled_from([shift_rule(_AB, d) for d in (1, -1, 2, -2)]
+                                + [_SPREAD, _ERODE]))
+    word = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=9))
+    if draw(st.booleans()):
+        return rule, Periodic(_AB, word)
+    return rule, Padded(_AB, word, "a", draw(st.integers(-9, 9)))
+
+
+def _orbit_fields(kernel, rule, cfg, steps):
+    got = _outcome(lambda rule, cfg: kernel(rule, cfg, steps), rule, cfg)
+    return [_fields(x) for x in got] if isinstance(got, list) else got
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_orbit_case(), st.integers(9, 80))
+@example((shift_rule(_AB, 2), Padded(_AB, "abba", "a", 3)), 80)  # translates
+@example((_BLINK, Periodic(_AB, "a")), 80)  # period below the radius
+@example((_SPREAD, Padded(_AB, "bab", "a", -4)), 80)
+@example((_ERODE, Padded(_AB, "bbbbb", "a")), 12)  # shrinks to the empty word
+def test_long_orbits_match_stepped_apply_rule(case, steps):
+    """The row kept across later steps grows, is cut and moves with the
+    support, and every item equals stepped `apply_rule`, field by field."""
+    rule, cfg = case
+    assert _orbit_fields(orbit, rule, cfg, steps) == _orbit_fields(_stepped_orbit, rule, cfg, steps)
+
+
+def _changed(x, y):
+    """The cells where y differs from x: coordinates, or indices mod the period."""
+    if isinstance(x, Periodic):
+        return {i for i, (a, b) in enumerate(zip(x.word, y.word)) if a != b}
+    lo = min(x.anchor, y.anchor)
+    hi = max(x.anchor + len(x.word), y.anchor + len(y.word))
+    return {i for i in range(lo, hi) if x[i] != y[i]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_orbit_case(), st.integers(2, 40))
+@example((_SPREAD, Padded(_AB, "b", "a")), 20)  # 2r + 1 cells around each new end
+@example((shift_rule(_AB, 1), Periodic(_AB, "abb")), 10)  # every index, mod the period
+@example((_BLINK, Periodic(_AB, "a")), 10)  # 2r + 1 cells, one index mod the period
+def test_each_later_step_evaluates_only_the_last_changes_and_r_more_each_side(case, steps):
+    """Step k >= 2 of `iterate` calls `LocalRule.evaluate` once per cell
+    within the radius of the cells step k - 1 changed, read off the
+    stepped reference (mod the period for `Periodic`), and no more."""
+    rule, cfg = case
+    ref = _outcome(lambda rule, cfg: _stepped_orbit(rule, cfg, steps), rule, cfg)
+    if not isinstance(ref, list):  # an orbit that raises is compared above
+        return
+    r = rule.radius
+    want = []
+    for x, y in zip(ref, ref[1:-1]):
+        near = {c + d for c in _changed(x, y) for d in range(-r, r + 1)}
+        want.append(len({i % cfg.period for i in near} if isinstance(cfg, Periodic) else near))
+    calls, evaluate = [0], LocalRule.evaluate
+
+    def counted(self, window):
+        calls[0] += 1
+        return evaluate(self, window)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LocalRule, "evaluate", counted)
+        items = iterate(rule, cfg)
+        next(items), next(items)  # cfg, and step 1: a full apply_rule
+        got = []
+        for _ in range(steps - 1):
+            calls[0] = 0
+            next(items)
+            got.append(calls[0])
+    assert got == want
+
+
+def test_a_translating_orbit_costs_linear_time_in_its_steps():
+    """The row follows a support that moves one cell a step, so it stays
+    the support's width: 4000 steps take about 4 times as long as 1000,
+    where a row that only grew would make each step walk its pads."""
+    cfg = Padded(_AB, "abba", "a", 3)
+    for d in (1, -1):
+        rule, best = shift_rule(_AB, d), {1000: math.inf, 4000: math.inf}
+        for _ in range(5):
+            for steps in best:
+                start = time.perf_counter()
+                orbit(rule, cfg, steps)
+                best[steps] = min(best[steps], time.perf_counter() - start)
+        assert best[4000] / best[1000] < 8
 
 
 class TestComposition:
